@@ -12,10 +12,11 @@ empirically; it never calls anything proven.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .arith import admissible_residues
 from .modform import (
@@ -106,9 +107,32 @@ class VerificationResult:
 
 
 @lru_cache(maxsize=64)
-def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
+def _build_series_mod(
+    kind: str, colors: int, modulus: int, order: int
+) -> TruncatedSeries:
     fam = PartitionFamily(kind, colors)
     return generating_series(fam, order, zmod(modulus))
+
+
+# key -> [lock, number of callers holding or waiting for it]
+_inflight: Dict[tuple, list] = {}
+_inflight_guard = threading.Lock()
+
+
+def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
+    """The cached series; concurrent callers of one key share a single build."""
+    key = (kind, colors, modulus, order)
+    with _inflight_guard:
+        entry = _inflight.setdefault(key, [threading.Lock(), 0])
+        entry[1] += 1
+    try:
+        with entry[0]:
+            return _build_series_mod(*key)
+    finally:
+        with _inflight_guard:
+            entry[1] -= 1
+            if entry[1] == 0:
+                del _inflight[key]
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:

@@ -8,15 +8,61 @@ series may be shared freely between threads.
 
 Coefficients over the exact-integer ring are arbitrary-precision Python
 ints.  Over a mod-m ring they are reduced representatives in [0, m-1].
-Multiplication is schoolbook convolution; for mod-m rings with small m a
-numpy int64 convolution is used when it cannot overflow, which produces
-bit-identical results.
+
+Multiplication over ZZ, and of short series, is schoolbook convolution.
+Over a mod-m ring both operands are first cut to the result length, then
+the first of these paths whose guard holds computes the product:
+
+1. ``fft``.  Let n be the number of product terms needed and h =
+   ceil(n / 2), and split a = a0 + q^h a1, b = b0 + q^h b1 into blocks of
+   at most h terms.  The first n terms of a b are those of
+   a0 b0 + q^h (a1 b0 + a0 b1).  Each of these three block products is a
+   float64 real-FFT cyclic convolution (``numpy.fft.rfft`` and ``irfft``)
+   of length L, the least 2^a 3^b 5^c >= 2h, so no term wraps round; each
+   is rounded to the nearest integer, and their sum is reduced mod m.
+   Half-length blocks halve L and the spectra held at once.  The path
+   runs only when the a-priori rounding bound (``_fft_error_bound``)
+
+       |z' - z|_inf <= |x|_2 |y|_2 * S (1 + S),
+       S = (2 + sqrt(L)) delta + mu + sqrt(L) u (1 + delta),
+
+   taken at the l2 norms of a and b, which bound those of every block, is
+   below 1/4, so rounding z' recovers each exact block product z.
+   Here u = 2^-53, mu = 3u bounds a complex product (Higham, "Accuracy
+   and Stability of Numerical Algorithms", Lemma 3.5) and delta bounds
+   the relative l2 error of one transform.  The forward errors and the
+   pointwise product enter through |X Y|_1 <= |X|_2 |Y|_2 = L |x|_2 |y|_2
+   and the 1/L of the inverse (2 delta + mu); the inverse transform's own
+   error is bounded in l2 (sqrt(L) delta); its 1/L scaling adds at most
+   2u relative (sqrt(L) u).  The argument is that of
+   Percival, "Rapid multiplication modulo the sum and difference of highly
+   composite numbers", Math. Comp. 72 (2003), Thm 5.1, with a looser
+   inverse-transform term.  Percival states it for radix-2 passes; the
+   proof only needs each pass to be sqrt(r) times a unitary map (blocks of
+   radix-r DFTs times unit twiddles) computed with relative l2 error at
+   most eta_r.  A radix-r block output is a sum of r twiddled terms formed
+   by at most 10 roundings, and its entrywise-absolute matrix has l2 norm
+   at most 2r against the DFT's sqrt(r), so eta_r <= 2 sqrt(r) gamma_10
+   < 32 sqrt(r) u.  The 2^a 3^b 5^c lengths need only radix-2, 3, 4 and 5
+   passes; a radix-4 pass is covered by two radix-2 factors, since
+   32 sqrt(4) u < (1 + 32 sqrt(2) u)^2 - 1.  Hence delta <= D (1 + D),
+   D the sum of 32 sqrt(r) u over the prime factors r of L.
+2. ``convolve``: an int64 ``numpy.convolve``, when the largest possible
+   coefficient min(la, lb) (m-1)^2 is below 2^62.
+3. ``schoolbook`` on Python ints otherwise.
+
+Every path gives bit-identical results.  Inversion over a mod-m ring
+at order >= ``_NEWTON_MIN_ORDER`` is Newton iteration, g <- g (2 - f g)
+(Brent and Kung, "Fast algorithms for manipulating formal power series",
+J. ACM 25 (1978)), on the same multiply, when the fft path would accept
+dense operands of that length; otherwise it is the sparse recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import gcd, sqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +71,174 @@ __all__ = ["Ring", "ZZ", "zmod", "TruncatedSeries", "one", "zero", "monomial"]
 
 # Engage numpy only when the schoolbook loop would be noticeably slower.
 _NUMPY_MIN_WORK = 1 << 14
+# Below this shorter-operand length np.convolve beats the transforms.
+_FFT_MIN_LEN = 384
+# The fft path runs only while its rounding bound stays below this.
+_FFT_MAX_ERROR = 0.25
+# Newton inversion pays off against the sparse recurrence from here on.
+_NEWTON_MIN_ORDER = 256
+
+_U = 2.0**-53  # unit roundoff of float64
+_MU = 3 * _U  # relative error of one complex product, sqrt(2) gamma_2 < 3u
+
+
+@lru_cache(maxsize=256)
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: transform length for n output terms."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            x = p35
+            while x < n:
+                x *= 2
+            best = min(best, x)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_error_bound(norm2_a: float, norm2_b: float, length: int) -> float:
+    """Bound on |z' - z|_inf for the float64 real-FFT convolution z' of a and b.
+
+    norm2_a and norm2_b are the squared l2 norms of the operands and
+    length is the transform length, a 2^a 3^b 5^c number.  The inequality
+    and its sources are in the module docstring.
+    """
+    d = 0.0
+    rest = length
+    for r in (2, 3, 5):
+        while rest % r == 0:
+            rest //= r
+            d += 32 * sqrt(r) * _U
+    if rest != 1:
+        raise ValueError(f"transform length {length} is not 2^a 3^b 5^c")
+    delta = d * (1 + d)
+    root = sqrt(length)
+    s = (2 + root) * delta + _MU + root * _U * (1 + delta)
+    # the factor 1 + 2^-20 covers the float64 rounding of the two norms
+    return sqrt(norm2_a * norm2_b) * (1 + 2.0**-20) * s * (1 + s)
+
+
+def _norm2(a: np.ndarray) -> float:
+    f = a.astype(np.float64)
+    return float(np.dot(f, f))
+
+
+def _fft_blocks(la: int, lb: int, rl: int) -> tuple[int, int]:
+    """Block length h and transform length L of the fft path for rl terms."""
+    h = (min(rl, la + lb - 1) + 1) // 2
+    return h, _fft_length(2 * h)
+
+
+def _mul_path(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> str:
+    """The first exact path for a * b mod m: 'fft', 'convolve' or 'schoolbook'."""
+    n = min(len(a), len(b))
+    if n >= _FFT_MIN_LEN:
+        length = _fft_blocks(len(a), len(b), rl)[1]
+        na = _norm2(a)
+        nb = na if b is a else _norm2(b)
+        if _fft_error_bound(na, nb, length) < _FFT_MAX_ERROR:
+            return "fft"
+    if n * (m - 1) ** 2 < 2**62:
+        return "convolve"
+    return "schoolbook"
+
+
+def _spectral_product(fx: np.ndarray, fy: np.ndarray, length: int, n: int) -> np.ndarray:
+    """First n terms of the product whose transforms are fx and fy, rounded.
+
+    fx is overwritten; fx and fy may be one array, for a square.
+    """
+    fx *= fy
+    z = np.fft.irfft(fx, length)[:n]
+    np.rint(z, out=z)
+    return z.astype(np.int64)
+
+
+def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
+    """First rl terms of a * b mod m by real FFT; the caller checked the bound.
+
+    The three block products of the module docstring, each operand block
+    transformed once.
+    """
+    h, length = _fft_blocks(len(a), len(b), rl)
+    fa0 = np.fft.rfft(a[:h], length)
+    fb0 = fa0 if b is a else np.fft.rfft(b[:h], length)
+    out = np.zeros(rl, dtype=np.int64)
+    top = out[h : 2 * h]
+    if len(a) > h:
+        top += _spectral_product(np.fft.rfft(a[h:], length), fb0, length, len(top))
+    if b is a:
+        top *= 2  # a1 b0 + a0 b1 = 2 a1 a0
+    elif len(b) > h:
+        top += _spectral_product(np.fft.rfft(b[h:], length), fa0, length, len(top))
+    low = out[: 2 * h]
+    low += _spectral_product(fa0, fb0, length, len(low))
+    out %= m
+    return out
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int], rl: int) -> list[int]:
+    """First rl terms of a * b over the integers, skipping zero terms."""
+    acc = [0] * rl
+    la, lb = len(a), len(b)
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    for i in range(min(la, rl)):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(min(lb, rl - i)):
+            acc[i + j] += ai * b[j]
+    return acc
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
+    """First rl terms of a * b mod m, as int64 in [0, m), by the first exact path.
+
+    a and b are int64 arrays of residues; pass the same array twice for a
+    square.  Both are cut to rl terms before any work.
+    """
+    square = b is a
+    a = a[:rl]
+    b = a if square else b[:rl]
+    path = _mul_path(a, b, rl, m)
+    if path == "fft":
+        return _fft_mul(a, b, rl, m)
+    if path == "convolve":
+        conv = np.convolve(a, b)[:rl]
+        conv %= m
+        return conv
+    acc = _schoolbook(a.tolist(), b.tolist(), rl)
+    return np.array([c % m for c in acc], dtype=np.int64)
+
+
+def _newton_pays(order: int, m: int) -> bool:
+    """Whether the fft path accepts any two operands of this length mod m."""
+    worst = order * (m - 1) ** 2
+    length = _fft_blocks(order, order, order)[1]
+    return _fft_error_bound(worst, worst, length) < _FFT_MAX_ERROR
+
+
+def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
+    """Inverse of f mod (q^order, m) by Newton iteration; f[0] * inv0 == 1 mod m.
+
+    If g inverts f to precision k, then f g = 1 + q^k e and
+    g - q^k g e inverts f to precision 2k (Brent and Kung 1978).
+    """
+    g = np.array([inv0 % m], dtype=np.int64)
+    k = 1
+    while k < order:
+        k2 = min(2 * k, order)
+        e = _mul_mod(f, g, k2, m)[k:]
+        ge = _mul_mod(g, e, k2 - k, m)
+        del e
+        ge = (-ge) % m
+        g = np.concatenate((g, ge))
+        k = k2
+    return g
 
 
 @dataclass(frozen=True)
@@ -100,7 +314,8 @@ class TruncatedSeries:
     ):
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
-        cs = [ring.normalize(c) for c in coeffs]
+        m = ring.modulus
+        cs = list(coeffs) if m is None else [c % m for c in coeffs]
         if order is None:
             order = offset + len(cs)
         if order < offset:
@@ -218,42 +433,28 @@ class TruncatedSeries:
         self._require_same_ring(other)
         offset = self.offset + other.offset
         order = min(self.order + other.offset, other.order + self.offset)
-        la, lb = len(self.coeffs), len(other.coeffs)
-        rl = order - offset  # == min(la, lb)
+        rl = order - offset  # == min(len(a), len(b))
         if rl <= 0:
             return TruncatedSeries(self.ring, (), offset, order)
+        a, b = self.coeffs[:rl], other.coeffs[:rl]
         m = self.ring.modulus
-        if (
-            m is not None
-            and la * lb >= _NUMPY_MIN_WORK
-            and min(la, lb) * (m - 1) * (m - 1) < 2**62
-        ):
-            conv = np.convolve(
-                np.array(self.coeffs, dtype=np.int64),
-                np.array(other.coeffs, dtype=np.int64),
-            )
-            out = (conv[:rl] % m).tolist()
+        if m is not None and len(a) * len(b) >= _NUMPY_MIN_WORK and m <= 2**63:
+            aa = np.array(a, dtype=np.int64)
+            bb = aa if other is self else np.array(b, dtype=np.int64)
+            out = _mul_mod(aa, bb, rl, m).tolist()
             return TruncatedSeries(self.ring, out, offset, order)
-        acc = [0] * rl
-        a, b = self.coeffs, other.coeffs
-        if la > lb:
-            a, b, la, lb = b, a, lb, la
-        for i in range(min(la, rl)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(lb, rl - i)):
-                acc[i + j] += ai * b[j]
-        return TruncatedSeries(self.ring, acc, offset, order)
+        return TruncatedSeries(self.ring, _schoolbook(a, b, rl), offset, order)
 
     __mul__ = mul
 
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse via b_n = -a0^{-1} sum a_i b_{n-i}.
+        """Multiplicative inverse; requires offset 0 and a unit constant term.
 
-        Requires offset 0 and a unit constant term.  Zero coefficients of
-        the input are skipped, so inverting a sparse series (an Euler
-        product, say) costs O(order * nnz).
+        Over ZZ/m at order >= _NEWTON_MIN_ORDER, when the fft multiply
+        accepts dense operands of that length, this is Newton iteration.
+        Otherwise it is the recurrence b_n = -a0^{-1} sum a_i b_{n-i},
+        which skips zero coefficients of the input, so inverting a sparse
+        series (an Euler product, say) costs O(order * nnz).
         """
         if self.offset != 0:
             raise ValueError(
@@ -267,6 +468,15 @@ class TruncatedSeries:
                 f"cannot invert: leading coefficient {a0} is not a unit in {self.ring}"
             )
         inv0 = self.ring.invert(a0)
+        m = self.ring.modulus
+        if (
+            m is not None
+            and self.order >= _NEWTON_MIN_ORDER
+            and _newton_pays(self.order, m)
+        ):
+            f = np.array(self.coeffs, dtype=np.int64)
+            out = _inverse_newton(f, self.order, m, inv0).tolist()
+            return TruncatedSeries(self.ring, out, 0, self.order)
         norm = self.ring.normalize
         nz = [(i, c) for i, c in enumerate(self.coeffs) if i > 0 and c != 0]
         out = [0] * (self.order)

@@ -1,7 +1,12 @@
 """Claims, theorem families, certificates, and the empirical search."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+from cubicpart import engine
 from cubicpart.engine import (
     CongruenceClaim,
     FAILED,
@@ -273,3 +278,39 @@ def test_search_validates_bounds():
         search_congruences(0, {5}, 500)
     with pytest.raises(ValueError):
         search_congruences(2, {1}, 500)
+
+
+def test_concurrent_requests_for_one_series_build_it_once(monkeypatch):
+    builds = []
+
+    def counting_build(fam, order, ring):
+        builds.append((fam, order, ring))
+        time.sleep(0.1)  # keep the build open while the other threads ask
+        return ("series", order)
+
+    monkeypatch.setattr(engine, "generating_series", counting_build)
+    key = (CUBIC, 97, 101, 7)  # a key no other test requests
+    workers = 8  # more threads than cores
+    start = threading.Barrier(workers, timeout=10)
+    results = []
+
+    def request():
+        start.wait()
+        results.append(engine._series_mod(*key))
+
+    threads = [threading.Thread(target=request) for _ in range(workers)]
+    engine._build_series_mod.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+        engine._build_series_mod.cache_clear()
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert results == [("series", 7)] * workers
+    assert engine._inflight == {}

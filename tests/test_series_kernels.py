@@ -1,0 +1,266 @@
+"""Differential tests of the mod-m multiply and inverse kernels.
+
+Every fast path is compared against the exact-integer schoolbook product
+followed by reduce_mod, on adversarial inputs: all coefficients m - 1,
+lengths around powers of two and around the steps of the transform
+length, and moduli on both sides of each path's guard.
+"""
+
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cubicpart import series
+from cubicpart.qfunctions import euler_product
+from cubicpart.series import TruncatedSeries, ZZ, _fft_error_bound, _fft_length, zmod
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def transform_length(n):
+    """Transform length of the fft path for two operands of n terms."""
+    return series._fft_blocks(n, n, n)[1]
+
+
+def smooth_steps(limit):
+    """Operand lengths n at which the transform length changes."""
+    steps, last = [], None
+    for n in range(series._FFT_MIN_LEN, limit):
+        length = transform_length(n)
+        if length != last:
+            steps.append(n)
+            last = length
+    return steps
+
+
+LENGTHS = sorted(
+    {1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 383, 384, 385, 511, 512, 513}
+    | set(smooth_steps(600))
+)
+MODULI = [2, 3, 5, 7, 12, 13, 97, 65521, 2**31 - 1, 2**61 - 1, 2**64 + 13]
+
+
+def coefficients(rng, n, m, fill):
+    if fill == "max":
+        return [m - 1] * n
+    return [rng.randrange(m) for _ in range(n)]
+
+
+def exact_product(a, b, m):
+    """Reference: schoolbook product over ZZ, then reduction mod m."""
+    za = TruncatedSeries(ZZ, a.coeffs, a.offset, a.order)
+    zb = TruncatedSeries(ZZ, b.coeffs, b.offset, b.order)
+    return (za * zb).reduce_mod(m)
+
+
+def path_of(a, b, m):
+    rl = min(len(a), len(b))
+    aa = np.array(a[:rl], dtype=np.int64)
+    bb = aa if b is a else np.array(b[:rl], dtype=np.int64)
+    return series._mul_path(aa, bb, rl, m)
+
+
+def largest_inside(n, accept):
+    """Largest m >= 2 with accept(m) true, for accept monotone decreasing in m."""
+    lo, hi = 2, 2
+    while accept(hi):
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accept(mid) else (lo, mid)
+    return lo
+
+
+def fft_accepts_max(n):
+    """accept(m): the fft bound admits two length-n operands of all m - 1."""
+    length = transform_length(n)
+
+    def accept(m):
+        worst = n * (m - 1) ** 2
+        return _fft_error_bound(worst, worst, length) < series._FFT_MAX_ERROR
+
+    return accept
+
+
+# -- transform length and bound -------------------------------------------
+
+
+def test_fft_length_is_the_least_smooth_number_at_or_above_n():
+    def smooth(x):
+        for r in (2, 3, 5):
+            while x % r == 0:
+                x //= r
+        return x == 1
+
+    for n in range(1, 3000):
+        length = _fft_length(n)
+        assert length >= n and smooth(length)
+        assert not any(smooth(x) for x in range(n, length))
+
+
+def test_fft_error_bound_needs_a_smooth_length_and_grows_with_norms():
+    with pytest.raises(ValueError):
+        _fft_error_bound(1.0, 1.0, 7 * 64)
+    small = _fft_error_bound(100.0, 100.0, 1024)
+    assert 0 < small < _fft_error_bound(400.0, 100.0, 1024)
+    assert small < _fft_error_bound(100.0, 100.0, 4096)
+
+
+# -- multiply ---------------------------------------------------------------
+
+
+@KERNEL_SETTINGS
+@given(
+    n=st.sampled_from(LENGTHS),
+    m=st.sampled_from(MODULI),
+    fill=st.sampled_from(["max", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    square=st.booleans(),
+)
+def test_mul_matches_exact_schoolbook(n, m, fill, seed, square):
+    rng = random.Random(seed)
+    ring = zmod(m)
+    a = TruncatedSeries(ring, coefficients(rng, n, m, fill))
+    b = a if square else TruncatedSeries(ring, coefficients(rng, n, m, fill))
+    assert a * b == exact_product(a, b, m)
+
+
+@KERNEL_SETTINGS
+@given(
+    la=st.sampled_from(LENGTHS),
+    lb=st.sampled_from(LENGTHS),
+    offsets=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    m=st.sampled_from([7, 13, 65521]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_of_unequal_lengths_and_offsets_matches_exact(la, lb, offsets, m, seed):
+    rng = random.Random(seed)
+    ring = zmod(m)
+    a = TruncatedSeries(ring, coefficients(rng, la, m, "random"), offsets[0], offsets[0] + la)
+    b = TruncatedSeries(ring, coefficients(rng, lb, m, "random"), offsets[1], offsets[1] + lb)
+    assert a * b == exact_product(a, b, m)
+
+
+@KERNEL_SETTINGS
+@given(
+    la=st.integers(384, 900),
+    lb=st.integers(384, 900),
+    rl=st.integers(384, 2000),
+    m=st.sampled_from([2, 7, 12, 97]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_kernel_on_unequal_blocks_matches_schoolbook(la, lb, rl, m, seed):
+    # Newton passes operands of different lengths, and result lengths
+    # beyond la + lb - 1, straight to the kernel
+    rng = random.Random(seed)
+    a = [rng.randrange(m) for _ in range(la)]
+    b = [rng.randrange(m) for _ in range(lb)]
+    aa, bb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert series._mul_path(aa[:rl], bb[:rl], rl, m) == "fft"
+    expected = [c % m for c in series._schoolbook(a, b, rl)]
+    assert series._mul_mod(aa, bb, rl, m).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [384, 400, 512, 513])
+def test_fft_bound_threshold_both_sides_exact(n):
+    inside = largest_inside(n, fft_accepts_max(n))
+    assert inside > 1000  # the small moduli the paper uses are far inside
+    for m, expected in ((inside, "fft"), (inside + 1, "convolve")):
+        a = TruncatedSeries(zmod(m), [m - 1] * n)
+        b = TruncatedSeries(zmod(m), [m - 1] * n)  # equal norms, not a square
+        assert path_of(a.coeffs, a.coeffs, m) == expected
+        with mock.patch.object(series, "_fft_mul", wraps=series._fft_mul) as spy:
+            assert a * a == exact_product(a, a, m)
+            assert a * b == exact_product(a, b, m)
+        assert spy.called == (expected == "fft")
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_int64_guard_threshold_both_sides_exact(n):
+    inside = largest_inside(n, lambda m: n * (m - 1) ** 2 < 2**62)
+    for m, expected in ((inside, "convolve"), (inside + 1, "schoolbook")):
+        a = TruncatedSeries(zmod(m), [m - 1] * n)
+        assert path_of(a.coeffs, a.coeffs, m) == expected
+        assert a * a == exact_product(a, a, m)
+
+
+def test_a_square_transforms_each_block_once():
+    rng = random.Random(5)
+    a = TruncatedSeries(zmod(7), [rng.randrange(7) for _ in range(1000)])
+    b = TruncatedSeries(zmod(7), [rng.randrange(7) for _ in range(1000)])
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as spy:
+        square = a * a
+        assert spy.call_count == 2  # its two half-length blocks
+        a * b
+        assert spy.call_count == 2 + 4
+    assert square == a.pow(2) == exact_product(a, a, 7)
+
+
+def test_operands_are_cut_to_the_result_length_before_transforming():
+    long = TruncatedSeries(zmod(7), [3] * 4000)
+    short = TruncatedSeries(zmod(7), [5] * 900)
+    with mock.patch.object(series, "_fft_mul", wraps=series._fft_mul) as spy:
+        product = long * short
+        direct = series._mul_mod(
+            np.array(long.coeffs, dtype=np.int64), np.array(short.coeffs, dtype=np.int64), 450, 7
+        )
+    assert [(len(a), len(b), rl) for (a, b, rl, m), _ in spy.call_args_list] == [
+        (900, 900, 900),
+        (450, 450, 450),
+    ]
+    assert product == exact_product(long, short, 7)
+    assert direct.tolist() == product.coefficients(450)
+
+
+# -- inverse ----------------------------------------------------------------
+
+
+def recurrence_inverse(s):
+    with mock.patch.object(series, "_NEWTON_MIN_ORDER", 10**9):
+        return s.inverse()
+
+
+@KERNEL_SETTINGS
+@given(
+    m=st.sampled_from([5, 7, 12, 65521]),
+    n=st.sampled_from([1, 2, 3, 255, 256, 257, 300, 511, 512, 513]),
+    fill=st.sampled_from(["euler", "max", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_inverse_matches_recurrence(m, n, fill, seed):
+    rng = random.Random(seed)
+    ring = zmod(m)
+    if fill == "euler":
+        s = euler_product(rng.randrange(1, 4), n, ring)
+    else:
+        coeffs = coefficients(rng, n, m, fill)
+        coeffs[0] = rng.choice([u for u in range(1, min(m, 50)) if ring.is_unit(u)])
+        s = TruncatedSeries(ring, coeffs)
+    inv0 = ring.invert(s.coeffs[0])
+    newton = series._inverse_newton(np.array(s.coeffs, dtype=np.int64), n, m, inv0)
+    expected = recurrence_inverse(s)
+    assert newton.tolist() == list(expected.coeffs)
+    assert s.inverse() == expected
+
+
+@pytest.mark.parametrize("m,newton", [(5, True), (7, True), (12, True), (65521, False)])
+def test_inverse_takes_newton_for_long_series_while_the_bound_allows(m, newton):
+    s = euler_product(1, 4000, zmod(m))
+    with mock.patch.object(
+        series, "_inverse_newton", wraps=series._inverse_newton
+    ) as spy:
+        inv = s.inverse()
+    assert spy.called == newton
+    assert inv == recurrence_inverse(s)
+    assert (s * inv).coefficients() == [1] + [0] * 3999
+
+
+@pytest.mark.parametrize("order", [10, 300])
+def test_non_unit_constant_term_is_rejected(order):
+    for ring, a0 in ((zmod(12), 2), (zmod(12), 3), (zmod(7), 0), (ZZ, 2)):
+        s = TruncatedSeries(ring, [a0] + [1] * (order - 1))
+        with pytest.raises(ValueError, match="not a unit"):
+            s.inverse()
