@@ -6,8 +6,8 @@ certificates, and an empirical congruence search, all over exact
 integer or mod-m coefficient rings.
 """
 
-from .series import Ring, TruncatedSeries, ZZ, monomial, one, zero, zmod
-from .qfunctions import EtaExpansionRequest, eta_expansion, euler_product, phi, psi
+from .series import Ring, TruncatedSeries, ZZ, one, zero, zmod
+from .qfunctions import eta_expansion, euler_product, euler_quotient, psi
 from .partitions import (
     CUBIC,
     OVERCUBIC,
@@ -23,10 +23,8 @@ from .arith import (
     ResidueClassReport,
     admissible_residues,
     is_odd_prime,
-    is_quadratic_nonresidue,
     kronecker,
     legendre,
-    mod_inverse,
 )
 from .modform import (
     CandidacyReport,
@@ -63,11 +61,9 @@ __all__ = [
     "zmod",
     "one",
     "zero",
-    "monomial",
     "euler_product",
     "psi",
-    "phi",
-    "EtaExpansionRequest",
+    "euler_quotient",
     "eta_expansion",
     "CUBIC",
     "OVERCUBIC",
@@ -79,10 +75,8 @@ __all__ = [
     "check_lemma_product",
     "check_named_identity",
     "is_odd_prime",
-    "is_quadratic_nonresidue",
     "legendre",
     "kronecker",
-    "mod_inverse",
     "ResidueClassReport",
     "admissible_residues",
     "EtaQuotient",

@@ -1,7 +1,7 @@
 """Elementary number theory for the congruence criteria.
 
-Quadratic-residue tests by Euler's criterion, the Kronecker symbol on its
-full domain, extended-gcd modular inverses, and the admissible-residue
+Deterministic primality, the Legendre symbol by Euler's criterion, the
+Kronecker symbol on its full domain, and the admissible-residue
 computation that selects progressions pn + r: the cubic family keeps r
 with 8r + 1 a quadratic nonresidue mod p, the overcubic family keeps r
 itself a nonresidue.
@@ -10,15 +10,12 @@ itself a nonresidue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, FrozenSet
 
 __all__ = [
     "is_odd_prime",
-    "is_quadratic_nonresidue",
     "legendre",
     "kronecker",
-    "mod_inverse",
     "ResidueClassReport",
     "admissible_residues",
 ]
@@ -66,14 +63,6 @@ def legendre(a: int, p: int) -> int:
     return -1 if e == p - 1 else e
 
 
-def is_quadratic_nonresidue(a: int, p: int) -> bool:
-    """True iff a is nonzero and not a square mod p.
-
-    Zero is neither residue nor nonresidue and yields False.
-    """
-    return legendre(a, p) == -1
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n) on the full domain, including n <= 0 and even n.
 
@@ -108,16 +97,6 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m (m >= 2) in [0, m-1], by extended gcd."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    g = gcd(a, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {m}: gcd = {g}")
-    return pow(a % m, -1, m)
 
 
 @dataclass(frozen=True)

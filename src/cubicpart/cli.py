@@ -5,7 +5,8 @@ congruence verification, theorem-family verification, certificate
 construction, empirical search, and the named classical identities.
 
 Exit codes: 0 success (claim holds / certificate proven / identity
-equal), 1 the checked statement is false or unproven, 2 usage error.
+equal), 1 the checked statement is false or unproven, 2 usage error
+(or a certificate file that cannot be written).
 With --json all output is a single JSON document; counts and
 coefficients are decimal strings since they outgrow doubles quickly.
 """
@@ -137,8 +138,12 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     cert = engine.prove_isolated(args.id)
     text = cert.to_text()
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the certificate: {exc}", file=sys.stderr)
+            return 2
     _emit(args, cert.to_dict(), text.rstrip("\n"))
     return 0 if cert.proven else 1
 

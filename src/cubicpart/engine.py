@@ -30,7 +30,7 @@ from .modform import (
     weight,
 )
 from .partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
-from .qfunctions import EtaExpansionRequest, eta_expansion
+from .qfunctions import eta_expansion
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -163,14 +163,17 @@ def theorem_claims(
     1.1:      cubic c = 2, the j=2 instance 25n+22 mod 5 (j=1 is vacuous:
               the asserted modulus 5^floor(1/2) is 1).
     1.5:      the two isolated congruences, filtered by p when given.
+
+    1.1, 1.2 and 1.5 have no k; any k other than 1 is rejected there.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k != 1 and theorem in ("1.1", "1.2", "1.5"):
+        raise ValueError(f"theorem {theorem} takes no k, got k = {k}")
     if theorem in ("1.2", "cor-1.3"):
         if p is None:
             raise ValueError(f"theorem {theorem} needs an odd prime p")
-        kk = 1 if theorem == "1.2" else k
-        fam = PartitionFamily(CUBIC, kk * p - 1)
+        fam = PartitionFamily(CUBIC, k * p - 1)
         residues = admissible_residues(p, CUBIC).admissible
         return [CongruenceClaim(fam, p, p, r) for r in sorted(residues)]
     if theorem == "4.1":
@@ -263,9 +266,7 @@ class SturmCertificate:
 
     def to_text(self) -> str:
         exps = " ".join(
-            f"{d}^{self.quotient.exponents[d]}"
-            for d in sorted(self.quotient.exponents)
-            if self.quotient.exponents[d] != 0
+            f"{d}^{self.quotient.exponents[d]}" for d in sorted(self.quotient.exponents)
         )
         cusps = " ".join(
             f"{d}:{self.cusp_table.orders[d]}" for d in sorted(self.cusp_table.orders)
@@ -359,15 +360,7 @@ def build_certificate(
     if not table.is_holomorphic:
         return SturmCertificate(verdict=FAILED, failure_stage="cusp-orders", **base)
 
-    offset = sum(d * r for d, r in eq.exponents.items()) // 24
-    expansion = eta_expansion(
-        EtaExpansionRequest(
-            level=eq.level,
-            exponents=dict(eq.exponents),
-            order=p * (bound + 1) + offset,
-            ring=zmod(m),
-        )
-    )
+    expansion = eta_expansion(eq, p * (bound + 1) + eq.delta_sum // 24, zmod(m))
     image = hecke_tp(expansion.with_zero_offset(), p, ell, report.character)
     for n in range(bound + 1):
         v = image.coefficient(n)

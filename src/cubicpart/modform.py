@@ -40,7 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EtaQuotient:
-    """Level N and the exponent r_delta of each eta(delta z) factor."""
+    """Level N and the exponent r_delta of each eta(delta z) factor.
+
+    The exponent map is copied on construction and keeps only the
+    nonzero exponents, so every consumer sees the same factors.
+    """
 
     level: int
     exponents: Dict[int, int]
@@ -51,16 +55,20 @@ class EtaQuotient:
         for delta in self.exponents:
             if delta < 1 or self.level % delta != 0:
                 raise ValueError(f"{delta} does not divide the level {self.level}")
+        nonzero = {d: r for d, r in self.exponents.items() if r}
+        object.__setattr__(self, "exponents", nonzero)
+
+    @property
+    def delta_sum(self) -> int:
+        """sum(delta * r_delta): 24 times the order at infinity."""
+        return sum(d * r for d, r in self.exponents.items())
 
     def divisors(self) -> list[int]:
         n = self.level
         return [d for d in range(1, n + 1) if n % d == 0]
 
     def __str__(self) -> str:
-        body = " ".join(
-            f"{d}^{self.exponents[d]}" for d in sorted(self.exponents)
-            if self.exponents[d] != 0
-        )
+        body = " ".join(f"{d}^{self.exponents[d]}" for d in sorted(self.exponents))
         return f"eta-quotient[N={self.level}: {body or '1'}]"
 
 
@@ -141,7 +149,6 @@ def check_candidacy(eq: EtaQuotient) -> CandidacyReport:
     Failures are reported, not raised.
     """
     n = eq.level
-    delta_sum = sum(d * r for d, r in eq.exponents.items())
     colevel_sum = sum((n // d) * r for d, r in eq.exponents.items())
     w = weight(eq)
     character = None
@@ -152,7 +159,7 @@ def check_candidacy(eq: EtaQuotient) -> CandidacyReport:
         character = CharacterDescriptor(w, s.numerator, s.denominator)
     return CandidacyReport(
         weight_integral=isinstance(w, int),
-        delta_sum_mod24=delta_sum % 24,
+        delta_sum_mod24=eq.delta_sum % 24,
         colevel_sum_mod24=colevel_sum % 24,
         character=character,
     )

@@ -4,16 +4,19 @@ Two families: partitions whose even parts come in c colors, and their
 overpartition variant where the first occurrence of each kind (part value
 plus color) may additionally be overlined.  Counts are computed by two
 independent routes -- generating-function series and a combinatorial
-dynamic program -- so each can serve as the other's oracle.
+dynamic program -- so each can serve as the other's oracle.  Each
+family's series, and the product side of each classical identity, is an
+Euler quotient: a map delta -> r_delta expanded by
+``qfunctions.euler_quotient``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from .series import Ring, TruncatedSeries, ZZ
-from .qfunctions import euler_product, psi
+from .qfunctions import euler_quotient, psi
 
 __all__ = [
     "CUBIC",
@@ -48,29 +51,27 @@ class PartitionFamily:
         if self.colors < 1:
             raise ValueError(f"colors must be >= 1, got {self.colors}")
 
+    @property
+    def exponents(self) -> Dict[int, int]:
+        """The nonzero r_delta of the counting series prod_delta f_delta^{r_delta}.
+
+        cubic:     1 / (f1 * f2^(c-1))            -> {1: -1, 2: -(c-1)}
+        overcubic: f4^(c-1) / (f1^2 * f2^(2c-3))  -> {1: -2, 2: -(2c-3), 4: c-1}
+
+        For overcubic c=1 the exponent 2c-3 = -1 is taken literally, so f2
+        lands in the numerator (ordinary overpartitions).
+        """
+        c = self.colors
+        if self.kind == CUBIC:
+            exps = {1: -1, 2: -(c - 1)}
+        else:
+            exps = {1: -2, 2: -(2 * c - 3), 4: c - 1}
+        return {d: r for d, r in exps.items() if r}
+
 
 def generating_series(fam: PartitionFamily, order: int, ring: Ring) -> TruncatedSeries:
-    """Counting series of the family, truncated at the given order.
-
-    cubic:     1 / (f1 * f2^(c-1))
-    overcubic: f4^(c-1) / (f1^2 * f2^(2c-3))
-
-    For overcubic c=1 the exponent 2c-3 = -1 is taken literally, so f2
-    lands in the numerator (ordinary overpartitions).
-    """
-    c = fam.colors
-    e1 = euler_product(1, order, ring)
-    e2 = euler_product(2, order, ring)
-    if fam.kind == CUBIC:
-        s = e1.inverse()
-        if c > 1:
-            s = s * e2.inverse().pow(c - 1)
-        return s
-    s = e1.inverse().pow(2)
-    s = s * e2.pow(-(2 * c - 3))
-    if c > 1:
-        s = s * euler_product(4, order, ring).pow(c - 1)
-    return s
+    """Counting series of the family, truncated at the given order."""
+    return euler_quotient(fam.exponents, order, ring)
 
 
 def count_direct(fam: PartitionFamily, n: int) -> int:
@@ -171,6 +172,14 @@ def check_lemma_product(p: int, order: int) -> CheckReport:
     return _compare(lhs, rhs, order)
 
 
+# identity -> (family, p, r, scale, exponent map):
+# sum count(p n + r) q^n == scale * prod_delta f_delta^{r_delta}
+_IDENTITIES = {
+    "ramanujan-p5n4": (PartitionFamily(CUBIC, 1), 5, 4, 5, {5: 5, 1: -6}),
+    "chan-a2-3n2": (PartitionFamily(CUBIC, 2), 3, 2, 3, {3: 3, 6: 3, 1: -4, 2: -4}),
+}
+
+
 def check_named_identity(identity: str, order: int) -> CheckReport:
     """Verify one of the two classical progression identities.
 
@@ -179,23 +188,10 @@ def check_named_identity(identity: str, order: int) -> CheckReport:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if identity == "ramanujan-p5n4":
-        big = 5 * order + 5
-        counts = generating_series(PartitionFamily(CUBIC, 1), big, ZZ)
-        lhs = counts.extract_progression(5, 4)
-        rhs = euler_product(5, order, ZZ).pow(5) * euler_product(1, order, ZZ).pow(-6)
-        rhs = rhs.scale(5)
-    elif identity == "chan-a2-3n2":
-        big = 3 * order + 3
-        counts = generating_series(PartitionFamily(CUBIC, 2), big, ZZ)
-        lhs = counts.extract_progression(3, 2)
-        rhs = (
-            euler_product(3, order, ZZ).pow(3)
-            * euler_product(6, order, ZZ).pow(3)
-            * euler_product(1, order, ZZ).pow(-4)
-            * euler_product(2, order, ZZ).pow(-4)
-        )
-        rhs = rhs.scale(3)
-    else:
+    if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
+    fam, p, r, scale, exps = _IDENTITIES[identity]
+    counts = generating_series(fam, p * (order + 1), ZZ)
+    lhs = counts.extract_progression(p, r)
+    rhs = euler_quotient(exps, order, ZZ).scale(scale)
     return _compare(lhs, rhs, order)

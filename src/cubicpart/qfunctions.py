@@ -1,18 +1,20 @@
 """Canonical q-series building blocks.
 
 Euler products f_k = (q^k; q^k)_inf, the theta series psi (triangular-
-number support) and phi (square support), and eta-quotient q-expansions
-with the fractional leading power carried in the integer offset field.
+number support), the Euler-quotient core prod_delta f_delta^{r_delta}
+that every family, identity and certificate expands through, and
+eta-quotient q-expansions with the fractional leading power carried in
+the integer offset field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Mapping
 
+from .modform import EtaQuotient
 from .series import Ring, TruncatedSeries, one
 
-__all__ = ["euler_product", "psi", "phi", "EtaExpansionRequest", "eta_expansion"]
+__all__ = ["euler_product", "psi", "euler_quotient", "eta_expansion"]
 
 
 def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
@@ -50,54 +52,35 @@ def psi(order: int, ring: Ring) -> TruncatedSeries:
     return TruncatedSeries(ring, coeffs, 0, order)
 
 
-def phi(order: int, ring: Ring) -> TruncatedSeries:
-    """Theta series 1 + 2*sum_{j>=1} q^(j^2)."""
-    coeffs = [0] * order
-    if order > 0:
-        coeffs[0] = 1
-    j = 1
-    while j * j < order:
-        coeffs[j * j] = 2
-        j += 1
-    return TruncatedSeries(ring, coeffs, 0, order)
+def euler_quotient(
+    exponents: Mapping[int, int], order: int, ring: Ring
+) -> TruncatedSeries:
+    """prod_delta f_delta^{r_delta} to the given order; the map holds no zero r.
 
-
-@dataclass(frozen=True)
-class EtaExpansionRequest:
-    """Expansion request for prod_{delta | N} (q^{delta/24} f_delta)^{r_delta}.
-
-    The exponent map must be supported on divisors of the level, not all
-    zero, and satisfy sum(delta * r_delta) == 0 mod 24 so the leading
-    power is an integer.
+    The factors are multiplied in descending delta.  f_delta^r is
+    supported on multiples of delta, and the exact-integer product of two
+    equal-length series skips the zero coefficients of the left one, so
+    the sparsest factor goes first and the running product stays on the
+    left.
     """
-
-    level: int
-    exponents: Dict[int, int] = field(default_factory=dict)
-    order: int = 0
-    ring: Ring = Ring()
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be positive, got {self.level}")
-        if not any(self.exponents.values()):
-            raise ValueError("exponent map has no nonzero entry")
-        for delta in self.exponents:
-            if delta < 1 or self.level % delta != 0:
-                raise ValueError(f"{delta} does not divide the level {self.level}")
-
-    @property
-    def weighted_sum(self) -> int:
-        return sum(d * r for d, r in self.exponents.items())
+    prod = None
+    for delta in sorted(exponents, reverse=True):
+        factor = euler_product(delta, order, ring).pow(exponents[delta])
+        prod = factor if prod is None else prod * factor
+    return one(ring, order) if prod is None else prod
 
 
-def eta_expansion(req: EtaExpansionRequest) -> TruncatedSeries:
-    """q-expansion of the eta-quotient described by the request.
+def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:
+    """q-expansion of prod_delta (q^{delta/24} f_delta)^{r_delta}.
 
-    The result has offset sum(delta * r_delta) / 24 and integer
-    coefficients; the order of the result is req.order (exponents of the
-    final q-expansion, offset included).
+    The result has offset eq.delta_sum / 24 and integer coefficients; its
+    order is the given order (exponents of the final q-expansion, offset
+    included).  The leading power must be a nonnegative integer and the
+    exponent map must not be empty.
     """
-    total = req.weighted_sum
+    if not eq.exponents:
+        raise ValueError("exponent map has no nonzero entry")
+    total = eq.delta_sum
     if total % 24 != 0:
         raise ValueError(
             f"sum(delta * r_delta) = {total} is {total % 24} mod 24, not 0:"
@@ -106,13 +89,7 @@ def eta_expansion(req: EtaExpansionRequest) -> TruncatedSeries:
     offset = total // 24
     if offset < 0:
         raise ValueError(f"negative leading exponent {offset} (Laurent tails unsupported)")
-    inner_order = req.order - offset
+    inner_order = order - offset
     if inner_order <= 0:
-        return TruncatedSeries(req.ring, (), offset, max(req.order, offset))
-    prod = one(req.ring, inner_order)
-    for delta in sorted(req.exponents):
-        r = req.exponents[delta]
-        if r == 0:
-            continue
-        prod = prod * euler_product(delta, inner_order, req.ring).pow(r)
-    return prod.shift(offset)
+        return TruncatedSeries(ring, (), offset, max(order, offset))
+    return euler_quotient(eq.exponents, inner_order, ring).shift(offset)

@@ -67,7 +67,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Ring", "ZZ", "zmod", "TruncatedSeries", "one", "zero", "monomial"]
+__all__ = ["Ring", "ZZ", "zmod", "TruncatedSeries", "one", "zero"]
 
 # Engage numpy only when the schoolbook loop would be noticeably slower.
 _NUMPY_MIN_WORK = 1 << 14
@@ -579,13 +579,3 @@ def one(ring: Ring, order: int) -> TruncatedSeries:
 def zero(ring: Ring, order: int) -> TruncatedSeries:
     """The zero series, truncated at the given order."""
     return TruncatedSeries(ring, (), 0, order)
-
-
-def monomial(ring: Ring, c: int, n: int, order: int) -> TruncatedSeries:
-    """The single term c*q^n, truncated at the given order."""
-    s = zero(ring, order)
-    if n < order:
-        cs = [0] * (order - n)
-        cs[0] = c
-        s = TruncatedSeries(ring, cs, n, order)
-    return s

@@ -1,17 +1,14 @@
-"""Quadratic residues, Kronecker symbol, modular inverses."""
+"""Primality, Legendre and Kronecker symbols, admissible residues."""
 
 import random
-from math import gcd
 
 import pytest
 
 from cubicpart.arith import (
     admissible_residues,
     is_odd_prime,
-    is_quadratic_nonresidue,
     kronecker,
     legendre,
-    mod_inverse,
 )
 
 
@@ -22,19 +19,20 @@ def test_is_odd_prime():
 
 
 def test_nonresidue_examples():
-    assert is_quadratic_nonresidue(2, 5)
-    assert not is_quadratic_nonresidue(4, 5)
-    assert not is_quadratic_nonresidue(0, 7)
-    assert not is_quadratic_nonresidue(7, 7)
+    assert legendre(2, 5) == -1
+    assert legendre(4, 5) == 1
+    # zero is neither residue nor nonresidue
+    assert legendre(0, 7) == 0
+    assert legendre(7, 7) == 0
 
 
 def test_nonresidue_requires_odd_prime():
     with pytest.raises(ValueError):
-        is_quadratic_nonresidue(2, 4)
+        legendre(2, 4)
     with pytest.raises(ValueError):
-        is_quadratic_nonresidue(2, 2)
+        legendre(2, 2)
     with pytest.raises(ValueError):
-        is_quadratic_nonresidue(2, 9)
+        legendre(2, 9)
 
 
 def test_admissible_residue_sets():
@@ -117,27 +115,3 @@ def test_kronecker_multiplicative_in_denominator():
         n = rng.randrange(1, 40)
         assert kronecker(a, m) * kronecker(a, n) == kronecker(a, m * n)
 
-
-def test_mod_inverse_examples():
-    assert mod_inverse(8, 25) == 22
-    assert mod_inverse(8, 5) == 2
-    assert mod_inverse(1, 97) == 1
-
-
-def test_mod_inverse_round_trip():
-    rng = random.Random(9)
-    for _ in range(100):
-        m = rng.randrange(2, 500)
-        a = rng.randrange(1, m)
-        if gcd(a, m) != 1:
-            continue
-        inv = mod_inverse(a, m)
-        assert 0 <= inv < m and (a * inv) % m == 1
-        assert mod_inverse(inv, m) == a % m
-
-
-def test_mod_inverse_reports_gcd():
-    with pytest.raises(ValueError, match="gcd = 3"):
-        mod_inverse(6, 9)
-    with pytest.raises(ValueError):
-        mod_inverse(4, 1)

@@ -126,6 +126,13 @@ def test_theorem_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_theorem_k_on_an_id_without_k_exits_2(capsys):
+    code, out, err = run(capsys, "--json", "theorem", "--id", "1.5", "--k", "4")
+    assert code == 2
+    assert out == ""
+    assert "takes no k" in err
+
+
 def test_prove_writes_certificate(tmp_path, capsys):
     target = tmp_path / "cert.txt"
     code, out, _ = run(capsys, "prove", "--id", "a5-mod11", "--emit", str(target))
@@ -134,6 +141,14 @@ def test_prove_writes_certificate(tmp_path, capsys):
     assert text.startswith("id: a5-mod11\n")
     assert "verdict: proven" in text
     assert out.strip() == text.strip()
+
+
+def test_prove_emit_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "cert.txt"
+    code, _, err = run(capsys, "prove", "--id", "a3-mod7", "--emit", str(target))
+    assert code == 2
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
 
 
 def test_prove_json(capsys):

@@ -1,5 +1,6 @@
 """Claims, theorem families, certificates, and the empirical search."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ from cubicpart.engine import (
     verify_theorem_family,
 )
 from cubicpart.arith import admissible_residues
+from cubicpart.modform import EtaQuotient
 from cubicpart.partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct
 
 A2 = PartitionFamily(CUBIC, 2)
@@ -128,6 +130,13 @@ def test_theorem_15_claims_and_filter():
         theorem_claims("1.5", p=13)
 
 
+def test_k_rejected_where_the_theorem_has_none():
+    for theorem, p in (("1.1", None), ("1.2", 7), ("1.5", None)):
+        assert theorem_claims(theorem, p, k=1)
+        with pytest.raises(ValueError, match="takes no k"):
+            theorem_claims(theorem, p, k=4)
+
+
 def test_theorem_ids_validated():
     with pytest.raises(ValueError):
         theorem_claims("2.7")
@@ -193,6 +202,13 @@ def test_certificate_to_dict_round_trips_values():
     assert d["cusp_orders"] == {"1": "25", "2": "6", "4": "3", "8": "3"}
     assert d["sturm_bound"] == 37
     assert d["witness"] is None
+
+
+def test_certificate_text_and_dict_list_the_same_factors():
+    cert = prove_isolated("a3-mod7")
+    padded = dataclasses.replace(cert, quotient=EtaQuotient(8, {1: 76, 2: -2, 4: 0}))
+    assert "exponents: 1^76 2^-2\n" in padded.to_text()
+    assert padded.to_dict()["exponents"] == {"1": 76, "2": -2}
 
 
 def test_certificate_oracle_agreement():

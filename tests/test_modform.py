@@ -17,7 +17,7 @@ from cubicpart.modform import (
     sturm_bound,
     weight,
 )
-from cubicpart.qfunctions import EtaExpansionRequest, eta_expansion, euler_product
+from cubicpart.qfunctions import eta_expansion, euler_product
 from cubicpart.partitions import CUBIC, PartitionFamily, generating_series
 from cubicpart.series import TruncatedSeries, ZZ, one, zmod
 
@@ -35,6 +35,19 @@ def test_eta_quotient_validation():
         EtaQuotient(0, {1: 1})
 
 
+def test_eta_quotient_copies_and_drops_zero_exponents():
+    source = {1: 32, 2: -4, 4: 0}
+    eq = EtaQuotient(4, source)
+    assert eq.exponents == {1: 32, 2: -4}
+    source[1] = 0
+    source[2] = 7
+    assert eq.exponents == {1: 32, 2: -4}
+    assert eq.delta_sum == 24
+    assert str(eq) == "eta-quotient[N=4: 1^32 2^-4]"
+    assert EtaQuotient(1, {1: 0}).exponents == {}
+    assert str(EtaQuotient(1, {1: 0})) == "eta-quotient[N=1: 1]"
+
+
 def test_weights():
     assert weight(H) == 37
     assert weight(G) == 14
@@ -45,7 +58,7 @@ def test_weights():
 def test_candidacy_of_the_two_proof_quotients():
     for eq, raw_delta, raw_colevel in ((H, 72, 600), (G, 24, 120)):
         n = eq.level
-        assert sum(d * r for d, r in eq.exponents.items()) == raw_delta
+        assert eq.delta_sum == raw_delta
         assert sum((n // d) * r for d, r in eq.exponents.items()) == raw_colevel
         report = check_candidacy(eq)
         assert report.passes
@@ -234,9 +247,7 @@ def test_hecke_image_of_h_matches_progression_product():
     # H|T7 mod 7 equals (sum a_3(7n+4) q^(n+1)) * f1^11 mod 7
     order = 7 * 60
     ring = zmod(7)
-    h_exp = eta_expansion(
-        EtaExpansionRequest(8, {1: 76, 2: -2}, order, ring)
-    ).with_zero_offset()
+    h_exp = eta_expansion(H, order, ring).with_zero_offset()
     ch = check_candidacy(H).character
     image = hecke_tp(h_exp, 7, 37, ch)
 

@@ -23,6 +23,13 @@ def test_family_validation():
         PartitionFamily(CUBIC, 0)
 
 
+def test_family_exponent_maps():
+    assert PartitionFamily(CUBIC, 1).exponents == {1: -1}
+    assert PartitionFamily(CUBIC, 5).exponents == {1: -1, 2: -4}
+    assert PartitionFamily(OVERCUBIC, 1).exponents == {1: -2, 2: 1}
+    assert PartitionFamily(OVERCUBIC, 3).exponents == {1: -2, 2: -3, 4: 2}
+
+
 def test_known_counts_via_series():
     s = generating_series(PartitionFamily(CUBIC, 2), 6, ZZ)
     assert s.coefficient(3) == 4

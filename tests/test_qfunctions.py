@@ -1,15 +1,10 @@
-"""Euler products, theta series, eta-quotient expansions."""
+"""Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
 import pytest
 
-from cubicpart.qfunctions import (
-    EtaExpansionRequest,
-    eta_expansion,
-    euler_product,
-    phi,
-    psi,
-)
-from cubicpart.series import ZZ, TruncatedSeries, one, zmod
+from cubicpart.modform import EtaQuotient
+from cubicpart.qfunctions import eta_expansion, euler_product, euler_quotient, psi
+from cubicpart.series import ZZ, one, zmod
 
 
 def brute_euler_product(k, order, terms=None):
@@ -68,29 +63,38 @@ def test_psi_product_formula():
     assert psi(order, ZZ) == rhs
 
 
-def test_phi_support():
-    assert phi(10, ZZ).coefficients() == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
-    assert phi(10, ZZ).coefficient(2) == 0
-
-
-def test_phi_product_formula():
-    order = 200
-    denom = euler_product(1, order, ZZ).pow(2) * euler_product(4, order, ZZ).pow(2)
-    rhs = euler_product(2, order, ZZ).pow(5) * denom.pow(-1)
-    assert phi(order, ZZ) == rhs
-
-
 def test_theta_series_respect_ring():
     assert psi(10, zmod(2)).coefficients() == [1, 1, 0, 1, 0, 0, 1, 0, 0, 0]
-    assert phi(10, zmod(2)).coefficients() == [1] + [0] * 9
+
+
+# -- Euler quotients ---------------------------------------------------------
+
+
+def test_euler_quotient_matches_hand_built_product():
+    order = 150
+    exps = {1: -4, 2: -4, 3: 3, 6: 3}
+    by_hand = one(ZZ, order)
+    for delta, r in exps.items():
+        by_hand = by_hand * euler_product(delta, order, ZZ).pow(r)
+    assert euler_quotient(exps, order, ZZ) == by_hand
+    assert euler_quotient(exps, order, zmod(7)) == by_hand.reduce_mod(7)
+
+
+def test_euler_quotient_theta_identity():
+    # psi(q) = f2^2 / f1
+    assert euler_quotient({2: 2, 1: -1}, 200, ZZ) == psi(200, ZZ)
+
+
+def test_euler_quotient_single_factor_and_empty_map():
+    assert euler_quotient({3: 1}, 40, ZZ) == euler_product(3, 40, ZZ)
+    assert euler_quotient({}, 5, zmod(5)) == one(zmod(5), 5)
 
 
 # -- eta expansions ----------------------------------------------------------
 
 
 def test_eta_expansion_weight37_quotient():
-    req = EtaExpansionRequest(level=8, exponents={1: 76, 2: -2}, order=40, ring=ZZ)
-    s = eta_expansion(req)
+    s = eta_expansion(EtaQuotient(8, {1: 76, 2: -2}), 40, ZZ)
     assert s.offset == 3
     assert s.coefficient(3) == 1
     assert s.coefficient(0) == 0 and s.coefficient(2) == 0
@@ -98,15 +102,13 @@ def test_eta_expansion_weight37_quotient():
 
 
 def test_eta_expansion_weight14_quotient():
-    req = EtaExpansionRequest(level=4, exponents={1: 32, 2: -4}, order=30, ring=ZZ)
-    s = eta_expansion(req)
+    s = eta_expansion(EtaQuotient(4, {1: 32, 2: -4}), 30, ZZ)
     assert s.offset == 1
     assert s.coefficient(1) == 1
 
 
 def test_eta_expansion_single_factor():
-    req = EtaExpansionRequest(level=1, exponents={1: 24}, order=25, ring=ZZ)
-    s = eta_expansion(req)
+    s = eta_expansion(EtaQuotient(1, {1: 24}), 25, ZZ)
     assert s.offset == 1
     expected = euler_product(1, 24, ZZ).pow(24).shift(1)
     assert s == expected
@@ -114,40 +116,44 @@ def test_eta_expansion_single_factor():
 
 def test_eta_expansion_rejects_fractional_leading_power():
     with pytest.raises(ValueError, match="1 mod 24"):
-        eta_expansion(EtaExpansionRequest(1, {1: 1}, 10, ZZ))
+        eta_expansion(EtaQuotient(1, {1: 1}), 10, ZZ)
 
 
 def test_eta_expansion_rejects_negative_offset():
     with pytest.raises(ValueError, match="-1"):
-        eta_expansion(EtaExpansionRequest(1, {1: -24}, 10, ZZ))
+        eta_expansion(EtaQuotient(1, {1: -24}), 10, ZZ)
 
 
 def test_eta_request_validation():
     with pytest.raises(ValueError):
-        EtaExpansionRequest(8, {3: 1}, 10, ZZ)  # 3 does not divide 8
+        EtaQuotient(8, {3: 1})  # 3 does not divide 8
+    with pytest.raises(ValueError, match="no nonzero entry"):
+        eta_expansion(EtaQuotient(8, {1: 0, 2: 0}), 10, ZZ)
     with pytest.raises(ValueError):
-        EtaExpansionRequest(8, {1: 0, 2: 0}, 10, ZZ)
-    with pytest.raises(ValueError):
-        EtaExpansionRequest(0, {1: 24}, 10, ZZ)
+        EtaQuotient(0, {1: 24})
 
 
 def test_eta_expansion_nonneg_exponents_unit_leading():
     for level, exps in ((1, {1: 24}), (2, {2: 12}), (3, {3: 8}), (6, {1: 24, 6: 4})):
-        req = EtaExpansionRequest(level, exps, 30, ZZ)
-        s = eta_expansion(req)
+        s = eta_expansion(EtaQuotient(level, exps), 30, ZZ)
         assert s.offset >= 0
         assert s.coefficient(s.offset) == 1
 
 
 def test_eta_expansion_telescopes_with_negated_exponents():
-    a = eta_expansion(EtaExpansionRequest(2, {1: 48, 2: -24}, 60, ZZ))
-    b = eta_expansion(EtaExpansionRequest(2, {1: -48, 2: 24}, 60, ZZ))
+    a = eta_expansion(EtaQuotient(2, {1: 48, 2: -24}), 60, ZZ)
+    b = eta_expansion(EtaQuotient(2, {1: -48, 2: 24}), 60, ZZ)
     assert a.offset == 0 and b.offset == 0
     assert a * b == one(ZZ, 60)
 
 
 def test_eta_expansion_mod_ring():
-    req = EtaExpansionRequest(8, {1: 76, 2: -2}, 40, zmod(7))
-    s = eta_expansion(req)
-    exact = eta_expansion(EtaExpansionRequest(8, {1: 76, 2: -2}, 40, ZZ))
+    eq = EtaQuotient(8, {1: 76, 2: -2})
+    s = eta_expansion(eq, 40, zmod(7))
+    exact = eta_expansion(eq, 40, ZZ)
     assert s == exact.reduce_mod(7)
+
+
+def test_eta_expansion_order_below_offset():
+    s = eta_expansion(EtaQuotient(8, {1: 76, 2: -2}), 2, ZZ)
+    assert s.offset == 3 and s.order == 3 and s.coeffs == ()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cubicpart.series import Ring, TruncatedSeries, ZZ, monomial, one, zero, zmod
+from cubicpart.series import Ring, TruncatedSeries, ZZ, one, zero, zmod
 from cubicpart.qfunctions import euler_product
 
 
@@ -317,8 +317,6 @@ def test_add_and_neg():
 def test_helpers_zero_one_monomial():
     assert zero(ZZ, 3).coefficients() == [0, 0, 0]
     assert one(ZZ, 1).coefficients() == [1]
-    assert monomial(ZZ, 5, 2, 4).coefficients() == [0, 0, 5, 0]
-    assert monomial(ZZ, 5, 7, 4).coefficients() == [0] * 4
 
 
 def test_shift_and_with_zero_offset():
