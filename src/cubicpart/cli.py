@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+# unused by the package; bench/tracer.py wraps this name
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
@@ -111,18 +112,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.holds else 1
 
 
-def _verify_all(
-    claims: List[engine.CongruenceClaim], n_max: int, threads: int
-) -> List[engine.VerificationResult]:
-    if threads > 1 and len(claims) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: engine.verify_claim(c, n_max), claims))
-    return [engine.verify_claim(c, n_max) for c in claims]
-
-
 def _cmd_theorem(args: argparse.Namespace) -> int:
-    claims = engine.theorem_claims(_THEOREM_IDS[args.id], args.p, args.k)
-    results = _verify_all(claims, args.nmax, args.threads)
+    results = engine.verify_theorem_family(_THEOREM_IDS[args.id], args.p, args.k, args.nmax)
     payload = {
         "theorem": args.id,
         "p": args.p,
@@ -155,7 +146,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         primes,
         args.nmax,
         min_confirmations=args.min_confirmations,
-        threads=args.threads,
     )
     payload = {
         "c_max": args.cmax,
@@ -195,7 +185,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     # also accepted after the subcommand name; SUPPRESS keeps the
     # top-level value when the flag is absent here
     sub.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    sub.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="T")
+    sub.add_argument(
+        "--threads", type=int, default=argparse.SUPPRESS, metavar="T",
+        help="accepted for compatibility; has no effect",
+    )
 
 
 def _add_family(sub: argparse.ArgumentParser) -> None:
@@ -211,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--threads", type=int, default=1, metavar="T",
-        help="worker threads for claim verification and search",
+        help="accepted for compatibility; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

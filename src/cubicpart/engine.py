@@ -8,15 +8,21 @@ criteria.  prove_isolated reproduces the two Sturm-bound proofs
 (a_3(7n+4) mod 7 and a_5(11n+10) mod 11) and emits a self-contained
 certificate.  search_congruences scans for candidate congruences
 empirically; it never calls anything proven.
+
+The engine runs on the calling thread.  Every mod-m expansion goes
+through one bounded store keyed by (family, modulus) that keeps the
+longest series built so far, so a scan to a lower bound after a higher
+one costs no build.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
+# unused by the package; bench/tracer.py wraps this name
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .arith import admissible_residues
 from .modform import (
@@ -106,33 +112,38 @@ class VerificationResult:
         return base
 
 
-@lru_cache(maxsize=64)
-def _build_series_mod(
-    kind: str, colors: int, modulus: int, order: int
-) -> TruncatedSeries:
-    fam = PartitionFamily(kind, colors)
-    return generating_series(fam, order, zmod(modulus))
+_STORE_SIZE = 64
 
-
-# key -> [lock, number of callers holding or waiting for it]
-_inflight: Dict[tuple, list] = {}
-_inflight_guard = threading.Lock()
+# (kind, colors, modulus) -> the longest series built so far for that key
+_store: "OrderedDict[Tuple[str, int, int], TruncatedSeries]" = OrderedDict()
+_store_lock = threading.Lock()
 
 
 def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
-    """The cached series; concurrent callers of one key share a single build."""
-    key = (kind, colors, modulus, order)
-    with _inflight_guard:
-        entry = _inflight.setdefault(key, [threading.Lock(), 0])
-        entry[1] += 1
-    try:
-        with entry[0]:
-            return _build_series_mod(*key)
-    finally:
-        with _inflight_guard:
-            entry[1] -= 1
-            if entry[1] == 0:
-                del _inflight[key]
+    """The family's series mod modulus to exactly the given order.
+
+    A shorter series is cut from the stored one; a longer one is built and
+    replaces it.  The least recently used keys beyond _STORE_SIZE go.  The
+    lock guards the store only, never a build: callers on several threads
+    get correct series but may build one key twice.
+    """
+    key = (kind, colors, modulus)
+    with _store_lock:
+        series = _store.get(key)
+        if series is not None:
+            _store.move_to_end(key)
+    if series is None or series.order < order:
+        series = generating_series(PartitionFamily(kind, colors), order, zmod(modulus))
+        with _store_lock:
+            held = _store.get(key)
+            if held is None or held.order < order:
+                _store[key] = series
+            _store.move_to_end(key)
+            while len(_store) > _STORE_SIZE:
+                _store.popitem(last=False)
+    if series.order == order:
+        return series
+    return TruncatedSeries(series.ring, series.coefficients(order), 0, order)
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
@@ -400,17 +411,18 @@ def search_congruences(
     primes: Iterable[int],
     n_max: int,
     min_confirmations: int = 10,
-    threads: int = 1,
 ) -> List[CongruenceClaim]:
     """Empirically surviving claims count(pn+r) == 0 mod p, sorted.
 
     A claim is emitted iff every progression value <= n_max vanished and
-    at least min_confirmations values were seen.  Emitted claims are
-    empirical observations, not theorems.
+    at least min_confirmations (>= 1) values were seen.  Emitted claims
+    are empirical observations, not theorems.
     """
     ps = sorted(set(primes))
     if c_max < 1:
         raise ValueError(f"c_max must be >= 1, got {c_max}")
+    if min_confirmations < 1:
+        raise ValueError(f"min_confirmations must be >= 1, got {min_confirmations}")
     for p in ps:
         if p < 2:
             raise ValueError(f"progression modulus must be >= 2, got {p}")
@@ -419,32 +431,17 @@ def search_congruences(
                 f"n_max {n_max} cannot give {min_confirmations} confirmations at p = {p}"
             )
 
-    def scan_cell(cell: Tuple[str, int, int]) -> List[CongruenceClaim]:
-        kind, c, p = cell
-        series = _series_mod(kind, c, p, n_max + 1)
-        found = []
-        for r in range(p):
-            values = range(r, n_max + 1, p)
-            if len(values) < min_confirmations:
-                continue
-            if all(series.coefficient(e) == 0 for e in values):
-                found.append(CongruenceClaim(PartitionFamily(kind, c), p, p, r))
-        return found
-
-    cells = [
-        (kind, c, p)
-        for kind in (CUBIC, OVERCUBIC)
-        for c in range(1, c_max + 1)
-        for p in ps
-    ]
     results: List[CongruenceClaim] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for found in pool.map(scan_cell, cells):
-                results.extend(found)
-    else:
-        for cell in cells:
-            results.extend(scan_cell(cell))
+    for kind in (CUBIC, OVERCUBIC):
+        for c in range(1, c_max + 1):
+            for p in ps:
+                series = _series_mod(kind, c, p, n_max + 1)
+                for r in range(p):
+                    values = range(r, n_max + 1, p)
+                    if len(values) < min_confirmations:
+                        continue
+                    if all(series.coefficient(e) == 0 for e in values):
+                        results.append(CongruenceClaim(PartitionFamily(kind, c), p, p, r))
     results.sort(
         key=lambda cl: (cl.family.kind, cl.family.colors, cl.progression, cl.residue)
     )

@@ -58,6 +58,10 @@ class EtaQuotient:
         nonzero = {d: r for d, r in self.exponents.items() if r}
         object.__setattr__(self, "exponents", nonzero)
 
+    def __hash__(self) -> int:
+        # the generated hash would hash the dict and fail
+        return hash((self.level, frozenset(self.exponents.items())))
+
     @property
     def delta_sum(self) -> int:
         """sum(delta * r_delta): 24 times the order at infinity."""

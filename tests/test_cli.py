@@ -104,11 +104,15 @@ def test_theorem_cor13_id_mapping(capsys):
 
 
 def test_theorem_threads_same_output(capsys):
-    code1, out1, _ = run(capsys, "theorem", "--id", "1.2", "--p", "7", "--nmax", "400")
-    code2, out2, _ = run(
-        capsys, "--threads", "3", "theorem", "--id", "1.2", "--p", "7", "--nmax", "400"
-    )
-    assert (code1, out1) == (code2, out2)
+    for argv in (
+        ("theorem", "--id", "1.2", "--p", "7", "--nmax", "400"),
+        ("search", "--cmax", "3", "--primes", "3,5", "--nmax", "600"),
+    ):
+        expected = run(capsys, *argv)[:2]
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, "--threads", "2", *argv)[:2] == expected
+        assert run(capsys, *argv, "--threads", "2")[:2] == expected
+        assert run(capsys, "--threads", "3", *argv)[:2] == expected
 
 
 def test_theorem_json(capsys):
@@ -182,6 +186,15 @@ def test_search_json_sorted(capsys):
         for c in payload["claims"]
     ]
     assert keys == sorted(keys)
+
+
+def test_search_min_confirmations_below_one_exits_2(capsys):
+    code, out, err = run(
+        capsys, "search", "--cmax", "1", "--primes", "13", "--nmax", "10",
+        "--min-confirmations", "0",
+    )
+    assert code == 2 and out == ""
+    assert "min_confirmations must be >= 1" in err
 
 
 def test_search_bad_primes(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -23,7 +24,14 @@ from cubicpart.engine import (
 )
 from cubicpart.arith import admissible_residues
 from cubicpart.modform import EtaQuotient
-from cubicpart.partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct
+from cubicpart.partitions import (
+    CUBIC,
+    OVERCUBIC,
+    PartitionFamily,
+    count_direct,
+    generating_series,
+)
+from cubicpart.series import TruncatedSeries, zmod
 
 A2 = PartitionFamily(CUBIC, 2)
 
@@ -281,12 +289,6 @@ def test_search_results_sorted_and_verified():
         assert verify_claim(claim, 1200).holds
 
 
-def test_search_threads_agree_with_serial():
-    serial = search_congruences(3, {3, 5}, 600)
-    threaded = search_congruences(3, {3, 5}, 600, threads=4)
-    assert serial == threaded
-
-
 def test_search_validates_bounds():
     with pytest.raises(ValueError):
         search_congruences(2, {5}, 40, min_confirmations=10)
@@ -294,39 +296,105 @@ def test_search_validates_bounds():
         search_congruences(0, {5}, 500)
     with pytest.raises(ValueError):
         search_congruences(2, {1}, 500)
+    with pytest.raises(ValueError):
+        search_congruences(1, {13}, 10, min_confirmations=0)
 
 
-def test_concurrent_requests_for_one_series_build_it_once(monkeypatch):
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """An empty series store whose builds are recorded as (kind, colors, modulus, order)."""
     builds = []
+    build = engine.generating_series
 
     def counting_build(fam, order, ring):
-        builds.append((fam, order, ring))
-        time.sleep(0.1)  # keep the build open while the other threads ask
-        return ("series", order)
+        builds.append((fam.kind, fam.colors, ring.modulus, order))
+        return build(fam, order, ring)
 
     monkeypatch.setattr(engine, "generating_series", counting_build)
-    key = (CUBIC, 97, 101, 7)  # a key no other test requests
+    monkeypatch.setattr(engine, "_store", OrderedDict())
+    return builds
+
+
+def test_store_cuts_a_shorter_series_from_a_longer_one(counted_builds):
+    long = engine._series_mod(CUBIC, 3, 7, 500)
+    short = engine._series_mod(CUBIC, 3, 7, 120)
+    assert counted_builds == [(CUBIC, 3, 7, 500)]
+    fresh = generating_series(PartitionFamily(CUBIC, 3), 120, zmod(7))
+    assert short == fresh and short.order == 120
+    assert engine._series_mod(CUBIC, 3, 7, 500) is long
+
+
+def test_store_builds_a_longer_series_once(counted_builds):
+    engine._series_mod(OVERCUBIC, 2, 5, 100)
+    longer = engine._series_mod(OVERCUBIC, 2, 5, 300)
+    assert engine._series_mod(OVERCUBIC, 2, 5, 300) is longer
+    engine._series_mod(OVERCUBIC, 2, 5, 200)
+    assert counted_builds == [(OVERCUBIC, 2, 5, 100), (OVERCUBIC, 2, 5, 300)]
+    assert longer.order == 300
+
+
+def test_store_holds_at_most_64_keys(counted_builds):
+    for c in range(1, 71):
+        engine._series_mod(CUBIC, c, 3, 4)
+        assert len(engine._store) <= 64
+    assert len(engine._store) == 64
+    engine._series_mod(CUBIC, 70, 3, 4)  # the most recent key is kept
+    engine._series_mod(CUBIC, 1, 3, 4)  # the oldest was evicted
+    assert len(counted_builds) == 71
+
+
+def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
+    def slow_build(fam, order, ring):
+        time.sleep(0.01)  # keep builds open while other threads read and write
+        return TruncatedSeries(ring, [fam.colors + i for i in range(order)], 0, order)
+
+    monkeypatch.setattr(engine, "generating_series", slow_build)
+    monkeypatch.setattr(engine, "_store", OrderedDict())
     workers = 8  # more threads than cores
     start = threading.Barrier(workers, timeout=10)
-    results = []
+    wrong = []
 
-    def request():
+    def request(w):
         start.wait()
-        results.append(engine._series_mod(*key))
+        for i in range(20):
+            colors, order = 1 + (w + i) % 3, 1 + (7 * w + 5 * i) % 50
+            s = engine._series_mod(CUBIC, colors, 101, order)
+            if s.order != order or s.coefficients() != [colors + j for j in range(order)]:
+                wrong.append((colors, order))
 
-    threads = [threading.Thread(target=request) for _ in range(workers)]
-    engine._build_series_mod.cache_clear()
+    threads = [threading.Thread(target=request, args=(w,)) for w in range(workers)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=10)
+            t.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
-        engine._build_series_mod.cache_clear()
     assert not any(t.is_alive() for t in threads)
-    assert len(builds) == 1
-    assert results == [("series", 7)] * workers
-    assert engine._inflight == {}
+    assert wrong == []
+    assert len(engine._store) == 3
+    assert all(s.order == 50 for s in engine._store.values())
+
+
+def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
+    short_building = threading.Event()
+    long_stored = threading.Event()
+
+    def build(fam, order, ring):
+        if order == 10:
+            short_building.set()
+            long_stored.wait(timeout=10)  # finish after the longer build was stored
+        return TruncatedSeries(ring, range(order), 0, order)
+
+    monkeypatch.setattr(engine, "generating_series", build)
+    monkeypatch.setattr(engine, "_store", OrderedDict())
+    short = threading.Thread(target=engine._series_mod, args=(CUBIC, 1, 101, 10))
+    short.start()
+    assert short_building.wait(timeout=10)
+    long = engine._series_mod(CUBIC, 1, 101, 50)
+    long_stored.set()
+    short.join(timeout=10)
+    assert not short.is_alive()
+    assert engine._store[(CUBIC, 1, 101)] is long

@@ -48,6 +48,14 @@ def test_eta_quotient_copies_and_drops_zero_exponents():
     assert str(EtaQuotient(1, {1: 0})) == "eta-quotient[N=1: 1]"
 
 
+def test_equal_eta_quotients_hash_equal():
+    a = EtaQuotient(4, {1: 32, 2: -4})
+    b = EtaQuotient(4, {2: -4, 4: 0, 1: 32})
+    assert a == b and hash(a) == hash(b)
+    assert {a: "a5-mod11"}[b] == "a5-mod11"
+    assert len({a, b, EtaQuotient(8, {1: 32, 2: -4}), H}) == 3
+
+
 def test_weights():
     assert weight(H) == 37
     assert weight(G) == 14
