@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from .arith import is_odd_prime
 from .series import Ring, TruncatedSeries, ZZ
 from .qfunctions import euler_quotient, psi
 
@@ -159,7 +160,7 @@ def check_lemma_product(p: int, order: int) -> CheckReport:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if p < 3 or p % 2 == 0:
+    if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     lhs = generating_series(PartitionFamily(CUBIC, p - 1), order, ZZ)
     rhs = psi(order, ZZ)

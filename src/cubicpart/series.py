@@ -9,9 +9,17 @@ series may be shared freely between threads.
 Coefficients over the exact-integer ring are arbitrary-precision Python
 ints.  Over a mod-m ring they are reduced representatives in [0, m-1].
 
-Multiplication over ZZ, and of short series, is schoolbook convolution.
-Over a mod-m ring both operands are first cut to the result length, then
-the first of these paths whose guard holds computes the product:
+Multiplication over ZZ, and of short series, is schoolbook convolution,
+which skips the zero coefficients of its left operand: f * g, with f an
+Euler product (about 1.6 sqrt(order) nonzero terms) as long as g, costs
+O(order nnz(f)).  Exact division g / f by a series f with a unit
+constant term (``divide``) is the recurrence
+out_n = f0^{-1} (g_n - sum_{i>=1} f_i out_{n-i}), which skips the zero
+f_i and also costs O(order nnz(f)).
+
+Over a mod-m ring both operands of a multiply are first cut to the result
+length, then the first of these paths whose guard holds computes the
+product:
 
 1. ``fft``.  Let n be the number of product terms needed and h =
    ceil(n / 2), and split a = a0 + q^h a1, b = b0 + q^h b1 into blocks of
@@ -55,7 +63,8 @@ Every path gives bit-identical results.  Inversion over a mod-m ring
 at order >= ``_NEWTON_MIN_ORDER`` is Newton iteration, g <- g (2 - f g)
 (Brent and Kung, "Fast algorithms for manipulating formal power series",
 J. ACM 25 (1978)), on the same multiply, when the fft path would accept
-dense operands of that length; otherwise it is the sparse recurrence.
+dense operands of that length; otherwise it is the division 1 / f, the
+sparse recurrence above.
 """
 
 from __future__ import annotations
@@ -447,15 +456,8 @@ class TruncatedSeries:
 
     __mul__ = mul
 
-    def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse; requires offset 0 and a unit constant term.
-
-        Over ZZ/m at order >= _NEWTON_MIN_ORDER, when the fft multiply
-        accepts dense operands of that length, this is Newton iteration.
-        Otherwise it is the recurrence b_n = -a0^{-1} sum a_i b_{n-i},
-        which skips zero coefficients of the input, so inverting a sparse
-        series (an Euler product, say) costs O(order * nnz).
-        """
+    def _unit_constant_inverse(self) -> int:
+        """Inverse of the constant term; requires offset 0 and a unit there."""
         if self.offset != 0:
             raise ValueError(
                 f"cannot invert a series with leading exponent {self.offset}"
@@ -467,29 +469,59 @@ class TruncatedSeries:
             raise ValueError(
                 f"cannot invert: leading coefficient {a0} is not a unit in {self.ring}"
             )
-        inv0 = self.ring.invert(a0)
+        return self.ring.invert(a0)
+
+    def divide(self, f: TruncatedSeries) -> TruncatedSeries:
+        """self / f; f must have offset 0 and a unit constant term.
+
+        result.order = min(self.order, f.order + self.offset).  The
+        recurrence out_n = f0^{-1} (self_n - sum_{i>=1} f_i out_{n-i})
+        skips zero coefficients of f, so dividing by a sparse series (an
+        Euler product, say) costs O(order * nnz(f)).  The terms are summed
+        per distinct value of f_i before one multiplication by it, so the
+        +-1 of an Euler product cost two multiplications per n, not nnz.
+        """
+        self._require_same_ring(f)
+        inv0 = f._unit_constant_inverse()
+        offset = self.offset
+        order = min(self.order, f.order + offset)
+        out = list(self.coeffs[: order - offset])
+        terms: dict[int, list[int]] = {}  # f_i -> the ascending i >= 1 holding it
+        for i, c in enumerate(f.coeffs[1 : len(out)], 1):
+            if c:
+                terms.setdefault(c, []).append(i)
+        norm = self.ring.normalize
+        for n in range(len(out)):
+            s = out[n]
+            for c, idx in terms.items():
+                t = 0
+                for i in idx:
+                    if i > n:
+                        break
+                    t += out[n - i]
+                s -= c * t
+            out[n] = norm(inv0 * s) if s else 0
+        return TruncatedSeries(self.ring, out, offset, order)
+
+    def inverse(self) -> TruncatedSeries:
+        """Multiplicative inverse; requires offset 0 and a unit constant term.
+
+        Over ZZ/m at order >= _NEWTON_MIN_ORDER, when the fft multiply
+        accepts dense operands of that length, this is Newton iteration.
+        Otherwise it is 1 / self by ``divide``, whose recurrence skips
+        zero coefficients of the input.
+        """
         m = self.ring.modulus
         if (
             m is not None
             and self.order >= _NEWTON_MIN_ORDER
             and _newton_pays(self.order, m)
         ):
+            inv0 = self._unit_constant_inverse()
             f = np.array(self.coeffs, dtype=np.int64)
             out = _inverse_newton(f, self.order, m, inv0).tolist()
             return TruncatedSeries(self.ring, out, 0, self.order)
-        norm = self.ring.normalize
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if i > 0 and c != 0]
-        out = [0] * (self.order)
-        out[0] = norm(inv0)
-        for n in range(1, self.order):
-            s = 0
-            for i, ai in nz:
-                if i > n:
-                    break
-                s += ai * out[n - i]
-            if s:
-                out[n] = norm(-inv0 * s)
-        return TruncatedSeries(self.ring, out, 0, self.order)
+        return one(self.ring, self.order).divide(self)
 
     def pow(self, e: int) -> TruncatedSeries:
         """Integer power by repeated squaring; negative e via inverse()."""

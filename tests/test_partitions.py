@@ -70,8 +70,9 @@ def test_count_direct_rejects_negative():
 
 def test_series_matches_dp_oracle():
     # smaller sweep here; the acceptance suite runs the full grid
+    # 40 and 300 colours expand f2 (and f4) by pow, the others by sparse steps
     for kind in (CUBIC, OVERCUBIC):
-        for c in range(1, 5):
+        for c in (1, 2, 3, 4, 40, 300):
             fam = PartitionFamily(kind, c)
             series = generating_series(fam, 41, ZZ)
             for n in range(41):
@@ -133,6 +134,8 @@ def test_lemma_product_trivial_order():
 def test_lemma_product_validation():
     with pytest.raises(ValueError):
         check_lemma_product(4, 16)
+    with pytest.raises(ValueError, match="odd prime, got 9"):
+        check_lemma_product(9, 16)
     with pytest.raises(ValueError):
         check_lemma_product(3, 0)
 

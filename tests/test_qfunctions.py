@@ -1,10 +1,12 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicpart.modform import EtaQuotient
+from cubicpart.partitions import CUBIC, PartitionFamily, count_direct
 from cubicpart.qfunctions import eta_expansion, euler_product, euler_quotient, psi
-from cubicpart.series import ZZ, one, zmod
+from cubicpart.series import ZZ, TruncatedSeries, one, zmod
 
 
 def brute_euler_product(k, order, terms=None):
@@ -88,6 +90,78 @@ def test_euler_quotient_theta_identity():
 def test_euler_quotient_single_factor_and_empty_map():
     assert euler_quotient({3: 1}, 40, ZZ) == euler_product(3, 40, ZZ)
     assert euler_quotient({}, 5, zmod(5)) == one(zmod(5), 5)
+
+
+def dense_quotient(exponents, order, ring):
+    """Reference: each f_delta^r by pow, multiplied in descending delta."""
+    prod = None
+    for delta in sorted(exponents, reverse=True):
+        factor = euler_product(delta, order, ring).pow(exponents[delta])
+        prod = factor if prod is None else prod * factor
+    return one(ring, order) if prod is None else prod
+
+
+def outcome(build, *args):
+    """The series build(*args) returns, or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.integers(1, 8), st.integers(-12, 12).filter(bool), max_size=4),
+    st.integers(0, 400),
+    st.sampled_from([2, 7, 12, 65521]),
+)
+def test_euler_quotient_matches_dense_powers(exps, order, m):
+    exact = outcome(euler_quotient, exps, order, ZZ)
+    assert exact == outcome(dense_quotient, exps, order, ZZ)
+    if isinstance(exact, TruncatedSeries):
+        assert exact.reduce_mod(m) == euler_quotient(exps, order, zmod(m))
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """Calls of pow, as ("pow", e), and of divide, as ("divide", delta of the divisor)."""
+    calls = []
+    real_pow, real_divide = TruncatedSeries.pow, TruncatedSeries.divide
+
+    def counting_pow(self, e):
+        calls.append(("pow", e))
+        return real_pow(self, e)
+
+    def counting_divide(self, f):
+        calls.append(("divide", next(i for i, c in enumerate(f.coeffs) if i and c)))
+        return real_divide(self, f)
+
+    monkeypatch.setattr(TruncatedSeries, "pow", counting_pow)
+    monkeypatch.setattr(TruncatedSeries, "divide", counting_divide)
+    return calls
+
+
+def test_euler_quotient_takes_sparse_steps_over_zz(counted_steps):
+    # 2 |r| nnz(f_delta) is far below order * bit_length(|r|) for both factors
+    s = euler_quotient({2: -4, 1: -1}, 4001, ZZ)
+    assert counted_steps == [("divide", 2)] * 4 + [("divide", 1)]
+    fam = PartitionFamily(CUBIC, 5)
+    assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
+
+
+def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
+    euler_quotient({2: -9999, 1: -1}, 60, ZZ)
+    pows = [c for c in counted_steps if c[0] == "pow"]
+    assert pows[0] == ("pow", -9999)  # f2 by pow: 2 * 9999 * 9 > 60 * 14
+    assert counted_steps[-1] == ("divide", 1)  # f1 by one step: 2 * 13 <= 60
+    assert counted_steps.count(("divide", 1)) == 1
+
+
+def test_euler_quotient_mod_m_always_powers(counted_steps):
+    euler_quotient({2: -4, 1: -1}, 4001, zmod(7))
+    assert counted_steps[0] == ("pow", -4)
+    assert ("pow", -1) in counted_steps
+    assert not [c for c in counted_steps if c[0] == "divide"]
 
 
 # -- eta expansions ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicpart.series import Ring, TruncatedSeries, ZZ, one, zero, zmod
 from cubicpart.qfunctions import euler_product
@@ -153,6 +154,76 @@ def test_inverse_round_trip_property():
         assert s.inverse().inverse() == s
         prod = s * s.inverse()
         assert prod.coefficients() == [1] + [0] * (s.order - 1)
+
+
+# -- divide -----------------------------------------------------------------
+
+DIVIDE_RINGS = {ZZ: (1, -1), zmod(7): (1, 3, 6), zmod(12): (1, 5, 7, 11)}
+
+
+@st.composite
+def dividend_and_sparse_divisor(draw):
+    """A random series a and a sparse f with a unit constant term, f.order >= len(a)."""
+    ring = draw(st.sampled_from(list(DIVIDE_RINGS)))
+    length = draw(st.integers(1, 60))
+    offset = draw(st.integers(0, 3))
+    coeffs = draw(st.lists(st.integers(-99, 99), min_size=length, max_size=length))
+    a = TruncatedSeries(ring, coeffs, offset, offset + length)
+    f_order = length + draw(st.integers(0, 5))
+    f_coeffs = [0] * f_order
+    f_coeffs[0] = draw(st.sampled_from(DIVIDE_RINGS[ring]))
+    terms = draw(
+        st.dictionaries(st.integers(1, max(f_order - 1, 1)), st.integers(-3, 3), max_size=6)
+    )
+    for i, c in terms.items():
+        if i < f_order:
+            f_coeffs[i] = c
+    return a, TruncatedSeries(ring, f_coeffs, 0, f_order)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dividend_and_sparse_divisor())
+def test_divide_undoes_multiply_property(case):
+    a, f = case
+    assert (a * f).divide(f) == a
+
+
+def test_divide_by_f1_gives_partition_numbers():
+    ones = TruncatedSeries(ZZ, [1] * 20, 0, 20)
+    p = ones.divide(euler_product(1, 20, ZZ))
+    # 1/((1-q) f1): partial sums of the partition numbers
+    sums = [sum(partition_numbers(19)[: n + 1]) for n in range(20)]
+    assert p.coefficients() == sums
+
+
+def test_divide_result_order_rule():
+    a = TruncatedSeries(ZZ, [1] * 10, 2, 12)
+    short = a.divide(TruncatedSeries(ZZ, [1, -1], 0, 5))  # f.order + offset = 7 < 12
+    assert short.offset == 2 and short.order == 7
+    assert short.coefficients() == [0, 0, 1, 2, 3, 4, 5]
+    long = a.divide(TruncatedSeries(ZZ, [1, -1], 0, 20))  # 22 > 12
+    assert long.offset == 2 and long.order == 12
+    assert long.coefficients() == [0, 0] + list(range(1, 11))
+
+
+def test_divide_rejects_non_unit_constant():
+    a = one(ZZ, 4)
+    with pytest.raises(ValueError, match="leading coefficient 2 is not a unit in ZZ"):
+        a.divide(TruncatedSeries(ZZ, [2, 1], 0, 4))
+    with pytest.raises(ValueError, match="leading coefficient 3 is not a unit in ZZ/12"):
+        one(zmod(12), 4).divide(TruncatedSeries(zmod(12), [3, 1], 0, 4))
+    with pytest.raises(ValueError, match="constant term not represented"):
+        a.divide(TruncatedSeries(ZZ, (), 0, 0))
+
+
+def test_divide_rejects_positive_offset_of_divisor():
+    with pytest.raises(ValueError, match="leading exponent 1"):
+        one(ZZ, 4).divide(TruncatedSeries(ZZ, [1, 1], 1, 3))
+
+
+def test_divide_rejects_ring_mismatch():
+    with pytest.raises(ValueError, match="ring mismatch"):
+        one(ZZ, 4).divide(one(zmod(7), 4))
 
 
 # -- pow --------------------------------------------------------------------
