@@ -7,7 +7,7 @@ integer or mod-m coefficient rings.
 """
 
 from .series import Ring, TruncatedSeries, ZZ, one, zero, zmod
-from .qfunctions import eta_expansion, euler_product, euler_quotient, psi
+from .qfunctions import eta_expansion, euler_product, euler_quotient, frobenius_split, psi
 from .partitions import (
     CUBIC,
     OVERCUBIC,
@@ -63,6 +63,7 @@ __all__ = [
     "zero",
     "euler_product",
     "psi",
+    "frobenius_split",
     "euler_quotient",
     "eta_expansion",
     "CUBIC",

@@ -12,7 +12,9 @@ empirically; it never calls anything proven.
 The engine runs on the calling thread.  Every mod-m expansion goes
 through one bounded store keyed by (family, modulus) that keeps the
 longest series built so far, so a scan to a lower bound after a higher
-one costs no build.
+one costs no build: the shorter series is a view of the stored one.  The
+scans read a progression as a strided view and find its nonzero values
+in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .arith import admissible_residues
 from .modform import (
@@ -122,10 +126,10 @@ _store_lock = threading.Lock()
 def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
     """The family's series mod modulus to exactly the given order.
 
-    A shorter series is cut from the stored one; a longer one is built and
-    replaces it.  The least recently used keys beyond _STORE_SIZE go.  The
-    lock guards the store only, never a build: callers on several threads
-    get correct series but may build one key twice.
+    A shorter series is cut from the stored one as a view; a longer one is
+    built and replaces it.  The least recently used keys beyond _STORE_SIZE
+    go.  The lock guards the store only, never a build: callers on several
+    threads get correct series but may build one key twice.
     """
     key = (kind, colors, modulus)
     with _store_lock:
@@ -143,7 +147,7 @@ def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSe
                 _store.popitem(last=False)
     if series.order == order:
         return series
-    return TruncatedSeries(series.ring, series.coefficients(order), 0, order)
+    return series.truncate(order)
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
@@ -155,10 +159,12 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
     series = _series_mod(
         claim.family.kind, claim.family.colors, claim.modulus, n_max + 1
     )
-    for e in range(claim.residue, n_max + 1, claim.progression):
-        v = series.coefficient(e)
-        if v != 0:
-            return VerificationResult(claim, n_max, REFUTED, (e, v))
+    values = series.extract_progression(claim.progression, claim.residue)
+    hits = values.support()
+    if hits.size:
+        n = int(hits[0])
+        e = claim.progression * n + claim.residue
+        return VerificationResult(claim, n_max, REFUTED, (e, values.coefficient(n)))
     return VerificationResult(claim, n_max, HOLDS)
 
 
@@ -436,11 +442,12 @@ def search_congruences(
         for c in range(1, c_max + 1):
             for p in ps:
                 series = _series_mod(kind, c, p, n_max + 1)
+                # the nonzero values seen in each residue class
+                seen = np.bincount(series.support() % p, minlength=p)
                 for r in range(p):
-                    values = range(r, n_max + 1, p)
-                    if len(values) < min_confirmations:
+                    if len(range(r, n_max + 1, p)) < min_confirmations:
                         continue
-                    if all(series.coefficient(e) == 0 for e in values):
+                    if not seen[r]:
                         results.append(CongruenceClaim(PartitionFamily(kind, c), p, p, r))
     results.sort(
         key=lambda cl: (cl.family.kind, cl.family.colors, cl.progression, cl.residue)

@@ -238,12 +238,11 @@ def hecke_tp(
         raise ValueError(f"p must be prime, got {p}")
     tail = f.ring.normalize(character_eval(ch, p) * p ** (ell - 1))
     new_order = (f.order - 1) // p + 1
-    out = [0] * new_order
-    for n in range(new_order):
-        b = f.coeffs[p * n]
-        if tail and n % p == 0:
-            b += tail * f.coeffs[n // p]
-        out[n] = b
+    a = f.coefficients()  # Python ints: tail * a(n/p) may leave int64
+    out = a[::p]
+    if tail:
+        for n in range(0, new_order, p):
+            out[n] += tail * a[n // p]
     return TruncatedSeries(f.ring, out, 0, new_order)
 
 
@@ -266,11 +265,11 @@ def hecke_tp_factored(
         )
     if h_of_qp.ring != g.ring:
         raise ValueError(f"ring mismatch: {g.ring} vs {h_of_qp.ring}")
-    for i, c in enumerate(h_of_qp.coeffs):
-        e = h_of_qp.offset + i
-        if c != 0 and e % p != 0:
-            raise ValueError(
-                f"h has a term q^{e} outside ZZ[[q^{p}]]: exponent {e} not divisible by {p}"
-            )
+    stray = [e for e in h_of_qp.support().tolist() if e % p]
+    if stray:
+        e = stray[0]
+        raise ValueError(
+            f"h has a term q^{e} outside ZZ[[q^{p}]]: exponent {e} not divisible by {p}"
+        )
     contracted = h_of_qp.extract_progression(p, 0)
     return hecke_tp(g, p, ell, ch) * contracted

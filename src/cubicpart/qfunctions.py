@@ -1,20 +1,24 @@
 """Canonical q-series building blocks.
 
 Euler products f_k = (q^k; q^k)_inf, the theta series psi (triangular-
-number support), the Euler-quotient core prod_delta f_delta^{r_delta}
-that every family, identity and certificate expands through, and
-eta-quotient q-expansions with the fractional leading power carried in
-the integer offset field.
+number support), the Frobenius split of an exponent map modulo a prime,
+the Euler-quotient core prod_delta f_delta^{r_delta} that every family,
+identity and certificate expands through, and eta-quotient q-expansions
+with the fractional leading power carried in the integer offset field.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from math import gcd
+from typing import Dict, Mapping, Tuple
 
+import numpy as np
+
+from .arith import is_odd_prime
 from .modform import EtaQuotient
 from .series import Ring, TruncatedSeries, one
 
-__all__ = ["euler_product", "psi", "euler_quotient", "eta_expansion"]
+__all__ = ["euler_product", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
 
 
 def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
@@ -25,20 +29,18 @@ def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
     """
     if k < 1:
         raise ValueError(f"euler_product expects k >= 1, got {k}")
-    coeffs = [0] * order
-    if order > 0:
-        coeffs[0] = 1
+    exps, signs = [0], [1]
     j = 1
-    while True:
-        e1 = k * j * (3 * j - 1) // 2
-        e2 = k * j * (3 * j + 1) // 2
-        if e1 >= order:
-            break
+    while k * j * (3 * j - 1) // 2 < order:
         sign = -1 if j % 2 else 1
-        coeffs[e1] = sign
-        if e2 < order:
-            coeffs[e2] = sign
+        for e in (k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2):
+            if e < order:
+                exps.append(e)
+                signs.append(sign)
         j += 1
+    coeffs = np.zeros(max(order, 0), dtype=np.int64)
+    if order > 0:
+        coeffs[exps] = signs
     return TruncatedSeries(ring, coeffs, 0, order)
 
 
@@ -52,10 +54,60 @@ def psi(order: int, ring: Ring) -> TruncatedSeries:
     return TruncatedSeries(ring, coeffs, 0, order)
 
 
+def frobenius_split(
+    exponents: Mapping[int, int], p: int
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The split E = E0 + p E1 of an exponent map, with |E0(delta)| <= p / 2.
+
+    Each r_delta = p t + s takes the balanced s in [-p/2, p/2]; at p = 2
+    an odd r keeps the s with the sign of r, so that |r| = 1 is not split.
+    Zeros are dropped from both maps.  Modulo a prime p, f_delta^p ==
+    f_{delta p} (Frobenius), so prod f_delta^{E(delta)} ==
+    prod f_delta^{E0(delta)} f_{delta p}^{E1(delta)} (mod p).
+    """
+    if p < 2:
+        raise ValueError(f"split modulus must be >= 2, got {p}")
+    low: Dict[int, int] = {}
+    high: Dict[int, int] = {}
+    for delta, r in exponents.items():
+        t, s = divmod(r, p)
+        if 2 * s > p or (2 * s == p and r < 0):
+            t, s = t + 1, s - p
+        if s:
+            low[delta] = s
+        if t:
+            high[delta] = t
+    return low, high
+
+
+def _frobenius_reduced(exponents: Mapping[int, int], p: int) -> Dict[int, int]:
+    """The map of the split: E0(delta) at delta plus E1(delta) at delta p, summed."""
+    low, high = frobenius_split(exponents, p)
+    for delta, t in high.items():
+        low[delta * p] = low.get(delta * p, 0) + t
+    return {d: r for d, r in low.items() if r}
+
+
+def _expand(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
+    """s(q^k) known below the given order, at most k * s.order."""
+    return s.substitute_power(k).truncate(order)
+
+
 def euler_quotient(
     exponents: Mapping[int, int], order: int, ring: Ring
 ) -> TruncatedSeries:
     """prod_delta f_delta^{r_delta} to the given order; the map holds no zero r.
+
+    When the ring's modulus p is prime (2 included) and some
+    |r_delta| > p / 2, the map is first rewritten by ``frobenius_split``:
+    f_delta^{r_delta} becomes f_delta^s f_{delta p}^t with r_delta = p t + s
+    and |s| <= p / 2, and exponents that land on the same delta are summed.
+    A factor at delta p then costs a power at order/(delta p) where it
+    cost one at order/delta, and the balanced s keeps the powers left at
+    delta small: a negative s costs one inverse and positive powers cost
+    products, so nonnegative residues s in [0, p) were measured slower.
+    f_delta = 1 + O(q^delta), so factors at delta >= order are dropped; at
+    order 0 none is built and the result is the empty series.
 
     The factors are applied in descending delta.  Over ZZ a factor whose
     exponent r satisfies 2 |r| nnz(f_delta) <= order * bit_length(|r|)
@@ -70,26 +122,48 @@ def euler_quotient(
     all +-1 (Euler's pentagonal theorem), so steps win at small |r| and
     large order, and pow at colour counts large against the order.
 
-    Every other factor, and every factor over ZZ/m, is f_delta.pow(r),
-    multiplied into the running product on its right.  f_delta^r is
-    supported on multiples of delta, so with the sparsest factor first the
-    exact-integer product skips most of its left operand.
+    Every other factor, and every factor over ZZ/m, is taken by stride:
+    f_delta^r is zero off multiples of delta, so f_1^r is expanded by
+    ``pow`` at order ceil(order / delta) and then q -> q^delta
+    (``substitute_power``) with a cut.  The running product is kept the
+    same way, as a series in q^g for g the gcd of the deltas applied so
+    far, at order ceil(order / g), and multiplied with the next factor at
+    that order; the final q -> q^g and cut give the order.  So every pow
+    costs products of length order / delta, and a product costs length
+    order / g: mod 13 the overcubic c = 25 map {1: -2, 2: -47, 4: 24}
+    becomes {52: 2, 26: -4, 4: -2, 2: 5, 1: -2}, and only the inverse,
+    the square and the one product of the f_1 factor run at full length.
+    The sparsest factor comes first, so an exact-integer product with
+    g = 1 still skips most of its left operand.
     """
-    prod = None
+    p = ring.modulus
+    if (
+        p is not None
+        and any(2 * abs(r) > p for r in exponents.values())
+        and (p == 2 or is_odd_prime(p))
+    ):
+        exponents = _frobenius_reduced(exponents, p)
+    exponents = {d: r for d, r in exponents.items() if d < order}
+    prod, g = None, 0  # the product so far, as a series in q^g
     for delta in sorted(exponents, reverse=True):
         r = exponents[delta]
-        f = euler_product(delta, order, ring)
-        if ring.is_exact and (
-            2 * abs(r) * sum(map(bool, f.coeffs)) <= order * abs(r).bit_length()
-        ):
-            if prod is None:
-                prod = one(ring, order)
-            for _ in range(abs(r)):
-                prod = f * prod if r > 0 else prod.divide(f)
-        else:
-            factor = f.pow(r)
-            prod = factor if prod is None else prod * factor
-    return one(ring, order) if prod is None else prod
+        if ring.is_exact:
+            f = euler_product(delta, order, ring)
+            if 2 * abs(r) * sum(map(bool, f.coeffs)) <= order * abs(r).bit_length():
+                prod = one(ring, order) if prod is None else _expand(prod, g, order)
+                g = 1
+                for _ in range(abs(r)):
+                    prod = f * prod if r > 0 else prod.divide(f)
+                continue
+        factor = euler_product(1, -(-order // delta), ring).pow(r)  # f_delta^r in q^delta
+        if prod is None:
+            prod, g = factor, delta
+            continue
+        h = gcd(g, delta)
+        n = -(-order // h)
+        prod = _expand(prod, g // h, n) * _expand(factor, delta // h, n)
+        g = h
+    return one(ring, order) if prod is None else _expand(prod, g, order)
 
 
 def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:

@@ -8,6 +8,18 @@ series may be shared freely between threads.
 
 Coefficients over the exact-integer ring are arbitrary-precision Python
 ints.  Over a mod-m ring they are reduced representatives in [0, m-1].
+One predicate, ``_int64_storage``, chooses how they are kept: over ZZ/m
+with m <= 2^63 every residue fits an int64, and ``coeffs`` is one
+read-only int64 ndarray; over ZZ, and for larger moduli, it is a tuple of
+Python ints.  The constructor reduces its input once, in one vectorised
+pass where the values fit an int64.  The arrays that the numpy kernels
+behind ``mul``, ``inverse`` and ``pow`` return are wrapped as they come,
+never converted to Python ints and never reduced again, and
+``truncate``, ``shift`` and an ``extract_progression`` from offset 0
+share their input's array as a view.  ``coefficient``, ``coefficients``
+and the arithmetic that could leave int64 (``__add__``, ``__neg__``,
+``scale``, ``divide``) work on Python ints, so no int64 overflow can hide
+in them.
 
 Multiplication over ZZ, and of short series, is schoolbook convolution,
 which skips the zero coefficients of its left operand: f * g, with f an
@@ -77,6 +89,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 __all__ = ["Ring", "ZZ", "zmod", "TruncatedSeries", "one", "zero"]
+
+# The largest modulus whose residues, 0 .. m - 1, all fit an int64.
+_INT64_MAX_MODULUS = 2**63
 
 # Engage numpy only when the schoolbook loop would be noticeably slower.
 _NUMPY_MIN_WORK = 1 << 14
@@ -217,9 +232,7 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     if path == "fft":
         return _fft_mul(a, b, rl, m)
     if path == "convolve":
-        conv = np.convolve(a, b)[:rl]
-        conv %= m
-        return conv
+        return np.convolve(a, b)[:rl] % m
     acc = _schoolbook(a.tolist(), b.tolist(), rl)
     return np.array([c % m for c in acc], dtype=np.int64)
 
@@ -304,12 +317,45 @@ def zmod(m: int) -> Ring:
     return Ring(m)
 
 
+def _int64_storage(ring: Ring) -> bool:
+    """Whether series over the ring keep their residues in one int64 array."""
+    return ring.modulus is not None and ring.modulus <= _INT64_MAX_MODULUS
+
+
+def _residues(coeffs, m: int) -> np.ndarray:
+    """coeffs reduced mod m (m <= 2^63) into a new int64 array.
+
+    An int64 array is reduced in one vectorised pass; a sequence of ints
+    is converted first, and only a value outside int64 sends it through a
+    Python-int reduction.
+    """
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
+        arr = coeffs.copy()
+    else:
+        cs = _ints(coeffs)
+        try:
+            arr = np.array(cs, dtype=np.int64)
+        except OverflowError:
+            arr = np.array([c % m for c in cs], dtype=np.int64)
+    if m == _INT64_MAX_MODULUS:  # no int64 holds 2^63; keep the low 63 bits
+        arr &= _INT64_MAX_MODULUS - 1
+    else:
+        np.remainder(arr, m, out=arr)
+    return arr
+
+
+def _ints(coeffs) -> list[int]:
+    """The coefficients as a list of Python ints."""
+    return coeffs.tolist() if isinstance(coeffs, np.ndarray) else list(coeffs)
+
+
 class TruncatedSeries:
     """Coefficient vector indexed by exponent, with truncation tracking.
 
-    ``coeffs[i]`` is the coefficient of q^(offset+i).  The truncation
-    order is pessimistic: operations never fabricate coefficients beyond
-    what their inputs determine.
+    ``coeffs[i]`` is the coefficient of q^(offset+i): a read-only int64
+    array or a tuple of Python ints (see the module docstring).  The
+    truncation order is pessimistic: operations never fabricate
+    coefficients beyond what their inputs determine.
     """
 
     __slots__ = ("ring", "offset", "coeffs", "order")
@@ -324,20 +370,37 @@ class TruncatedSeries:
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
         m = ring.modulus
-        cs = list(coeffs) if m is None else [c % m for c in coeffs]
+        if _int64_storage(ring):
+            cs = _residues(coeffs, m)
+        else:
+            cs = _ints(coeffs)
+            if m is not None:
+                cs = [c % m for c in cs]
         if order is None:
             order = offset + len(cs)
         if order < offset:
             raise ValueError(f"order {order} is below offset {offset}")
         want = order - offset
         if len(cs) < want:
-            cs.extend([0] * (want - len(cs)))
+            pad = want - len(cs)
+            if isinstance(cs, np.ndarray):
+                cs = np.concatenate((cs, np.zeros(pad, dtype=np.int64)))
+            else:
+                cs.extend([0] * pad)
         elif len(cs) > want:
-            del cs[want:]
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
+            cs = cs[:want]
+        _install(self, ring, cs, offset, order)
+
+    @classmethod
+    def _wrap(cls, ring: Ring, coeffs, offset: int, order: int) -> TruncatedSeries:
+        """A series over final coefficients: reduced, order - offset of them.
+
+        An int64 array is kept as it is (a view included) and made
+        read-only; anything else becomes a tuple.
+        """
+        self = object.__new__(cls)
+        _install(self, ring, coeffs, offset, order)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -352,7 +415,7 @@ class TruncatedSeries:
             )
         if n < self.offset:
             return 0
-        return self.coeffs[n - self.offset]
+        return int(self.coeffs[n - self.offset])
 
     def coefficients(self, stop: Optional[int] = None) -> list[int]:
         """Coefficients of q^0 .. q^(stop-1) as a plain list."""
@@ -363,8 +426,16 @@ class TruncatedSeries:
                 f"coefficients up to {stop} unknown: series truncated at {self.order}"
             )
         out = [0] * min(self.offset, stop)
-        out.extend(self.coeffs[: max(stop - self.offset, 0)])
+        out.extend(_ints(self.coeffs[: max(stop - self.offset, 0)]))
         return out
+
+    def support(self) -> np.ndarray:
+        """The exponents of the nonzero coefficients, ascending, as int64."""
+        if isinstance(self.coeffs, np.ndarray):
+            idx = np.flatnonzero(self.coeffs)
+        else:
+            idx = np.array([i for i, c in enumerate(self.coeffs) if c], dtype=np.int64)
+        return idx + self.offset
 
     def __eq__(self, other: object) -> bool:
         """Semantic equality: same ring, same order, same coefficients."""
@@ -372,7 +443,11 @@ class TruncatedSeries:
             return NotImplemented
         if self.ring != other.ring or self.order != other.order:
             return False
-        return self.coefficients() == other.coefficients()
+        a = self.with_zero_offset().coeffs
+        b = other.with_zero_offset().coeffs
+        if isinstance(a, np.ndarray):
+            return bool(np.array_equal(a, b))
+        return a == b
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -421,7 +496,7 @@ class TruncatedSeries:
 
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries(
-            self.ring, [-c for c in self.coeffs], self.offset, self.order
+            self.ring, [-c for c in _ints(self.coeffs)], self.offset, self.order
         )
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -430,7 +505,7 @@ class TruncatedSeries:
     def scale(self, k: int) -> TruncatedSeries:
         """Multiply every coefficient by the integer k."""
         return TruncatedSeries(
-            self.ring, [k * c for c in self.coeffs], self.offset, self.order
+            self.ring, [k * c for c in _ints(self.coeffs)], self.offset, self.order
         )
 
     def mul(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -446,13 +521,11 @@ class TruncatedSeries:
         if rl <= 0:
             return TruncatedSeries(self.ring, (), offset, order)
         a, b = self.coeffs[:rl], other.coeffs[:rl]
-        m = self.ring.modulus
-        if m is not None and len(a) * len(b) >= _NUMPY_MIN_WORK and m <= 2**63:
-            aa = np.array(a, dtype=np.int64)
-            bb = aa if other is self else np.array(b, dtype=np.int64)
-            out = _mul_mod(aa, bb, rl, m).tolist()
-            return TruncatedSeries(self.ring, out, offset, order)
-        return TruncatedSeries(self.ring, _schoolbook(a, b, rl), offset, order)
+        if _int64_storage(self.ring) and len(a) * len(b) >= _NUMPY_MIN_WORK:
+            out = _mul_mod(a, a if other is self else b, rl, self.ring.modulus)
+            return TruncatedSeries._wrap(self.ring, out, offset, order)
+        product = _schoolbook(_ints(a), _ints(b), rl)
+        return TruncatedSeries(self.ring, product, offset, order)
 
     __mul__ = mul
 
@@ -464,7 +537,7 @@ class TruncatedSeries:
             )
         if self.order < 1:
             raise ValueError("cannot invert: constant term not represented")
-        a0 = self.coeffs[0]
+        a0 = self.coefficient(0)
         if not self.ring.is_unit(a0):
             raise ValueError(
                 f"cannot invert: leading coefficient {a0} is not a unit in {self.ring}"
@@ -485,9 +558,9 @@ class TruncatedSeries:
         inv0 = f._unit_constant_inverse()
         offset = self.offset
         order = min(self.order, f.order + offset)
-        out = list(self.coeffs[: order - offset])
+        out = _ints(self.coeffs[: order - offset])
         terms: dict[int, list[int]] = {}  # f_i -> the ascending i >= 1 holding it
-        for i, c in enumerate(f.coeffs[1 : len(out)], 1):
+        for i, c in enumerate(_ints(f.coeffs[1 : len(out)]), 1):
             if c:
                 terms.setdefault(c, []).append(i)
         norm = self.ring.normalize
@@ -518,9 +591,8 @@ class TruncatedSeries:
             and _newton_pays(self.order, m)
         ):
             inv0 = self._unit_constant_inverse()
-            f = np.array(self.coeffs, dtype=np.int64)
-            out = _inverse_newton(f, self.order, m, inv0).tolist()
-            return TruncatedSeries(self.ring, out, 0, self.order)
+            out = _inverse_newton(self.coeffs, self.order, m, inv0)
+            return TruncatedSeries._wrap(self.ring, out, 0, self.order)
         return one(self.ring, self.order).divide(self)
 
     def pow(self, e: int) -> TruncatedSeries:
@@ -550,11 +622,23 @@ class TruncatedSeries:
             raise ValueError(f"substitution power must be >= 1, got {k}")
         if k == 1:
             return self
-        out = [0] * (k * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[k * i] = c
-        return TruncatedSeries(self.ring, out, k * self.offset, k * self.order)
+        n = k * len(self.coeffs)
+        out = np.zeros(n, dtype=np.int64) if _int64_storage(self.ring) else [0] * n
+        out[::k] = self.coeffs
+        return TruncatedSeries._wrap(self.ring, out, k * self.offset, k * self.order)
+
+    def truncate(self, order: int) -> TruncatedSeries:
+        """The same series known only below order (0 <= order <= self.order).
+
+        The result shares this series' storage: an int64 array is cut as
+        a view, not copied.
+        """
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} at {order}")
+        offset = min(self.offset, order)
+        return TruncatedSeries._wrap(
+            self.ring, self.coeffs[: order - offset], offset, order
+        )
 
     def reduce_mod(self, m: int) -> TruncatedSeries:
         """Reduce an exact-integer series into the mod-m ring.
@@ -581,26 +665,42 @@ class TruncatedSeries:
         if p == 1 and r == 0 and self.offset == 0:
             return self
         new_order = max(-(-(self.order - r) // p), 0)
-        out = [0] * new_order
-        for n in range(new_order):
-            e = p * n + r
-            if e >= self.offset:
-                out[n] = self.coeffs[e - self.offset]
-        return TruncatedSeries(self.ring, out, 0, new_order)
+        # the first n whose exponent p n + r is stored; a strided slice from it
+        first = min(max(-(-(self.offset - r) // p), 0), new_order)
+        values = self.coeffs[p * first + r - self.offset :: p][: new_order - first]
+        return TruncatedSeries._wrap(
+            self.ring, values, first, new_order
+        ).with_zero_offset()
 
     def with_zero_offset(self) -> TruncatedSeries:
         """Materialize the leading zeros, giving an equal series with offset 0."""
         if self.offset == 0:
             return self
-        return TruncatedSeries(
-            self.ring, (0,) * self.offset + self.coeffs, 0, self.order
-        )
+        if isinstance(self.coeffs, np.ndarray):
+            cs = np.concatenate((np.zeros(self.offset, dtype=np.int64), self.coeffs))
+        else:
+            cs = (0,) * self.offset + self.coeffs
+        return TruncatedSeries._wrap(self.ring, cs, 0, self.order)
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by q^k (k >= 0): raises offset and order by k."""
         if k < 0:
             raise ValueError(f"shift must be >= 0, got {k}")
-        return TruncatedSeries(self.ring, self.coeffs, self.offset + k, self.order + k)
+        return TruncatedSeries._wrap(
+            self.ring, self.coeffs, self.offset + k, self.order + k
+        )
+
+
+def _install(s: TruncatedSeries, ring: Ring, coeffs, offset: int, order: int) -> None:
+    """Set the four fields of s; an int64 array is made read-only first."""
+    if isinstance(coeffs, np.ndarray):
+        coeffs.flags.writeable = False
+    else:
+        coeffs = tuple(coeffs)
+    object.__setattr__(s, "ring", ring)
+    object.__setattr__(s, "offset", offset)
+    object.__setattr__(s, "coeffs", coeffs)
+    object.__setattr__(s, "order", order)
 
 
 def one(ring: Ring, order: int) -> TruncatedSeries:

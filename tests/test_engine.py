@@ -6,6 +6,7 @@ import threading
 import time
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from cubicpart import engine
@@ -85,6 +86,14 @@ def test_witness_values_match_dp_oracle():
     assert result.verdict == REFUTED
     e, v = result.witness
     assert count_direct(PartitionFamily(CUBIC, 3), e) % 5 == v
+
+
+def test_witness_is_a_pair_of_python_ints():
+    for m in (7, 2**61 - 1):
+        result = verify_claim(CongruenceClaim(PartitionFamily(CUBIC, 3), m, 7, 3), 1000)
+        e, v = result.witness
+        assert type(e) is int and type(v) is int
+        assert v == count_direct(PartitionFamily(CUBIC, 3), e) % m
 
 
 def test_theorem_12_claim_counts_match_admissible_sets():
@@ -289,6 +298,28 @@ def test_search_results_sorted_and_verified():
         assert verify_claim(claim, 1200).holds
 
 
+def test_scans_match_a_coefficient_loop():
+    n_max, primes, min_conf = 63, [2, 3, 5, 7], 9
+    found = {
+        (c.family.kind, c.family.colors, c.progression, c.residue)
+        for c in search_congruences(5, primes, n_max, min_conf)
+    }
+    expected = set()
+    for kind in (CUBIC, OVERCUBIC):
+        for c in range(1, 6):
+            for p in primes:
+                fam = PartitionFamily(kind, c)
+                coeffs = generating_series(fam, n_max + 1, zmod(p)).coefficients()
+                for r in range(p):
+                    values = range(r, n_max + 1, p)
+                    first = next((e for e in values if coeffs[e]), None)
+                    witness = verify_claim(CongruenceClaim(fam, p, p, r), n_max).witness
+                    assert witness == (None if first is None else (first, coeffs[first]))
+                    if len(values) >= min_conf and first is None:
+                        expected.add((kind, c, p, r))
+    assert found == expected and expected
+
+
 def test_search_validates_bounds():
     with pytest.raises(ValueError):
         search_congruences(2, {5}, 40, min_confirmations=10)
@@ -322,6 +353,15 @@ def test_store_cuts_a_shorter_series_from_a_longer_one(counted_builds):
     fresh = generating_series(PartitionFamily(CUBIC, 3), 120, zmod(7))
     assert short == fresh and short.order == 120
     assert engine._series_mod(CUBIC, 3, 7, 500) is long
+
+
+def test_store_cut_is_a_read_only_view(counted_builds):
+    long = engine._series_mod(CUBIC, 3, 7, 5000)
+    short = engine._series_mod(CUBIC, 3, 7, 1200)
+    assert np.shares_memory(short.coeffs, long.coeffs)
+    with pytest.raises(ValueError, match="read-only"):
+        short.coeffs[0] = 2
+    assert short == generating_series(PartitionFamily(CUBIC, 3), 1200, zmod(7))
 
 
 def test_store_builds_a_longer_series_once(counted_builds):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from cubicpart.modform import (
@@ -19,6 +20,7 @@ from cubicpart.modform import (
 )
 from cubicpart.qfunctions import eta_expansion, euler_product
 from cubicpart.partitions import CUBIC, PartitionFamily, generating_series
+from cubicpart import series
 from cubicpart.series import TruncatedSeries, ZZ, one, zmod
 
 H = EtaQuotient(8, {1: 76, 2: -2})
@@ -195,6 +197,33 @@ def test_hecke_tp_linearity():
         lhs = hecke_tp(f + g, p, ell, TRIVIAL_CH)
         rhs = hecke_tp(f, p, ell, TRIVIAL_CH) + hecke_tp(g, p, ell, TRIVIAL_CH)
         assert lhs == rhs
+
+
+def test_hecke_tp_reads_python_ints_from_int64_storage(monkeypatch):
+    m = 2**61 - 1  # tail * a(n/p) leaves int64
+    ch = CharacterDescriptor(12, 1, 1)
+    rng = random.Random(61)
+    coeffs = [m - 1 - rng.randrange(100) for _ in range(200)]
+    f = TruncatedSeries(zmod(m), coeffs)
+    assert isinstance(f.coeffs, np.ndarray)
+    seen = []
+    read = TruncatedSeries.coefficients
+
+    def recording(self, stop=None):
+        out = read(self, stop)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "coefficients", recording)
+    image = hecke_tp(f, 3, 12, ch)
+    monkeypatch.undo()
+    assert len(seen) == 200 and all(type(c) is int for c in seen)
+    exact = hecke_tp(TruncatedSeries(ZZ, coeffs), 3, 12, ch)
+    assert image == exact.reduce_mod(m)
+    monkeypatch.setattr(series, "_INT64_MAX_MODULUS", 1)  # the tuple storage
+    assert hecke_tp(TruncatedSeries(zmod(m), coeffs), 3, 12, ch).coefficients() == (
+        image.coefficients()
+    )
 
 
 def test_hecke_tp_mod_p_collapses_to_progression():

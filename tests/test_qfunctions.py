@@ -1,12 +1,27 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicpart import qfunctions
 from cubicpart.modform import EtaQuotient
-from cubicpart.partitions import CUBIC, PartitionFamily, count_direct
-from cubicpart.qfunctions import eta_expansion, euler_product, euler_quotient, psi
-from cubicpart.series import ZZ, TruncatedSeries, one, zmod
+from cubicpart.partitions import (
+    CUBIC,
+    OVERCUBIC,
+    PartitionFamily,
+    count_direct,
+    generating_series,
+)
+from cubicpart.qfunctions import (
+    eta_expansion,
+    euler_product,
+    euler_quotient,
+    frobenius_split,
+    psi,
+)
+from cubicpart.series import ZZ, TruncatedSeries, one, zero, zmod
 
 
 def brute_euler_product(k, order, terms=None):
@@ -101,14 +116,6 @@ def dense_quotient(exponents, order, ring):
     return one(ring, order) if prod is None else prod
 
 
-def outcome(build, *args):
-    """The series build(*args) returns, or the message of the ValueError it raises."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.dictionaries(st.integers(1, 8), st.integers(-12, 12).filter(bool), max_size=4),
@@ -116,10 +123,69 @@ def outcome(build, *args):
     st.sampled_from([2, 7, 12, 65521]),
 )
 def test_euler_quotient_matches_dense_powers(exps, order, m):
-    exact = outcome(euler_quotient, exps, order, ZZ)
-    assert exact == outcome(dense_quotient, exps, order, ZZ)
-    if isinstance(exact, TruncatedSeries):
-        assert exact.reduce_mod(m) == euler_quotient(exps, order, zmod(m))
+    exact = euler_quotient(exps, order, ZZ)
+    if order == 0:  # where dense_quotient cannot invert
+        assert exact == zero(ZZ, 0)
+    else:
+        assert exact == dense_quotient(exps, order, ZZ)
+    assert exact.reduce_mod(m) == euler_quotient(exps, order, zmod(m))
+
+
+def test_euler_quotient_at_order_zero_is_empty():
+    for ring in (ZZ, zmod(7)):
+        for exps in ({1: -1}, {1: 1}, {2: -9, 1: -2, 4: 5}, {}):
+            assert euler_quotient(exps, 0, ring) == zero(ring, 0)
+        for fam in (PartitionFamily(CUBIC, 3), PartitionFamily(OVERCUBIC, 25)):
+            assert generating_series(fam, 0, ring) == zero(ring, 0)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.dictionaries(st.integers(1, 40), st.integers(-200, 200), max_size=5),
+    st.integers(2, 40),
+)
+def test_frobenius_split_is_balanced_and_exact(exps, p):
+    low, high = frobenius_split(exps, p)
+    assert 0 not in low.values() and 0 not in high.values()
+    for delta, r in exps.items():
+        s, t = low.get(delta, 0), high.get(delta, 0)
+        assert r == s + p * t and 2 * abs(s) <= p
+        if 2 * abs(r) <= p:
+            assert t == 0  # at p = 2 an odd r keeps its sign
+    assert set(low) | set(high) <= set(exps)
+
+
+SPLIT_MODULI = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 12, 2**64 + 13]
+
+
+@pytest.mark.parametrize("m", SPLIT_MODULI)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_split_and_stride_match_dense_powers_mod_m(m, data):
+    """Mod every prime p <= 31 the map is split and each factor strided.
+
+    The exponents reach +-3p, so t = 2 and 3 occur, and delta = p, 2p
+    next to delta up to 12 let delta p land on a delta of the map.  Mod 12
+    (not a prime) and mod 2^64 + 13 (a prime far above twice every
+    exponent) no split happens, and the factors are strided all the same.
+    """
+    bound = 3 * min(m, 31)
+    exps = data.draw(
+        st.dictionaries(
+            st.integers(1, 12) | st.sampled_from([m, 2 * m]),
+            st.integers(-bound, bound).filter(bool),
+            max_size=4,
+        )
+    )
+    order = data.draw(st.integers(1, 300 if m < 2**63 else 120))
+    ring = zmod(m)
+    with mock.patch.object(
+        qfunctions, "frobenius_split", wraps=qfunctions.frobenius_split
+    ) as split:
+        fast = euler_quotient(exps, order, ring)
+    splits = m in SPLIT_MODULI[:11] and any(2 * abs(r) > m for r in exps.values())
+    assert split.called == splits
+    assert fast == dense_quotient(exps, order, ring)
 
 
 @pytest.fixture
@@ -151,17 +217,42 @@ def test_euler_quotient_takes_sparse_steps_over_zz(counted_steps):
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
     euler_quotient({2: -9999, 1: -1}, 60, ZZ)
-    pows = [c for c in counted_steps if c[0] == "pow"]
-    assert pows[0] == ("pow", -9999)  # f2 by pow: 2 * 9999 * 9 > 60 * 14
-    assert counted_steps[-1] == ("divide", 1)  # f1 by one step: 2 * 13 <= 60
-    assert counted_steps.count(("divide", 1)) == 1
+    # f2 by pow (2 * 9999 * 9 > 60 * 14), strided: f1^-9999 at order 30,
+    # whose inverse is one division by f1; then f1 by one step (2 * 13 <= 60)
+    assert counted_steps == [("pow", -9999), ("divide", 1), ("pow", 9999), ("divide", 1)]
 
 
-def test_euler_quotient_mod_m_always_powers(counted_steps):
-    euler_quotient({2: -4, 1: -1}, 4001, zmod(7))
-    assert counted_steps[0] == ("pow", -4)
-    assert ("pow", -1) in counted_steps
-    assert not [c for c in counted_steps if c[0] == "divide"]
+def test_euler_quotient_mod_m_always_powers(monkeypatch):
+    calls = []
+    real_pow, real_sub = TruncatedSeries.pow, TruncatedSeries.substitute_power
+
+    def counting_pow(self, e):
+        calls.append(("pow", e, self.order))
+        return real_pow(self, e)
+
+    def counting_sub(self, k):
+        calls.append(("substitute", k))
+        return real_sub(self, k)
+
+    def no_divide(self, f):
+        raise AssertionError("no mod-m factor is applied by division")
+
+    monkeypatch.setattr(TruncatedSeries, "pow", counting_pow)
+    monkeypatch.setattr(TruncatedSeries, "substitute_power", counting_sub)
+    monkeypatch.setattr(TruncatedSeries, "divide", no_divide)
+    s = euler_quotient({2: -4, 1: -1}, 4001, zmod(7))
+    # -4 = 7 (-1) + 3, so f2^-4 == f2^3 f14^-1 (mod 7).  In descending delta
+    # each factor is f1^r at order ceil(4001 / delta), by pow (Newton for
+    # the inverses); the product of f14^-1 and f2^3 is taken in q^2 at
+    # order 2001, the last product in q at 4001
+    assert calls == [
+        ("pow", -1, 286), ("pow", 1, 286),
+        ("pow", 3, 2001), ("substitute", 7), ("substitute", 1),
+        ("pow", -1, 4001), ("pow", 1, 4001), ("substitute", 2), ("substitute", 1),
+        ("substitute", 1),
+    ]
+    monkeypatch.undo()
+    assert s == dense_quotient({2: -4, 1: -1}, 4001, zmod(7))
 
 
 # -- eta expansions ----------------------------------------------------------

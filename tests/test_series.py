@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicpart import series
 from cubicpart.series import Ring, TruncatedSeries, ZZ, one, zero, zmod
 from cubicpart.qfunctions import euler_product
 
@@ -396,3 +398,133 @@ def test_shift_and_with_zero_offset():
     t = s.with_zero_offset()
     assert t.offset == 0 and t.coefficients() == [0, 0, 0, 1, 2]
     assert t == s  # same coefficients, same order
+
+
+# -- int64 storage ------------------------------------------------------------
+
+M61 = 2**61 - 1  # a prime whose products of residues leave int64
+
+
+@pytest.mark.parametrize(
+    "m,int64",
+    [(2, True), (7, True), (M61, True), (2**63, True), (2**63 + 1, False), (2**64 + 13, False)],
+)
+def test_storage_predicate_chooses_int64_array_or_tuple(m, int64):
+    s = TruncatedSeries(zmod(m), [-1, 2**64 + 3, m, 5], 0, 6)
+    assert isinstance(s.coeffs, np.ndarray) == int64
+    assert isinstance(TruncatedSeries(ZZ, [1, 2]).coeffs, tuple)
+    if int64:
+        assert s.coeffs.dtype == np.int64 and not s.coeffs.flags.writeable
+    assert s.coefficients() == [(m - 1), (2**64 + 3) % m, 0, 5 % m, 0, 0]
+
+
+def test_constructor_copies_a_caller_array():
+    arr = np.array([3, -4, 12], dtype=np.int64)
+    s = TruncatedSeries(zmod(7), arr)
+    arr[0] = 6
+    assert s.coefficients() == [3, 3, 5]
+    assert TruncatedSeries(ZZ, arr).coefficients() == [6, -4, 12]
+    assert all(type(c) is int for c in TruncatedSeries(ZZ, arr).coeffs)
+
+
+def int64_results(m):
+    """Series over ZZ/m from every operation that wraps an array, kernels included."""
+    ring = zmod(m)
+    rng = random.Random(m % 1000)
+    a = TruncatedSeries(ring, [rng.randrange(m) for _ in range(700)])
+    f = euler_product(1, 700, ring)
+    progression = a.extract_progression(3, 1)
+    return {
+        "product": a * f,
+        "square": a * a,
+        "inverse": f.inverse(),
+        "power": f.pow(-3),
+        "substitute": f.substitute_power(3),
+        "truncate": a.truncate(100),
+        "progression": progression,
+        "shift": a.shift(4),
+        "zero-offset": a.shift(4).with_zero_offset(),
+        "from a list": a,
+    }
+
+
+@pytest.mark.parametrize("m", [7, M61])
+def test_mod_m_coefficients_are_python_ints(m):
+    for name, s in int64_results(m).items():
+        assert isinstance(s.coeffs, np.ndarray), name
+        assert all(type(c) is int for c in s.coefficients()), name
+        assert type(s.coefficient(s.order - 1)) is int, name
+
+
+@pytest.mark.parametrize("m", [7, M61])
+def test_writing_to_a_stored_array_raises(m):
+    for name, s in int64_results(m).items():
+        with pytest.raises(ValueError, match="read-only"):
+            s.coeffs[0] = 1
+    a = int64_results(m)["from a list"]
+    assert np.shares_memory(a.truncate(100).coeffs, a.coeffs)
+    assert np.shares_memory(a.extract_progression(3, 1).coeffs, a.coeffs)
+
+
+def as_tuple_storage(monkeypatch):
+    """Make every modulus take the tuple storage, as m > 2^63 does."""
+    monkeypatch.setattr(series, "_INT64_MAX_MODULUS", 1)
+
+
+def test_int64_arithmetic_equals_tuple_arithmetic_at_a_61_bit_prime(monkeypatch):
+    rng = random.Random(61)
+    ring = zmod(M61)
+    a_list = [M61 - 1 - rng.randrange(1000) for _ in range(300)]
+    b_list = [rng.randrange(M61) for _ in range(250)]
+    f_list = [1] + [rng.randrange(M61) for _ in range(299)]
+
+    def results():
+        a = TruncatedSeries(ring, a_list, 2, 302)
+        b = TruncatedSeries(ring, b_list, 0, 250)
+        f = TruncatedSeries(ring, f_list)
+        out = {
+            "add": a + b,
+            "sub": a - b,
+            "neg": -a,
+            "divide": a.divide(f),
+            "inverse": f.inverse(),
+            "product": a * b,
+            "progression": a.extract_progression(5, 3),
+        }
+        for k in (2, M61 - 1, 2**70 + 5, -3):
+            out[f"scale {k}"] = a.scale(k)
+        return {name: (s.offset, s.order, s.coefficients()) for name, s in out.items()}
+
+    fast = results()
+    as_tuple_storage(monkeypatch)
+    assert not isinstance(TruncatedSeries(ring, a_list).coeffs, np.ndarray)
+    assert fast == results()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 40),
+    st.integers(1, 7),
+    st.data(),
+)
+def test_extract_progression_and_support_match_the_definition(offset, length, p, data):
+    r = data.draw(st.integers(0, p - 1))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+    for ring in (ZZ, zmod(5)):
+        s = TruncatedSeries(ring, coeffs, offset, offset + length)
+        dense = s.coefficients()
+        prog = s.extract_progression(p, r)
+        assert prog.offset == 0
+        assert prog.coefficients() == dense[r::p]
+        assert s.support().tolist() == [e for e, c in enumerate(dense) if c]
+
+
+def test_truncate_cuts_the_order_and_keeps_the_offset_within_it():
+    s = TruncatedSeries(zmod(7), [1, 2, 3], 4, 7)
+    assert s.truncate(5).coefficients() == [0, 0, 0, 0, 1]
+    assert s.truncate(2) == zero(zmod(7), 2) and s.truncate(2).offset == 2
+    assert s.truncate(7) == s
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="truncate"):
+            s.truncate(bad)

@@ -239,7 +239,7 @@ def test_newton_inverse_matches_recurrence(m, n, fill, seed):
         coeffs = coefficients(rng, n, m, fill)
         coeffs[0] = rng.choice([u for u in range(1, min(m, 50)) if ring.is_unit(u)])
         s = TruncatedSeries(ring, coeffs)
-    inv0 = ring.invert(s.coeffs[0])
+    inv0 = ring.invert(s.coefficient(0))
     newton = series._inverse_newton(np.array(s.coeffs, dtype=np.int64), n, m, inv0)
     expected = recurrence_inverse(s)
     assert newton.tolist() == list(expected.coeffs)
