@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 from . import engine
-from .partitions import PartitionFamily, check_named_identity, generating_series
+from .partitions import _IDENTITIES, PartitionFamily, check_named_identity, generating_series
 from .series import ZZ, zmod
 
 _THEOREM_IDS = {
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theorem.set_defaults(func=_cmd_theorem)
 
     p_prove = sub.add_parser("prove", help="build a finite-check certificate")
-    p_prove.add_argument("--id", choices=("a3-mod7", "a5-mod11"), required=True)
+    p_prove.add_argument("--id", choices=tuple(engine._ISOLATED), required=True)
     p_prove.add_argument("--emit", metavar="FILE", default=None)
     _add_common(p_prove)
     p_prove.set_defaults(func=_cmd_prove)
@@ -253,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=_cmd_search)
 
     p_identity = sub.add_parser("identity", help="check a classical identity")
-    p_identity.add_argument(
-        "--id", choices=("ramanujan-p5n4", "chan-a2-3n2"), required=True
-    )
+    p_identity.add_argument("--id", choices=tuple(_IDENTITIES), required=True)
     p_identity.add_argument("--order", type=int, required=True, metavar="O")
     _add_common(p_identity)
     p_identity.set_defaults(func=_cmd_identity)

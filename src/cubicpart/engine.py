@@ -209,10 +209,7 @@ def theorem_claims(
             raise ValueError(f"theorem 1.1 is a mod-5 statement, got p = {p}")
         return [CongruenceClaim(PartitionFamily(CUBIC, 2), 5, 25, 22)]
     if theorem == "1.5":
-        claims = [
-            CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4),
-            CongruenceClaim(PartitionFamily(CUBIC, 5), 11, 11, 10),
-        ]
+        claims = [claim for _, _, claim in _ISOLATED.values()]
         if p is not None:
             claims = [c for c in claims if c.modulus == p]
             if not claims:

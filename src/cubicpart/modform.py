@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .arith import kronecker
+from .arith import is_odd_prime, kronecker
 from .series import TruncatedSeries
 
 __all__ = [
@@ -224,9 +224,11 @@ def hecke_tp(
 ) -> TruncatedSeries:
     """Apply T_p: b(n) = a(pn) + chi(p) p^(ell-1) a(n/p), a(n/p) = 0 for p ∤ n.
 
-    The input must have offset 0 (pad leading zeros first), so every a(m)
-    with m < f.order is addressable.  The result keeps every b(n) the
-    truncation determines: order floor((f.order - 1)/p) + 1.
+    p must be prime (2 included) and the weight ell >= 1, so that
+    p^(ell-1) is an integer.  The input must have offset 0 (pad leading
+    zeros first), so every a(m) with m < f.order is addressable.  The
+    result keeps every b(n) the truncation determines: order
+    floor((f.order - 1)/p) + 1.
     """
     if f.offset != 0:
         raise ValueError(
@@ -234,8 +236,10 @@ def hecke_tp(
         )
     if f.order < 1:
         raise ValueError("hecke_tp needs at least the constant coefficient")
-    if p < 2:
+    if not (p == 2 or is_odd_prime(p)):
         raise ValueError(f"p must be prime, got {p}")
+    if ell < 1:
+        raise ValueError(f"weight ell must be >= 1, got {ell}")
     tail = f.ring.normalize(character_eval(ch, p) * p ** (ell - 1))
     new_order = (f.order - 1) // p + 1
     a = f.coefficients()  # Python ints: tail * a(n/p) may leave int64

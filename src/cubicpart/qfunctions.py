@@ -98,6 +98,8 @@ def euler_quotient(
 ) -> TruncatedSeries:
     """prod_delta f_delta^{r_delta} to the given order; the map holds no zero r.
 
+    Every delta must be >= 1; any other raises ValueError in every ring.
+
     When the ring's modulus p is prime (2 included) and some
     |r_delta| > p / 2, the map is first rewritten by ``frobenius_split``:
     f_delta^{r_delta} becomes f_delta^s f_{delta p}^t with r_delta = p t + s
@@ -136,6 +138,8 @@ def euler_quotient(
     The sparsest factor comes first, so an exact-integer product with
     g = 1 still skips most of its left operand.
     """
+    if min(exponents, default=1) < 1:
+        raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
     p = ring.modulus
     if (
         p is not None
@@ -149,7 +153,7 @@ def euler_quotient(
         r = exponents[delta]
         if ring.is_exact:
             f = euler_product(delta, order, ring)
-            if 2 * abs(r) * sum(map(bool, f.coeffs)) <= order * abs(r).bit_length():
+            if 2 * abs(r) * len(f.support()) <= order * abs(r).bit_length():
                 prod = one(ring, order) if prod is None else _expand(prod, g, order)
                 g = 1
                 for _ in range(abs(r)):

@@ -8,30 +8,30 @@ series may be shared freely between threads.
 
 Coefficients over the exact-integer ring are arbitrary-precision Python
 ints.  Over a mod-m ring they are reduced representatives in [0, m-1].
-One predicate, ``_int64_storage``, chooses how they are kept: over ZZ/m
-with m <= 2^63 every residue fits an int64, and ``coeffs`` is one
-read-only int64 ndarray; over ZZ, and for larger moduli, it is a tuple of
-Python ints.  The constructor reduces its input once, in one vectorised
-pass where the values fit an int64.  The arrays that the numpy kernels
-behind ``mul``, ``inverse`` and ``pow`` return are wrapped as they come,
-never converted to Python ints and never reduced again, and
-``truncate``, ``shift`` and an ``extract_progression`` from offset 0
-share their input's array as a view.  ``coefficient``, ``coefficients``
-and the arithmetic that could leave int64 (``__add__``, ``__neg__``,
-``scale``, ``divide``) work on Python ints, so no int64 overflow can hide
-in them.
+``coeffs`` is always one read-only ndarray, and one predicate,
+``_int64_storage``, chooses its dtype: over ZZ/m with m <= 2^63 every
+residue fits an int64 and the array holds int64 residues; over ZZ, and
+for larger moduli, it holds Python ints with dtype object.  The
+constructor reduces its input once, in one vectorised pass where the
+values fit an int64.  The arrays that the numpy kernels behind ``mul``,
+``inverse`` and ``pow`` return are wrapped as they come, never converted
+to Python ints and never reduced again, and ``truncate``, ``shift`` and
+an ``extract_progression`` from offset 0 share their input's array as a
+view.  ``coefficient``, ``coefficients`` and the arithmetic that could
+leave int64 (``__add__``, ``__neg__``, ``scale``, ``divide``) work on
+Python ints, so no int64 overflow can hide in them.
 
-Multiplication over ZZ, and of short series, is schoolbook convolution,
-which skips the zero coefficients of its left operand: f * g, with f an
-Euler product (about 1.6 sqrt(order) nonzero terms) as long as g, costs
-O(order nnz(f)).  Exact division g / f by a series f with a unit
-constant term (``divide``) is the recurrence
+Multiplication of object-storage series is schoolbook convolution on
+Python ints, which skips the zero coefficients of its left operand:
+f * g, with f an Euler product (about 1.6 sqrt(order) nonzero terms) as
+long as g, costs O(order nnz(f)).  Exact division g / f by a series f
+with a unit constant term (``divide``) is the recurrence
 out_n = f0^{-1} (g_n - sum_{i>=1} f_i out_{n-i}), which skips the zero
 f_i and also costs O(order nnz(f)).
 
-Over a mod-m ring both operands of a multiply are first cut to the result
-length, then the first of these paths whose guard holds computes the
-product:
+Every product of int64-storage series is ``_mul_mod``: both operands are
+first cut to the result length, then the first of these paths whose
+guard holds computes the product:
 
 1. ``fft``.  Let n be the number of product terms needed and h =
    ceil(n / 2), and split a = a0 + q^h a1, b = b0 + q^h b1 into blocks of
@@ -71,12 +71,12 @@ product:
    coefficient min(la, lb) (m-1)^2 is below 2^62.
 3. ``schoolbook`` on Python ints otherwise.
 
-Every path gives bit-identical results.  Inversion over a mod-m ring
-at order >= ``_NEWTON_MIN_ORDER`` is Newton iteration, g <- g (2 - f g)
-(Brent and Kung, "Fast algorithms for manipulating formal power series",
-J. ACM 25 (1978)), on the same multiply, when the fft path would accept
-dense operands of that length; otherwise it is the division 1 / f, the
-sparse recurrence above.
+Every path gives bit-identical results.  Inversion of an int64-storage
+series is Newton iteration, g <- g (2 - f g) (Brent and Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 25 (1978)), on
+the same multiply, whenever the fft path would accept dense operands of
+the series' length (``_newton_pays``); otherwise it is the division
+1 / f, the sparse recurrence above.
 """
 
 from __future__ import annotations
@@ -93,14 +93,10 @@ __all__ = ["Ring", "ZZ", "zmod", "TruncatedSeries", "one", "zero"]
 # The largest modulus whose residues, 0 .. m - 1, all fit an int64.
 _INT64_MAX_MODULUS = 2**63
 
-# Engage numpy only when the schoolbook loop would be noticeably slower.
-_NUMPY_MIN_WORK = 1 << 14
 # Below this shorter-operand length np.convolve beats the transforms.
 _FFT_MIN_LEN = 384
 # The fft path runs only while its rounding bound stays below this.
 _FFT_MAX_ERROR = 0.25
-# Newton inversion pays off against the sparse recurrence from here on.
-_NEWTON_MIN_ORDER = 256
 
 _U = 2.0**-53  # unit roundoff of float64
 _MU = 3 * _U  # relative error of one complex product, sqrt(2) gamma_2 < 3u
@@ -318,7 +314,7 @@ def zmod(m: int) -> Ring:
 
 
 def _int64_storage(ring: Ring) -> bool:
-    """Whether series over the ring keep their residues in one int64 array."""
+    """Whether series over the ring keep int64 residues, not Python objects."""
     return ring.modulus is not None and ring.modulus <= _INT64_MAX_MODULUS
 
 
@@ -352,8 +348,9 @@ def _ints(coeffs) -> list[int]:
 class TruncatedSeries:
     """Coefficient vector indexed by exponent, with truncation tracking.
 
-    ``coeffs[i]`` is the coefficient of q^(offset+i): a read-only int64
-    array or a tuple of Python ints (see the module docstring).  The
+    ``coeffs[i]`` is the coefficient of q^(offset+i), held in one
+    read-only ndarray of int64 residues or of Python ints (dtype object;
+    see the module docstring).  The
     truncation order is pessimistic: operations never fabricate
     coefficients beyond what their inputs determine.
     """
@@ -376,27 +373,23 @@ class TruncatedSeries:
             cs = _ints(coeffs)
             if m is not None:
                 cs = [c % m for c in cs]
+            cs = np.array(cs, dtype=object)
         if order is None:
             order = offset + len(cs)
         if order < offset:
             raise ValueError(f"order {order} is below offset {offset}")
         want = order - offset
         if len(cs) < want:
-            pad = want - len(cs)
-            if isinstance(cs, np.ndarray):
-                cs = np.concatenate((cs, np.zeros(pad, dtype=np.int64)))
-            else:
-                cs.extend([0] * pad)
-        elif len(cs) > want:
-            cs = cs[:want]
-        _install(self, ring, cs, offset, order)
+            cs = np.concatenate((cs, np.zeros(want - len(cs), dtype=cs.dtype)))
+        _install(self, ring, cs[:want], offset, order)
 
     @classmethod
     def _wrap(cls, ring: Ring, coeffs, offset: int, order: int) -> TruncatedSeries:
         """A series over final coefficients: reduced, order - offset of them.
 
-        An int64 array is kept as it is (a view included) and made
-        read-only; anything else becomes a tuple.
+        coeffs is an ndarray of the ring's storage dtype, int64 or object
+        (see ``_int64_storage``); it is kept as it is, a view included,
+        and made read-only.
         """
         self = object.__new__(cls)
         _install(self, ring, coeffs, offset, order)
@@ -431,11 +424,7 @@ class TruncatedSeries:
 
     def support(self) -> np.ndarray:
         """The exponents of the nonzero coefficients, ascending, as int64."""
-        if isinstance(self.coeffs, np.ndarray):
-            idx = np.flatnonzero(self.coeffs)
-        else:
-            idx = np.array([i for i, c in enumerate(self.coeffs) if c], dtype=np.int64)
-        return idx + self.offset
+        return np.flatnonzero(self.coeffs) + self.offset
 
     def __eq__(self, other: object) -> bool:
         """Semantic equality: same ring, same order, same coefficients."""
@@ -445,9 +434,7 @@ class TruncatedSeries:
             return False
         a = self.with_zero_offset().coeffs
         b = other.with_zero_offset().coeffs
-        if isinstance(a, np.ndarray):
-            return bool(np.array_equal(a, b))
-        return a == b
+        return bool(np.array_equal(a, b))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -521,7 +508,7 @@ class TruncatedSeries:
         if rl <= 0:
             return TruncatedSeries(self.ring, (), offset, order)
         a, b = self.coeffs[:rl], other.coeffs[:rl]
-        if _int64_storage(self.ring) and len(a) * len(b) >= _NUMPY_MIN_WORK:
+        if _int64_storage(self.ring):
             out = _mul_mod(a, a if other is self else b, rl, self.ring.modulus)
             return TruncatedSeries._wrap(self.ring, out, offset, order)
         product = _schoolbook(_ints(a), _ints(b), rl)
@@ -579,17 +566,13 @@ class TruncatedSeries:
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; requires offset 0 and a unit constant term.
 
-        Over ZZ/m at order >= _NEWTON_MIN_ORDER, when the fft multiply
-        accepts dense operands of that length, this is Newton iteration.
-        Otherwise it is 1 / self by ``divide``, whose recurrence skips
-        zero coefficients of the input.
+        Over int64 storage, when the fft multiply accepts dense operands
+        of this length, this is Newton iteration.  Otherwise it is
+        1 / self by ``divide``, whose recurrence skips zero coefficients
+        of the input.
         """
         m = self.ring.modulus
-        if (
-            m is not None
-            and self.order >= _NEWTON_MIN_ORDER
-            and _newton_pays(self.order, m)
-        ):
+        if _int64_storage(self.ring) and _newton_pays(self.order, m):
             inv0 = self._unit_constant_inverse()
             out = _inverse_newton(self.coeffs, self.order, m, inv0)
             return TruncatedSeries._wrap(self.ring, out, 0, self.order)
@@ -622,16 +605,15 @@ class TruncatedSeries:
             raise ValueError(f"substitution power must be >= 1, got {k}")
         if k == 1:
             return self
-        n = k * len(self.coeffs)
-        out = np.zeros(n, dtype=np.int64) if _int64_storage(self.ring) else [0] * n
+        out = np.zeros(k * len(self.coeffs), dtype=self.coeffs.dtype)
         out[::k] = self.coeffs
         return TruncatedSeries._wrap(self.ring, out, k * self.offset, k * self.order)
 
     def truncate(self, order: int) -> TruncatedSeries:
         """The same series known only below order (0 <= order <= self.order).
 
-        The result shares this series' storage: an int64 array is cut as
-        a view, not copied.
+        The result shares this series' storage: the array is cut as a
+        view, not copied.
         """
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate a series of order {self.order} at {order}")
@@ -676,10 +658,7 @@ class TruncatedSeries:
         """Materialize the leading zeros, giving an equal series with offset 0."""
         if self.offset == 0:
             return self
-        if isinstance(self.coeffs, np.ndarray):
-            cs = np.concatenate((np.zeros(self.offset, dtype=np.int64), self.coeffs))
-        else:
-            cs = (0,) * self.offset + self.coeffs
+        cs = np.concatenate((np.zeros(self.offset, dtype=self.coeffs.dtype), self.coeffs))
         return TruncatedSeries._wrap(self.ring, cs, 0, self.order)
 
     def shift(self, k: int) -> TruncatedSeries:
@@ -692,11 +671,8 @@ class TruncatedSeries:
 
 
 def _install(s: TruncatedSeries, ring: Ring, coeffs, offset: int, order: int) -> None:
-    """Set the four fields of s; an int64 array is made read-only first."""
-    if isinstance(coeffs, np.ndarray):
-        coeffs.flags.writeable = False
-    else:
-        coeffs = tuple(coeffs)
+    """Set the four fields of s; the coefficient array is made read-only first."""
+    coeffs.flags.writeable = False
     object.__setattr__(s, "ring", ring)
     object.__setattr__(s, "offset", offset)
     object.__setattr__(s, "coeffs", coeffs)

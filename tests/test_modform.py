@@ -185,6 +185,20 @@ def test_hecke_tp_requires_zero_offset():
     assert hecke_tp(padded, 2, 2, TRIVIAL_CH).order == 3
 
 
+def test_hecke_tp_rejects_a_weight_below_one_and_a_p_that_is_not_prime():
+    for ring in (ZZ, zmod(7)):
+        f = euler_product(1, 30, ring)
+        for p, ell in ((2, 0), (7, 0), (3, -1)):
+            with pytest.raises(ValueError, match="ell must be >= 1"):
+                hecke_tp(f, p, ell, CharacterDescriptor(0, 1, 1))
+        for p in (-3, 0, 1, 4, 9, 15):
+            with pytest.raises(ValueError, match="prime"):
+                hecke_tp(f, p, 2, TRIVIAL_CH)
+        assert hecke_tp(f, 2, 1, TRIVIAL_CH) == (
+            f.extract_progression(2, 0) + f.substitute_power(2).truncate(15)
+        )
+
+
 def test_hecke_tp_linearity():
     rng = random.Random(31)
     for _ in range(120):
@@ -220,7 +234,7 @@ def test_hecke_tp_reads_python_ints_from_int64_storage(monkeypatch):
     assert len(seen) == 200 and all(type(c) is int for c in seen)
     exact = hecke_tp(TruncatedSeries(ZZ, coeffs), 3, 12, ch)
     assert image == exact.reduce_mod(m)
-    monkeypatch.setattr(series, "_INT64_MAX_MODULUS", 1)  # the tuple storage
+    monkeypatch.setattr(series, "_INT64_MAX_MODULUS", 1)  # the object storage
     assert hecke_tp(TruncatedSeries(zmod(m), coeffs), 3, 12, ch).coefficients() == (
         image.coefficients()
     )

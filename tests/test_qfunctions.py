@@ -319,6 +319,14 @@ def test_eta_expansion_mod_ring():
     assert s == exact.reduce_mod(7)
 
 
+@pytest.mark.parametrize("ring", [ZZ, zmod(7)])
+@pytest.mark.parametrize("exponents", [{0: 1}, {-1: 1}, {3: 2, 0: -1}, {2: 9, -4: 1}])
+def test_euler_quotient_rejects_a_delta_below_one(ring, exponents):
+    for order in (0, 10):
+        with pytest.raises(ValueError, match="every delta >= 1"):
+            euler_quotient(exponents, order, ring)
+
+
 def test_eta_expansion_order_below_offset():
     s = eta_expansion(EtaQuotient(8, {1: 76, 2: -2}), 2, ZZ)
-    assert s.offset == 3 and s.order == 3 and s.coeffs == ()
+    assert s.offset == 3 and s.order == 3 and len(s.coeffs) == 0

@@ -411,10 +411,10 @@ M61 = 2**61 - 1  # a prime whose products of residues leave int64
 )
 def test_storage_predicate_chooses_int64_array_or_tuple(m, int64):
     s = TruncatedSeries(zmod(m), [-1, 2**64 + 3, m, 5], 0, 6)
-    assert isinstance(s.coeffs, np.ndarray) == int64
-    assert isinstance(TruncatedSeries(ZZ, [1, 2]).coeffs, tuple)
-    if int64:
-        assert s.coeffs.dtype == np.int64 and not s.coeffs.flags.writeable
+    zz = TruncatedSeries(ZZ, [1, 2]).coeffs
+    assert s.coeffs.dtype == (np.int64 if int64 else object)
+    assert zz.dtype == object and type(zz[0]) is int
+    assert not s.coeffs.flags.writeable and not zz.flags.writeable
     assert s.coefficients() == [(m - 1), (2**64 + 3) % m, 0, 5 % m, 0, 0]
 
 
@@ -466,8 +466,39 @@ def test_writing_to_a_stored_array_raises(m):
     assert np.shares_memory(a.extract_progression(3, 1).coeffs, a.coeffs)
 
 
-def as_tuple_storage(monkeypatch):
-    """Make every modulus take the tuple storage, as m > 2^63 does."""
+def test_object_storage_cuts_share_memory_and_are_read_only():
+    s = TruncatedSeries(ZZ, [3, -1, 2**70, 0, 5, 7, -2])
+    for cut in (s.truncate(4), s.extract_progression(2, 1)):
+        assert cut.coeffs.dtype == object
+        assert np.shares_memory(cut.coeffs, s.coeffs)
+        with pytest.raises(ValueError, match="read-only"):
+            cut.coeffs[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        s.coeffs[0] = 1
+    assert s.coefficients() == [3, -1, 2**70, 0, 5, 7, -2]
+
+
+@pytest.mark.parametrize("ring", [ZZ, zmod(2**64 + 13)])
+def test_object_storage_coefficients_are_python_ints(ring):
+    f = euler_product(1, 60, ring)
+    results = {
+        "euler": f,
+        "product": f * f.shift(1),
+        "inverse": f.inverse(),
+        "power": f.pow(-3),
+        "substitute": f.substitute_power(3),
+        "progression": f.extract_progression(3, 1),
+        "zero-offset": f.shift(4).with_zero_offset(),
+        "sum": f + f,
+    }
+    for name, s in results.items():
+        assert s.coeffs.dtype == object, name
+        assert all(type(c) is int for c in s.coefficients()), name
+        assert type(s.coefficient(s.order - 1)) is int, name
+
+
+def as_object_storage(monkeypatch):
+    """Make every modulus take the object storage, as m > 2^63 does."""
     monkeypatch.setattr(series, "_INT64_MAX_MODULUS", 1)
 
 
@@ -496,8 +527,8 @@ def test_int64_arithmetic_equals_tuple_arithmetic_at_a_61_bit_prime(monkeypatch)
         return {name: (s.offset, s.order, s.coefficients()) for name, s in out.items()}
 
     fast = results()
-    as_tuple_storage(monkeypatch)
-    assert not isinstance(TruncatedSeries(ring, a_list).coeffs, np.ndarray)
+    as_object_storage(monkeypatch)
+    assert TruncatedSeries(ring, a_list).coeffs.dtype == object
     assert fast == results()
 
 

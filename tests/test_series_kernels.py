@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubicpart import series
 from cubicpart.qfunctions import euler_product
-from cubicpart.series import TruncatedSeries, ZZ, _fft_error_bound, _fft_length, zmod
+from cubicpart.series import TruncatedSeries, ZZ, _fft_error_bound, _fft_length, one, zmod
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -199,6 +199,16 @@ def test_a_square_transforms_each_block_once():
     assert square == a.pow(2) == exact_product(a, a, 7)
 
 
+def test_a_short_mod_m_product_runs_mul_mod_once():
+    a = TruncatedSeries(zmod(7), [1, 2, 3])
+    b = TruncatedSeries(zmod(7), [4, 5, 6])
+    with mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as spy, \
+            mock.patch.object(series, "_schoolbook", wraps=series._schoolbook) as loop:
+        product = a * b
+    assert spy.call_count == 1 and not loop.called
+    assert product == exact_product(a, b, 7)
+
+
 def test_operands_are_cut_to_the_result_length_before_transforming():
     long = TruncatedSeries(zmod(7), [3] * 4000)
     short = TruncatedSeries(zmod(7), [5] * 900)
@@ -219,8 +229,7 @@ def test_operands_are_cut_to_the_result_length_before_transforming():
 
 
 def recurrence_inverse(s):
-    with mock.patch.object(series, "_NEWTON_MIN_ORDER", 10**9):
-        return s.inverse()
+    return one(s.ring, s.order).divide(s)
 
 
 @KERNEL_SETTINGS
@@ -244,6 +253,20 @@ def test_newton_inverse_matches_recurrence(m, n, fill, seed):
     expected = recurrence_inverse(s)
     assert newton.tolist() == list(expected.coeffs)
     assert s.inverse() == expected
+
+
+@pytest.mark.parametrize("n", [2, 64, 255])
+def test_inverse_takes_newton_at_short_orders(n):
+    rng = random.Random(n)
+    ring = zmod(7)
+    dense = TruncatedSeries(ring, [3] + [rng.randrange(7) for _ in range(n - 1)])
+    for s in (euler_product(1, n, ring), dense):
+        with mock.patch.object(
+            series, "_inverse_newton", wraps=series._inverse_newton
+        ) as spy:
+            inv = s.inverse()
+        assert spy.call_count == 1
+        assert inv == recurrence_inverse(s)
 
 
 @pytest.mark.parametrize("m,newton", [(5, True), (7, True), (12, True), (65521, False)])
