@@ -10,17 +10,18 @@ certificate.  search_congruences scans for candidate congruences
 empirically; it never calls anything proven.
 
 The engine runs on the calling thread.  Every mod-m expansion goes
-through one bounded store keyed by (family, modulus) that keeps the
-longest series built so far, so a scan to a lower bound after a higher
-one costs no build: the shorter series is a view of the stored one.  The
+through one bounded store (``qfunctions._stored``) that keeps the
+longest series built so far for each key, so a scan to a lower bound
+after a higher one costs no build: the shorter series is a view of the
+stored one.  The store holds two kinds of key in one LRU bound: a
+family's series under (kind, colors, modulus), and 1 / f_1 under
+("f1-inverse", ring), which every family's expansion cuts from.  The
 scans read a progression as a strided view and find its nonzero values
 in one vectorised pass.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 # unused by the package; bench/tracer.py wraps this name
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .modform import (
     weight,
 )
 from .partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
-from .qfunctions import eta_expansion
+from .qfunctions import _stored, eta_expansion
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -116,38 +117,17 @@ class VerificationResult:
         return base
 
 
-_STORE_SIZE = 64
-
-# (kind, colors, modulus) -> the longest series built so far for that key
-_store: "OrderedDict[Tuple[str, int, int], TruncatedSeries]" = OrderedDict()
-_store_lock = threading.Lock()
-
-
 def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
-    """The family's series mod modulus to exactly the given order.
+    """The family's series mod modulus to exactly the given order, from the store.
 
     A shorter series is cut from the stored one as a view; a longer one is
-    built and replaces it.  The least recently used keys beyond _STORE_SIZE
-    go.  The lock guards the store only, never a build: callers on several
-    threads get correct series but may build one key twice.
+    built and replaces it (``qfunctions._stored``).
     """
-    key = (kind, colors, modulus)
-    with _store_lock:
-        series = _store.get(key)
-        if series is not None:
-            _store.move_to_end(key)
-    if series is None or series.order < order:
-        series = generating_series(PartitionFamily(kind, colors), order, zmod(modulus))
-        with _store_lock:
-            held = _store.get(key)
-            if held is None or held.order < order:
-                _store[key] = series
-            _store.move_to_end(key)
-            while len(_store) > _STORE_SIZE:
-                _store.popitem(last=False)
-    if series.order == order:
-        return series
-    return series.truncate(order)
+    return _stored(
+        (kind, colors, modulus),
+        order,
+        lambda n: generating_series(PartitionFamily(kind, colors), n, zmod(modulus)),
+    )
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:

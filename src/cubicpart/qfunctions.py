@@ -9,8 +9,10 @@ with the fractional leading power carried in the integer offset field.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from math import gcd
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Tuple
 
 import numpy as np
 
@@ -88,6 +90,53 @@ def _frobenius_reduced(exponents: Mapping[int, int], p: int) -> Dict[int, int]:
     return {d: r for d, r in low.items() if r}
 
 
+_STORE_SIZE = 64
+
+# key -> the longest series built so far for it: (kind, colors, modulus) for
+# a family's series (engine._series_mod), ("f1-inverse", ring) for 1 / f_1
+_store: "OrderedDict[tuple, TruncatedSeries]" = OrderedDict()
+_store_lock = threading.Lock()
+
+
+def _stored(
+    key: Hashable, order: int, build: Callable[[int], TruncatedSeries]
+) -> TruncatedSeries:
+    """The series under key to exactly the given order; build(order) makes it.
+
+    A shorter series is cut from the stored one as a view; a longer one is
+    built and replaces it.  The least recently used keys beyond _STORE_SIZE
+    go.  The lock guards the store only, never a build: callers on several
+    threads get correct series but may build one key twice.
+    """
+    with _store_lock:
+        series = _store.get(key)
+        if series is not None:
+            _store.move_to_end(key)
+    if series is None or series.order < order:
+        series = build(order)
+        with _store_lock:
+            held = _store.get(key)
+            if held is None or held.order < order:
+                _store[key] = series
+            _store.move_to_end(key)
+            while len(_store) > _STORE_SIZE:
+                _store.popitem(last=False)
+    if series.order == order:
+        return series
+    return series.truncate(order)
+
+
+def _f1_inverse(order: int, ring: Ring) -> TruncatedSeries:
+    """1 / f_1 to the given order, from the store.
+
+    The inverse to order n is the first n terms of the inverse to any
+    longer order, so a shorter request is an exact cut of the stored one.
+    """
+    return _stored(
+        ("f1-inverse", ring), order, lambda n: euler_product(1, n, ring).inverse()
+    )
+
+
 def _expand(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
     """s(q^k) known below the given order, at most k * s.order."""
     return s.substitute_power(k).truncate(order)
@@ -127,7 +176,14 @@ def euler_quotient(
     Every other factor, and every factor over ZZ/m, is taken by stride:
     f_delta^r is zero off multiples of delta, so f_1^r is expanded by
     ``pow`` at order ceil(order / delta) and then q -> q^delta
-    (``substitute_power``) with a cut.  The running product is kept the
+    (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
+    raised to |r|.  It comes from the one bounded series store that also
+    holds the families' series (``_stored``; two kinds of key, one LRU
+    bound): under ("f1-inverse", ring) it is built once per ring, by
+    ``inverse``, at the longest order any negative factor of the map
+    needs, and every shorter request is a read-only cut of it.  This is
+    exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to
+    any longer order.  The running product is kept the
     same way, as a series in q^g for g the gcd of the deltas applied so
     far, at order ceil(order / g), and multiplied with the next factor at
     that order; the final q -> q^g and cut give the order.  So every pow
@@ -148,18 +204,28 @@ def euler_quotient(
     ):
         exponents = _frobenius_reduced(exponents, p)
     exponents = {d: r for d, r in exponents.items() if d < order}
+    steps = {}  # over ZZ, delta -> f_delta for the factors applied as sparse steps
+    if ring.is_exact:
+        for delta, r in exponents.items():
+            f = euler_product(delta, order, ring)
+            if 2 * abs(r) * len(f.support()) <= order * abs(r).bit_length():
+                steps[delta] = f
+    # 1 / f_1 once, at the longest order a negative pow-branch factor needs
+    inverse_orders = [-(-order // d) for d, r in exponents.items() if r < 0 and d not in steps]
+    f1_inverse = _f1_inverse(max(inverse_orders), ring) if inverse_orders else None
     prod, g = None, 0  # the product so far, as a series in q^g
     for delta in sorted(exponents, reverse=True):
         r = exponents[delta]
-        if ring.is_exact:
-            f = euler_product(delta, order, ring)
-            if 2 * abs(r) * len(f.support()) <= order * abs(r).bit_length():
-                prod = one(ring, order) if prod is None else _expand(prod, g, order)
-                g = 1
-                for _ in range(abs(r)):
-                    prod = f * prod if r > 0 else prod.divide(f)
-                continue
-        factor = euler_product(1, -(-order // delta), ring).pow(r)  # f_delta^r in q^delta
+        if delta in steps:
+            f = steps[delta]
+            prod = one(ring, order) if prod is None else _expand(prod, g, order)
+            g = 1
+            for _ in range(abs(r)):
+                prod = f * prod if r > 0 else prod.divide(f)
+            continue
+        n = -(-order // delta)
+        base = euler_product(1, n, ring) if r > 0 else f1_inverse.truncate(n)
+        factor = base.pow(abs(r))  # f_delta^r in q^delta
         if prod is None:
             prod, g = factor, delta
             continue

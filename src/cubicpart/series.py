@@ -73,10 +73,21 @@ guard holds computes the product:
 
 Every path gives bit-identical results.  Inversion of an int64-storage
 series is Newton iteration, g <- g (2 - f g) (Brent and Kung, "Fast
-algorithms for manipulating formal power series", J. ACM 25 (1978)), on
-the same multiply, whenever the fft path would accept dense operands of
-the series' length (``_newton_pays``); otherwise it is the division
-1 / f, the sparse recurrence above.
+algorithms for manipulating formal power series", J. ACM 25 (1978)),
+whenever the fft path would accept dense operands of the series' length
+(``_newton_pays``); otherwise it is the division 1 / f, the sparse
+recurrence above.  A doubling from k to 2k terms needs only the terms
+k .. 2k - 1 of f g, since f g = 1 below q^k.  From k = _FFT_MIN_LEN on
+they are read off one float64 real-FFT cyclic product of f[:2k] and g
+at length L = _fft_length(2k) (``_fft_middle``, the middle product of
+Hanrot, Quercia and Zimmermann, "The middle product algorithm I",
+AAECC 14 (2004)): the terms from L on wrap round onto exponents below k,
+which are dropped.  The product g e of the same step, fewer than L
+terms, reuses the transform of g.  Percival's bound above is stated for
+a cyclic product of length L, so it covers each of these products as it
+stands, wrap-around included; each runs only when the bound, taken at
+its own operand norms and L, is below 1/4, and otherwise that product
+falls back to ``_mul_mod``, as does every product below _FFT_MIN_LEN.
 """
 
 from __future__ import annotations
@@ -200,6 +211,17 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     return out
 
 
+def _fft_middle(f: np.ndarray, g_hat: np.ndarray, k: int, length: int) -> np.ndarray:
+    """Terms k .. len(f) - 1 of f * g, g of k terms; the caller checked the bound.
+
+    g_hat is g's transform at length >= len(f).  The cyclic product of that
+    length wraps the terms from length on, at most len(f) + k - 2, onto
+    exponents below k, so the terms kept, not reduced mod m, are those
+    of f * g.
+    """
+    return _spectral_product(np.fft.rfft(f, length), g_hat, length, len(f))[k:]
+
+
 def _schoolbook(a: Sequence[int], b: Sequence[int], rl: int) -> list[int]:
     """First rl terms of a * b over the integers, skipping zero terms."""
     acc = [0] * rl
@@ -250,13 +272,37 @@ def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
     k = 1
     while k < order:
         k2 = min(2 * k, order)
-        e = _mul_mod(f, g, k2, m)[k:]
-        ge = _mul_mod(g, e, k2 - k, m)
-        del e
-        ge = (-ge) % m
-        g = np.concatenate((g, ge))
+        g = np.concatenate((g, _newton_terms(f[:k2], g, m)))
         k = k2
     return g
+
+
+def _newton_terms(f: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+    """Terms k .. len(f) - 1 of 1 / f mod m from its first k = len(g) terms g.
+
+    f g = 1 + q^k e below q^len(f), and the new terms are -(g e).  From
+    k = _FFT_MIN_LEN on, each of the two products is one real-FFT cyclic
+    product of length L = _fft_length(len(f)) when its rounding bound
+    holds at L: e by ``_fft_middle``, and g e, which has fewer than L
+    terms, from the same transform of g.  Otherwise ``_mul_mod`` takes it.
+    """
+    k, k2 = len(g), len(f)
+    length = _fft_length(k2)
+    fft = k >= _FFT_MIN_LEN
+    ng = _norm2(g) if fft else 0.0
+    g_hat = None  # g's transform, made at most once
+    if fft and _fft_error_bound(_norm2(f), ng, length) < _FFT_MAX_ERROR:
+        g_hat = np.fft.rfft(g, length)
+        e = _fft_middle(f, g_hat, k, length) % m
+    else:
+        e = _mul_mod(f, g, k2, m)[k:]
+    if fft and _fft_error_bound(ng, _norm2(e), length) < _FFT_MAX_ERROR:
+        if g_hat is None:
+            g_hat = np.fft.rfft(g, length)
+        ge = _spectral_product(np.fft.rfft(e, length), g_hat, length, k2 - k)
+    else:
+        ge = _mul_mod(g, e, k2 - k, m)
+    return (-ge) % m
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from cubicpart import engine
+from cubicpart import engine, qfunctions
 from cubicpart.engine import (
     CongruenceClaim,
     FAILED,
@@ -342,7 +342,7 @@ def counted_builds(monkeypatch):
         return build(fam, order, ring)
 
     monkeypatch.setattr(engine, "generating_series", counting_build)
-    monkeypatch.setattr(engine, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     return builds
 
 
@@ -376,8 +376,8 @@ def test_store_builds_a_longer_series_once(counted_builds):
 def test_store_holds_at_most_64_keys(counted_builds):
     for c in range(1, 71):
         engine._series_mod(CUBIC, c, 3, 4)
-        assert len(engine._store) <= 64
-    assert len(engine._store) == 64
+        assert len(qfunctions._store) <= 64
+    assert len(qfunctions._store) == 64
     engine._series_mod(CUBIC, 70, 3, 4)  # the most recent key is kept
     engine._series_mod(CUBIC, 1, 3, 4)  # the oldest was evicted
     assert len(counted_builds) == 71
@@ -389,7 +389,7 @@ def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
         return TruncatedSeries(ring, [fam.colors + i for i in range(order)], 0, order)
 
     monkeypatch.setattr(engine, "generating_series", slow_build)
-    monkeypatch.setattr(engine, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     workers = 8  # more threads than cores
     start = threading.Barrier(workers, timeout=10)
     wrong = []
@@ -414,8 +414,8 @@ def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(engine._store) == 3
-    assert all(s.order == 50 for s in engine._store.values())
+    assert len(qfunctions._store) == 3
+    assert all(s.order == 50 for s in qfunctions._store.values())
 
 
 def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
@@ -429,7 +429,7 @@ def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
         return TruncatedSeries(ring, range(order), 0, order)
 
     monkeypatch.setattr(engine, "generating_series", build)
-    monkeypatch.setattr(engine, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     short = threading.Thread(target=engine._series_mod, args=(CUBIC, 1, 101, 10))
     short.start()
     assert short_building.wait(timeout=10)
@@ -437,4 +437,4 @@ def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
     long_stored.set()
     short.join(timeout=10)
     assert not short.is_alive()
-    assert engine._store[(CUBIC, 1, 101)] is long
+    assert qfunctions._store[(CUBIC, 1, 101)] is long

@@ -1,11 +1,15 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
+from collections import Counter, OrderedDict
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicpart import qfunctions
+from cubicpart import cli, engine, qfunctions
+from cubicpart import series as series_module
+from cubicpart.arith import is_odd_prime
 from cubicpart.modform import EtaQuotient
 from cubicpart.partitions import (
     CUBIC,
@@ -190,8 +194,13 @@ def test_split_and_stride_match_dense_powers_mod_m(m, data):
 
 @pytest.fixture
 def counted_steps(monkeypatch):
-    """Calls of pow, as ("pow", e), and of divide, as ("divide", delta of the divisor)."""
+    """Calls of pow, as ("pow", e), and of divide, as ("divide", delta of the divisor).
+
+    The series store starts empty, so 1 / f_1 is built, not cut from an
+    earlier test's.
+    """
     calls = []
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     real_pow, real_divide = TruncatedSeries.pow, TruncatedSeries.divide
 
     def counting_pow(self, e):
@@ -217,14 +226,16 @@ def test_euler_quotient_takes_sparse_steps_over_zz(counted_steps):
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
     euler_quotient({2: -9999, 1: -1}, 60, ZZ)
-    # f2 by pow (2 * 9999 * 9 > 60 * 14), strided: f1^-9999 at order 30,
-    # whose inverse is one division by f1; then f1 by one step (2 * 13 <= 60)
-    assert counted_steps == [("pow", -9999), ("divide", 1), ("pow", 9999), ("divide", 1)]
+    # f2 by pow (2 * 9999 * 9 > 60 * 14), strided: 1 / f1 at order 30 from
+    # the store, built by one division by f1, to the power 9999; then f1 by
+    # one step (2 * 13 <= 60)
+    assert counted_steps == [("divide", 1), ("pow", 9999), ("divide", 1)]
 
 
 def test_euler_quotient_mod_m_always_powers(monkeypatch):
     calls = []
     real_pow, real_sub = TruncatedSeries.pow, TruncatedSeries.substitute_power
+    real_inverse, real_stored = TruncatedSeries.inverse, qfunctions._stored
 
     def counting_pow(self, e):
         calls.append(("pow", e, self.order))
@@ -234,25 +245,119 @@ def test_euler_quotient_mod_m_always_powers(monkeypatch):
         calls.append(("substitute", k))
         return real_sub(self, k)
 
+    def counting_inverse(self):
+        calls.append(("inverse", self.order))
+        return real_inverse(self)
+
+    def counting_stored(key, order, build):
+        calls.append(("store", key[0], order))
+        return real_stored(key, order, build)
+
     def no_divide(self, f):
         raise AssertionError("no mod-m factor is applied by division")
 
     monkeypatch.setattr(TruncatedSeries, "pow", counting_pow)
     monkeypatch.setattr(TruncatedSeries, "substitute_power", counting_sub)
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting_inverse)
     monkeypatch.setattr(TruncatedSeries, "divide", no_divide)
+    monkeypatch.setattr(qfunctions, "_stored", counting_stored)
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     s = euler_quotient({2: -4, 1: -1}, 4001, zmod(7))
-    # -4 = 7 (-1) + 3, so f2^-4 == f2^3 f14^-1 (mod 7).  In descending delta
-    # each factor is f1^r at order ceil(4001 / delta), by pow (Newton for
-    # the inverses); the product of f14^-1 and f2^3 is taken in q^2 at
-    # order 2001, the last product in q at 4001
-    assert calls == [
-        ("pow", -1, 286), ("pow", 1, 286),
+    # -4 = 7 (-1) + 3, so f2^-4 == f2^3 f14^-1 (mod 7).  1 / f1 is asked of
+    # the store once, at 4001, the longest order a negative factor needs,
+    # and built by one inverse (Newton).  In descending delta each factor
+    # is f1^r at order ceil(4001 / delta): f14^-1 is the cut of 1 / f1 at
+    # 286 to the power 1, not a pow(-1); the product of f14^-1 and f2^3 is
+    # taken in q^2 at order 2001, the last product in q at 4001
+    factors = [
+        ("pow", 1, 286),
         ("pow", 3, 2001), ("substitute", 7), ("substitute", 1),
-        ("pow", -1, 4001), ("pow", 1, 4001), ("substitute", 2), ("substitute", 1),
+        ("pow", 1, 4001), ("substitute", 2), ("substitute", 1),
         ("substitute", 1),
     ]
+    assert calls == [("store", "f1-inverse", 4001), ("inverse", 4001)] + factors
+    # warm, the same map makes the same request and the store answers it
+    calls.clear()
+    assert euler_quotient({2: -4, 1: -1}, 4001, zmod(7)) == s
+    assert calls == [("store", "f1-inverse", 4001)] + factors
+    # a shorter quotient is cut from the stored inverse: no inverse runs
+    calls.clear()
+    euler_quotient({1: -1}, 1000, zmod(7))
+    assert calls == [("store", "f1-inverse", 1000), ("pow", 1, 1000), ("substitute", 1)]
     monkeypatch.undo()
     assert s == dense_quotient({2: -4, 1: -1}, 4001, zmod(7))
+
+
+STORE_RINGS = [ZZ] + [zmod(m) for m in (2, 3, 7, 13, 65521, 2**61 - 1, 2**64 + 13)]
+
+
+@pytest.mark.parametrize("ring", STORE_RINGS, ids=str)
+def test_cold_and_warm_store_give_equal_quotients(monkeypatch, ring):
+    """1 / f1 built fresh, cut from a longer one, or held exactly: one result.
+
+    Over ZZ the cubic c = 200 map takes f2 by pow (2 * 199 nnz(f2) > order
+    bit_length(199)), so its f2^-199 reads 1 / f1 from the store too.
+    """
+    maps = [{1: -1, 2: -199}, {1: -2, 2: 3, 4: -1}, {1: -1}, {3: -2, 1: 1}]
+    orders = (200, 57, 1)
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    cold = {}
+    for exps in maps:
+        for order in orders:
+            qfunctions._store.clear()
+            cold[str(exps), order] = euler_quotient(exps, order, ring)
+    qfunctions._store.clear()
+    held = qfunctions._f1_inverse(200, ring)  # the longest inverse any map needs
+    for exps in maps:
+        for order in orders:
+            assert euler_quotient(exps, order, ring) == cold[str(exps), order]
+            assert qfunctions._store[("f1-inverse", ring)] is held
+    assert cold[str(maps[0]), 57] == dense_quotient(maps[0], 57, ring)
+
+
+def test_store_serves_a_shorter_f1_inverse_as_a_read_only_view(monkeypatch):
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    ring = zmod(13)
+    long = qfunctions._f1_inverse(3000, ring)
+    short = qfunctions._f1_inverse(700, ring)
+    assert np.shares_memory(short.coeffs, long.coeffs)
+    with pytest.raises(ValueError, match="read-only"):
+        short.coeffs[0] = 2
+    assert short == one(ring, 700).divide(euler_product(1, 700, ring))
+    assert qfunctions._store[("f1-inverse", ring)] is long
+    # a longer request is built and replaces the held entry
+    longer = qfunctions._f1_inverse(5000, ring)
+    assert qfunctions._store[("f1-inverse", ring)] is longer
+    assert longer.order == 5000 and longer.truncate(3000) == long
+
+
+def test_family_and_f1_inverse_keys_share_the_64_key_bound(monkeypatch):
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    moduli = [m for m in range(3, 400) if is_odd_prime(m)][:40]
+    for m in moduli:
+        engine._series_mod(CUBIC, 2, m, 20)  # a family key and ("f1-inverse", ZZ/m)
+        assert len(qfunctions._store) <= 64
+    assert len(qfunctions._store) == 64
+    kinds = Counter(key[0] == "f1-inverse" for key in qfunctions._store)
+    assert kinds == {True: 32, False: 32}
+    # the least recently used keys went, the family key and inverse of each modulus
+    assert (CUBIC, 2, moduli[7]) not in qfunctions._store
+    assert ("f1-inverse", zmod(moduli[7])) not in qfunctions._store
+    assert ("f1-inverse", zmod(moduli[8])) in qfunctions._store
+
+
+def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
+    calls = []
+    real = series_module._inverse_newton
+
+    def counting_newton(f, order, m, inv0):
+        calls.append((order, m))
+        return real(f, order, m, inv0)
+
+    monkeypatch.setattr(series_module, "_inverse_newton", counting_newton)
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    assert cli.main(["search", "--cmax", "6", "--primes", "3,5,7,11", "--nmax", "8000"]) == 0
+    assert sorted(calls) == [(8001, 3), (8001, 5), (8001, 7), (8001, 11)]
 
 
 # -- eta expansions ----------------------------------------------------------

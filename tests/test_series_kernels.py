@@ -7,6 +7,7 @@ length, and moduli on both sides of each path's guard.
 """
 
 import random
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -279,6 +280,67 @@ def test_inverse_takes_newton_for_long_series_while_the_bound_allows(m, newton):
     assert spy.called == newton
     assert inv == recurrence_inverse(s)
     assert (s * inv).coefficients() == [1] + [0] * 3999
+
+
+MIDDLE_ORDERS = [383, 384, 385, 767, 768, 769, 1000, 4001]
+
+
+@lru_cache(maxsize=None)
+def middle_case(m, fill):
+    """A series of 4001 terms mod m and its inverse by the recurrence.
+
+    The inverse to order n is the first n terms of this one, so each
+    order below takes a cut of both.
+    """
+    ring = zmod(m)
+    if fill == "euler":
+        s = euler_product(1, 4001, ring)
+    else:
+        rng = random.Random(m)
+        s = TruncatedSeries(ring, [3] + [rng.randrange(m) for _ in range(4000)])
+    return s, recurrence_inverse(s)
+
+
+def newton_of(s):
+    inv0 = s.ring.invert(s.coefficient(0))
+    return series._inverse_newton(s.coeffs, s.order, s.ring.modulus, inv0)
+
+
+@pytest.mark.parametrize("fill", ["euler", "dense"])
+@pytest.mark.parametrize("m", [7, 65521])
+def test_newton_by_middle_product_matches_recurrence(m, fill):
+    """Orders on both sides of _FFT_MIN_LEN and of the doublings past it.
+
+    Mod 7 the fft bound holds and the middle product runs from k = 512;
+    mod 65521 it fails at every k, and each product falls back to _mul_mod.
+    """
+    s, inverse = middle_case(m, fill)
+    for n in MIDDLE_ORDERS:
+        assert newton_of(s.truncate(n)).tolist() == inverse.truncate(n).coeffs.tolist()
+
+
+@pytest.mark.parametrize("fill", ["euler", "dense"])
+def test_newton_falls_back_to_mul_mod_when_the_bound_fails(fill):
+    s, inverse = middle_case(7, fill)
+    with mock.patch.object(series, "_fft_error_bound", return_value=1.0), \
+            mock.patch.object(series, "_fft_middle") as middle, \
+            mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
+        newton = newton_of(s)
+    assert not middle.called
+    assert mul.call_count == 2 * 12  # both products of each of the 12 doublings
+    assert newton.tolist() == inverse.coeffs.tolist()
+
+
+def test_newton_runs_the_middle_product_once_k_reaches_fft_min_len():
+    s, inverse = middle_case(7, "euler")
+    with mock.patch.object(series, "_fft_middle", wraps=series._fft_middle) as middle, \
+            mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
+        newton = newton_of(s)
+    # k = 1, 2, .., 256 take _mul_mod twice; k = 512, 1024, 2048 one cyclic product each
+    assert [c.args[2] for c in middle.call_args_list] == [512, 1024, 2048]
+    assert mul.call_count == 2 * 9
+    assert all(len(c.args[1]) < series._FFT_MIN_LEN for c in mul.call_args_list)
+    assert newton.tolist() == inverse.coeffs.tolist()
 
 
 @pytest.mark.parametrize("order", [10, 300])
