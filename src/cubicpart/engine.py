@@ -422,8 +422,6 @@ def search_congruences(
                 # the nonzero values seen in each residue class
                 seen = np.bincount(series.support() % p, minlength=p)
                 for r in range(p):
-                    if len(range(r, n_max + 1, p)) < min_confirmations:
-                        continue
                     if not seen[r]:
                         results.append(CongruenceClaim(PartitionFamily(kind, c), p, p, r))
     results.sort(

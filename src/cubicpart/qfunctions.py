@@ -90,6 +90,11 @@ def _frobenius_reduced(exponents: Mapping[int, int], p: int) -> Dict[int, int]:
     return {d: r for d, r in low.items() if r}
 
 
+# The largest order euler_quotient expands, per ring kind; the costs that
+# set them are in its docstring.
+_MAX_ORDER_MOD = 10**7
+_MAX_ORDER_ZZ = 10**6
+
 _STORE_SIZE = 64
 
 # key -> the longest series built so far for it: (kind, colors, modulus) for
@@ -148,6 +153,17 @@ def euler_quotient(
     """prod_delta f_delta^{r_delta} to the given order; the map holds no zero r.
 
     Every delta must be >= 1; any other raises ValueError in every ring.
+    So does an order above the ceiling of the ring kind, before anything
+    is allocated; every family, identity and certificate expansion, and
+    so every CLI command, passes this check.  Mod m the ceiling is
+    _MAX_ORDER_MOD = 10^7 terms, set by memory: at 10^6 terms mod 7 and
+    13 the ``verify``, ``theorem`` and ``search`` scans peak at about
+    85 bytes a term above the interpreter's 29 MB, and ``series``, which
+    also holds its text, at about 190 (linear from 10^6 to 4*10^6), so
+    about 0.9 and 1.9 GB at the ceiling.  Over ZZ it is _MAX_ORDER_ZZ =
+    10^6, set by time: ``count`` for cubic c = 2 takes 9.4 s at 10^5 and
+    34 s at 2*10^5 on a 2-vCPU VM, growing about as order^1.9, so some
+    12 minutes at the ceiling.
 
     When the ring's modulus p is prime (2 included) and some
     |r_delta| > p / 2, the map is first rewritten by ``frobenius_split``:
@@ -196,6 +212,9 @@ def euler_quotient(
     """
     if min(exponents, default=1) < 1:
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
+    limit = _MAX_ORDER_ZZ if ring.is_exact else _MAX_ORDER_MOD
+    if order > limit:
+        raise ValueError(f"series order {order} is above the ceiling {limit} over {ring}")
     p = ring.modulus
     if (
         p is not None

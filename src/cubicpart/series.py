@@ -71,23 +71,23 @@ guard holds computes the product:
    coefficient min(la, lb) (m-1)^2 is below 2^62.
 3. ``schoolbook`` on Python ints otherwise.
 
-Every path gives bit-identical results.  Inversion of an int64-storage
-series is Newton iteration, g <- g (2 - f g) (Brent and Kung, "Fast
-algorithms for manipulating formal power series", J. ACM 25 (1978)),
-whenever the fft path would accept dense operands of the series' length
-(``_newton_pays``); otherwise it is the division 1 / f, the sparse
-recurrence above.  A doubling from k to 2k terms needs only the terms
-k .. 2k - 1 of f g, since f g = 1 below q^k.  From k = _FFT_MIN_LEN on
-they are read off one float64 real-FFT cyclic product of f[:2k] and g
-at length L = _fft_length(2k) (``_fft_middle``, the middle product of
-Hanrot, Quercia and Zimmermann, "The middle product algorithm I",
-AAECC 14 (2004)): the terms from L on wrap round onto exponents below k,
-which are dropped.  The product g e of the same step, fewer than L
-terms, reuses the transform of g.  Percival's bound above is stated for
-a cyclic product of length L, so it covers each of these products as it
-stands, wrap-around included; each runs only when the bound, taken at
-its own operand norms and L, is below 1/4, and otherwise that product
-falls back to ``_mul_mod``, as does every product below _FFT_MIN_LEN.
+Every path gives bit-identical results.  One gate, ``_fft_exact``,
+decides every float product: the bound above, at the product's own
+operand norms and transform length L, is below 1/4.  It holds for a
+cyclic product as it stands, wrap-around included.  Inversion of an
+int64-storage series is Newton iteration, g <- g (2 - f g) (Brent and
+Kung, "Fast algorithms for manipulating formal power series", J. ACM 25
+(1978)), when the gate admits dense operands of the series' length at
+_fft_length(order), the length of Newton's last doubling; otherwise it
+is the division 1 / f, the sparse recurrence above.  A doubling from k
+to 2k terms needs only the terms k .. 2k - 1 of f g, since f g = 1 below
+q^k.  Below _FFT_MIN_LEN its two products go to ``_mul_mod``.  From
+there on g is transformed once at L = _fft_length(2k): those terms are
+read off the cyclic product of f[:2k] and g (the middle product of
+Hanrot, Quercia and Zimmermann, "The middle product algorithm I", AAECC
+14 (2004)), whose terms from L on wrap onto exponents below k, and g e,
+fewer than L terms, reuses g's transform.  Each product runs only when
+the gate admits it, and otherwise falls back to ``_mul_mod``.
 """
 
 from __future__ import annotations
@@ -163,14 +163,22 @@ def _fft_blocks(la: int, lb: int, rl: int) -> tuple[int, int]:
     return h, _fft_length(2 * h)
 
 
+def _fft_exact(norm2_a: float, norm2_b: float, length: int) -> bool:
+    """Whether a float64 real-FFT cyclic product rounds to the exact one.
+
+    The one gate of every float product: norm2_a and norm2_b are the
+    squared l2 norms of the operands, length the transform length.
+    """
+    return _fft_error_bound(norm2_a, norm2_b, length) < _FFT_MAX_ERROR
+
+
 def _mul_path(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> str:
     """The first exact path for a * b mod m: 'fft', 'convolve' or 'schoolbook'."""
     n = min(len(a), len(b))
     if n >= _FFT_MIN_LEN:
-        length = _fft_blocks(len(a), len(b), rl)[1]
         na = _norm2(a)
         nb = na if b is a else _norm2(b)
-        if _fft_error_bound(na, nb, length) < _FFT_MAX_ERROR:
+        if _fft_exact(na, nb, _fft_blocks(len(a), len(b), rl)[1]):
             return "fft"
     if n * (m - 1) ** 2 < 2**62:
         return "convolve"
@@ -211,17 +219,6 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     return out
 
 
-def _fft_middle(f: np.ndarray, g_hat: np.ndarray, k: int, length: int) -> np.ndarray:
-    """Terms k .. len(f) - 1 of f * g, g of k terms; the caller checked the bound.
-
-    g_hat is g's transform at length >= len(f).  The cyclic product of that
-    length wraps the terms from length on, at most len(f) + k - 2, onto
-    exponents below k, so the terms kept, not reduced mod m, are those
-    of f * g.
-    """
-    return _spectral_product(np.fft.rfft(f, length), g_hat, length, len(f))[k:]
-
-
 def _schoolbook(a: Sequence[int], b: Sequence[int], rl: int) -> list[int]:
     """First rl terms of a * b over the integers, skipping zero terms."""
     acc = [0] * rl
@@ -255,54 +252,36 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     return np.array([c % m for c in acc], dtype=np.int64)
 
 
-def _newton_pays(order: int, m: int) -> bool:
-    """Whether the fft path accepts any two operands of this length mod m."""
-    worst = order * (m - 1) ** 2
-    length = _fft_blocks(order, order, order)[1]
-    return _fft_error_bound(worst, worst, length) < _FFT_MAX_ERROR
-
-
 def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
     """Inverse of f mod (q^order, m) by Newton iteration; f[0] * inv0 == 1 mod m.
 
     If g inverts f to precision k, then f g = 1 + q^k e and
-    g - q^k g e inverts f to precision 2k (Brent and Kung 1978).
+    g - q^k g e inverts f to precision 2k (Brent and Kung 1978); the
+    module docstring gives the products of each doubling and their gate.
     """
     g = np.array([inv0 % m], dtype=np.int64)
     k = 1
     while k < order:
         k2 = min(2 * k, order)
-        g = np.concatenate((g, _newton_terms(f[:k2], g, m)))
+        fk = f[:k2]
+        if k < _FFT_MIN_LEN:
+            e = _mul_mod(fk, g, k2, m)[k:]
+            ge = _mul_mod(g, e, k2 - k, m)
+        else:
+            length = _fft_length(k2)
+            g_hat = np.fft.rfft(g, length)
+            ng = _norm2(g)
+            if _fft_exact(_norm2(fk), ng, length):
+                e = _spectral_product(np.fft.rfft(fk, length), g_hat, length, k2)[k:] % m
+            else:
+                e = _mul_mod(fk, g, k2, m)[k:]
+            if _fft_exact(ng, _norm2(e), length):
+                ge = _spectral_product(np.fft.rfft(e, length), g_hat, length, k2 - k)
+            else:
+                ge = _mul_mod(g, e, k2 - k, m)
+        g = np.concatenate((g, (-ge) % m))
         k = k2
     return g
-
-
-def _newton_terms(f: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
-    """Terms k .. len(f) - 1 of 1 / f mod m from its first k = len(g) terms g.
-
-    f g = 1 + q^k e below q^len(f), and the new terms are -(g e).  From
-    k = _FFT_MIN_LEN on, each of the two products is one real-FFT cyclic
-    product of length L = _fft_length(len(f)) when its rounding bound
-    holds at L: e by ``_fft_middle``, and g e, which has fewer than L
-    terms, from the same transform of g.  Otherwise ``_mul_mod`` takes it.
-    """
-    k, k2 = len(g), len(f)
-    length = _fft_length(k2)
-    fft = k >= _FFT_MIN_LEN
-    ng = _norm2(g) if fft else 0.0
-    g_hat = None  # g's transform, made at most once
-    if fft and _fft_error_bound(_norm2(f), ng, length) < _FFT_MAX_ERROR:
-        g_hat = np.fft.rfft(g, length)
-        e = _fft_middle(f, g_hat, k, length) % m
-    else:
-        e = _mul_mod(f, g, k2, m)[k:]
-    if fft and _fft_error_bound(ng, _norm2(e), length) < _FFT_MAX_ERROR:
-        if g_hat is None:
-            g_hat = np.fft.rfft(g, length)
-        ge = _spectral_product(np.fft.rfft(e, length), g_hat, length, k2 - k)
-    else:
-        ge = _mul_mod(g, e, k2 - k, m)
-    return (-ge) % m
 
 
 @dataclass(frozen=True)
@@ -612,16 +591,18 @@ class TruncatedSeries:
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; requires offset 0 and a unit constant term.
 
-        Over int64 storage, when the fft multiply accepts dense operands
-        of this length, this is Newton iteration.  Otherwise it is
-        1 / self by ``divide``, whose recurrence skips zero coefficients
-        of the input.
+        Over int64 storage, when ``_fft_exact`` admits dense operands of
+        this length at the transform length of Newton's last doubling,
+        this is Newton iteration.  Otherwise it is 1 / self by ``divide``,
+        whose recurrence skips zero coefficients of the input.
         """
         m = self.ring.modulus
-        if _int64_storage(self.ring) and _newton_pays(self.order, m):
-            inv0 = self._unit_constant_inverse()
-            out = _inverse_newton(self.coeffs, self.order, m, inv0)
-            return TruncatedSeries._wrap(self.ring, out, 0, self.order)
+        if _int64_storage(self.ring):
+            worst = self.order * (m - 1) ** 2  # squared norm of a dense operand
+            if _fft_exact(worst, worst, _fft_length(self.order)):
+                inv0 = self._unit_constant_inverse()
+                out = _inverse_newton(self.coeffs, self.order, m, inv0)
+                return TruncatedSeries._wrap(self.ring, out, 0, self.order)
         return one(self.ring, self.order).divide(self)
 
     def pow(self, e: int) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON output."""
 
 import json
+import time
 
 import pytest
 
@@ -215,3 +216,24 @@ def test_threads_validation():
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "0", "count", "--family", "cubic", "--colors", "1", "1"])
     assert exc.value.code == 2
+
+
+HUGE = "100000000000"  # 10^11, far above every order ceiling
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "cubic", "--colors", "3", "--mod", "7",
+     "--progression", "7", "--residue", "4", "--nmax", HUGE),
+    ("series", "--family", "cubic", "--colors", "3", "--order", HUGE),
+    ("series", "--family", "cubic", "--colors", "3", "--order", HUGE, "--mod", "7"),
+    ("count", "--family", "cubic", "--colors", "2", "3", HUGE),
+    ("search", "--cmax", "3", "--primes", "5,7", "--nmax", HUGE),
+    ("theorem", "--id", "1.2", "--p", "13", "--nmax", HUGE),
+    ("identity", "--id", "chan-a2-3n2", "--order", HUGE),
+])
+def test_an_oversized_order_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: series order ") and "above the ceiling" in err

@@ -435,3 +435,23 @@ def test_euler_quotient_rejects_a_delta_below_one(ring, exponents):
 def test_eta_expansion_order_below_offset():
     s = eta_expansion(EtaQuotient(8, {1: 76, 2: -2}), 2, ZZ)
     assert s.offset == 3 and s.order == 3 and len(s.coeffs) == 0
+
+
+@pytest.mark.parametrize("ring,limit", [(ZZ, "_MAX_ORDER_ZZ"), (zmod(7), "_MAX_ORDER_MOD")])
+def test_euler_quotient_refuses_an_order_above_the_ceiling_before_any_work(
+    monkeypatch, ring, limit
+):
+    monkeypatch.setattr(qfunctions, limit, 50)
+    expected = euler_product(2, 50, ring) * euler_product(1, 50, ring).inverse().pow(2)
+    assert euler_quotient({1: -2, 2: 1}, 50, ring) == expected
+    with mock.patch.object(qfunctions, "euler_product") as build:
+        for order in (51, 10**11):
+            with pytest.raises(ValueError, match=f"order {order} is above the ceiling 50"):
+                euler_quotient({1: -2, 2: 1}, order, ring)
+    assert not build.called
+
+
+@pytest.mark.parametrize("ring,ceiling", [(ZZ, 10**6), (zmod(7), 10**7)])
+def test_the_order_ceiling_is_one_per_ring_kind(ring, ceiling):
+    with pytest.raises(ValueError, match=f"above the ceiling {ceiling} over {ring}"):
+        euler_quotient({1: -1}, 10**11, ring)

@@ -81,7 +81,7 @@ def fft_accepts_max(n):
 
     def accept(m):
         worst = n * (m - 1) ** 2
-        return _fft_error_bound(worst, worst, length) < series._FFT_MAX_ERROR
+        return series._fft_exact(worst, worst, length)
 
     return accept
 
@@ -323,24 +323,70 @@ def test_newton_by_middle_product_matches_recurrence(m, fill):
 def test_newton_falls_back_to_mul_mod_when_the_bound_fails(fill):
     s, inverse = middle_case(7, fill)
     with mock.patch.object(series, "_fft_error_bound", return_value=1.0), \
-            mock.patch.object(series, "_fft_middle") as middle, \
+            mock.patch.object(series, "_spectral_product") as cyclic, \
             mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
         newton = newton_of(s)
-    assert not middle.called
+    assert not cyclic.called
     assert mul.call_count == 2 * 12  # both products of each of the 12 doublings
     assert newton.tolist() == inverse.coeffs.tolist()
 
 
 def test_newton_runs_the_middle_product_once_k_reaches_fft_min_len():
     s, inverse = middle_case(7, "euler")
-    with mock.patch.object(series, "_fft_middle", wraps=series._fft_middle) as middle, \
-            mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
+    with mock.patch.object(
+        series, "_spectral_product", wraps=series._spectral_product
+    ) as cyclic, mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
         newton = newton_of(s)
-    # k = 1, 2, .., 256 take _mul_mod twice; k = 512, 1024, 2048 one cyclic product each
-    assert [c.args[2] for c in middle.call_args_list] == [512, 1024, 2048]
+    # k = 1, 2, .., 256 take _mul_mod twice; k = 512, 1024, 2048 two cyclic
+    # products each at L = _fft_length(k2): e (k2 terms kept) and g e (k2 - k)
+    expected = []
+    for k in (512, 1024, 2048):
+        k2 = min(2 * k, s.order)
+        expected += [(_fft_length(k2), k2), (_fft_length(k2), k2 - k)]
+    assert [c.args[2:] for c in cyclic.call_args_list] == expected
     assert mul.call_count == 2 * 9
     assert all(len(c.args[1]) < series._FFT_MIN_LEN for c in mul.call_args_list)
     assert newton.tolist() == inverse.coeffs.tolist()
+
+
+def test_a_closed_gate_sends_every_product_to_the_fallback():
+    s, inverse = middle_case(7, "dense")
+    a = s.truncate(1000)
+    with mock.patch.object(series, "_fft_exact", return_value=False), \
+            mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as transform, \
+            mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul, \
+            mock.patch.object(
+                series, "_inverse_newton", wraps=series._inverse_newton
+            ) as newton_spy:
+        product = a * a
+        assert mul.call_count == 1
+        newton = newton_of(s)
+        assert mul.call_count == 1 + 2 * 12
+        assert s.inverse() == inverse  # the division, not Newton
+    assert not transform.called
+    assert newton_spy.call_count == 1  # the direct call above only
+    assert product == exact_product(a, a, 7)
+    assert newton.tolist() == inverse.coeffs.tolist()
+
+
+def test_inverse_takes_newton_exactly_where_the_gate_admits_dense_operands():
+    """At order 1125, a smooth number, the last doubling's length is 1125 itself."""
+    n = 1125
+    length = _fft_length(n)
+    inside = largest_inside(
+        n, lambda m: series._fft_exact(n * (m - 1) ** 2, n * (m - 1) ** 2, length)
+    )
+    for m, newton in ((inside, True), (inside + 1, False)):
+        rng = random.Random(m)
+        ring = zmod(m)
+        dense = TruncatedSeries(ring, [1] + [rng.randrange(m) for _ in range(n - 1)])
+        for s in (euler_product(1, n, ring), dense):
+            with mock.patch.object(
+                series, "_inverse_newton", wraps=series._inverse_newton
+            ) as spy:
+                inv = s.inverse()
+            assert spy.called == newton
+            assert inv == recurrence_inverse(s)
 
 
 @pytest.mark.parametrize("order", [10, 300])
