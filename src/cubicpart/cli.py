@@ -24,6 +24,9 @@ from . import engine
 from .partitions import _IDENTITIES, PartitionFamily, check_named_identity, generating_series
 from .series import ZZ, zmod
 
+# `series` prints its text lines in slices of this many coefficients
+_SERIES_CHUNK = 1 << 16
+
 _THEOREM_IDS = {
     "1.2": "1.2",
     "cor1.3": "cor-1.3",
@@ -87,16 +90,19 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise ValueError(f"order must be >= 1, got {args.order}")
     ring = zmod(args.mod) if args.mod is not None else ZZ
     series = generating_series(fam, args.order, ring)
-    coeffs = series.coefficients()
-    payload = {
-        "family": args.family,
-        "colors": args.colors,
-        "order": args.order,
-        "modulus": args.mod,
-        "coefficients": [str(c) for c in coeffs],
-    }
-    text = "\n".join(f"{n}: {c}" for n, c in enumerate(coeffs))
-    _emit(args, payload, text)
+    if args.json:
+        payload = {
+            "family": args.family,
+            "colors": args.colors,
+            "order": args.order,
+            "modulus": args.mod,
+            "coefficients": [str(c) for c in series.coefficients()],
+        }
+        _emit(args, payload, "")
+        return 0
+    for start in range(0, series.order, _SERIES_CHUNK):
+        chunk = series.coeffs[start : start + _SERIES_CHUNK].tolist()
+        print("\n".join(f"{n}: {c}" for n, c in enumerate(chunk, start)))
     return 0
 
 

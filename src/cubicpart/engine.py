@@ -355,7 +355,7 @@ def build_certificate(
         return SturmCertificate(verdict=FAILED, failure_stage="cusp-orders", **base)
 
     expansion = eta_expansion(eq, p * (bound + 1) + eq.delta_sum // 24, zmod(m))
-    image = hecke_tp(expansion.with_zero_offset(), p, ell, report.character)
+    image = hecke_tp(expansion, p, ell, report.character)
     for n in range(bound + 1):
         v = image.coefficient(n)
         if v != 0:

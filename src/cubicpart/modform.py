@@ -225,15 +225,10 @@ def hecke_tp(
     """Apply T_p: b(n) = a(pn) + chi(p) p^(ell-1) a(n/p), a(n/p) = 0 for p ∤ n.
 
     p must be prime (2 included) and the weight ell >= 1, so that
-    p^(ell-1) is an integer.  The input must have offset 0 (pad leading
-    zeros first), so every a(m) with m < f.order is addressable.  The
-    result keeps every b(n) the truncation determines: order
-    floor((f.order - 1)/p) + 1.
+    p^(ell-1) is an integer.  Every a(m) with m < f.order is read from
+    f's coefficient array, leading zeros included.  The result keeps
+    every b(n) the truncation determines: order floor((f.order - 1)/p) + 1.
     """
-    if f.offset != 0:
-        raise ValueError(
-            f"hecke_tp needs offset 0, got {f.offset}: pad with with_zero_offset()"
-        )
     if f.order < 1:
         raise ValueError("hecke_tp needs at least the constant coefficient")
     if not (p == 2 or is_odd_prime(p)):

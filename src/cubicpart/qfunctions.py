@@ -4,7 +4,7 @@ Euler products f_k = (q^k; q^k)_inf, the theta series psi (triangular-
 number support), the Frobenius split of an exponent map modulo a prime,
 the Euler-quotient core prod_delta f_delta^{r_delta} that every family,
 identity and certificate expands through, and eta-quotient q-expansions
-with the fractional leading power carried in the integer offset field.
+with the leading power q^{sum delta r_delta / 24} as leading zeros.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import is_odd_prime
 from .modform import EtaQuotient
-from .series import Ring, TruncatedSeries, one
+from .series import Ring, TruncatedSeries, _int64_storage, one
 
 __all__ = ["euler_product", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
 
@@ -155,15 +155,17 @@ def euler_quotient(
     Every delta must be >= 1; any other raises ValueError in every ring.
     So does an order above the ceiling of the ring kind, before anything
     is allocated; every family, identity and certificate expansion, and
-    so every CLI command, passes this check.  Mod m the ceiling is
-    _MAX_ORDER_MOD = 10^7 terms, set by memory: at 10^6 terms mod 7 and
-    13 the ``verify``, ``theorem`` and ``search`` scans peak at about
-    85 bytes a term above the interpreter's 29 MB, and ``series``, which
-    also holds its text, at about 190 (linear from 10^6 to 4*10^6), so
-    about 0.9 and 1.9 GB at the ceiling.  Over ZZ it is _MAX_ORDER_ZZ =
-    10^6, set by time: ``count`` for cubic c = 2 takes 9.4 s at 10^5 and
-    34 s at 2*10^5 on a 2-vCPU VM, growing about as order^1.9, so some
-    12 minutes at the ceiling.
+    so every CLI command, passes this check.  On int64 storage (mod
+    m <= 2^63) the ceiling is _MAX_ORDER_MOD = 10^7 terms, set by memory:
+    at 10^6 terms mod 7 and 13 the ``verify``, ``theorem`` and ``search``
+    scans peak at about 85 bytes a term above the interpreter's 29 MB,
+    and so does ``series``, which prints its text in slices (linear from
+    10^6 to 4*10^6), so about 0.9 GB at the ceiling.  On object storage,
+    over ZZ and mod m > 2^63, it is _MAX_ORDER_ZZ = 10^6, set by time:
+    ``count`` for cubic c = 2 takes 9.4 s at 10^5 and 34 s at 2*10^5 on a
+    2-vCPU VM, growing about as order^1.9, so some 12 minutes at the
+    ceiling.  Mod m > 2^63 the sparse steps below give the costs of ZZ:
+    ``verify`` of a_3(7n+4) takes about 1.1 s at n_max = 2*10^4.
 
     When the ring's modulus p is prime (2 included) and some
     |r_delta| > p / 2, the map is first rewritten by ``frobenius_split``:
@@ -176,7 +178,8 @@ def euler_quotient(
     f_delta = 1 + O(q^delta), so factors at delta >= order are dropped; at
     order 0 none is built and the result is the empty series.
 
-    The factors are applied in descending delta.  Over ZZ a factor whose
+    The factors are applied in descending delta.  On object storage
+    (``_int64_storage`` false: ZZ, and ZZ/m for m > 2^63) a factor whose
     exponent r satisfies 2 |r| nnz(f_delta) <= order * bit_length(|r|)
     is applied as |r| sparse steps on the running product: f_delta * prod
     for r > 0 (the schoolbook product skips the zero coefficients of its
@@ -189,9 +192,9 @@ def euler_quotient(
     all +-1 (Euler's pentagonal theorem), so steps win at small |r| and
     large order, and pow at colour counts large against the order.
 
-    Every other factor, and every factor over ZZ/m, is taken by stride:
-    f_delta^r is zero off multiples of delta, so f_1^r is expanded by
-    ``pow`` at order ceil(order / delta) and then q -> q^delta
+    Every other factor, and every factor on int64 storage, is taken by
+    stride: f_delta^r is zero off multiples of delta, so f_1^r is
+    expanded by ``pow`` at order ceil(order / delta) and then q -> q^delta
     (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
     raised to |r|.  It comes from the one bounded series store that also
     holds the families' series (``_stored``; two kinds of key, one LRU
@@ -212,7 +215,7 @@ def euler_quotient(
     """
     if min(exponents, default=1) < 1:
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
-    limit = _MAX_ORDER_ZZ if ring.is_exact else _MAX_ORDER_MOD
+    limit = _MAX_ORDER_MOD if _int64_storage(ring) else _MAX_ORDER_ZZ
     if order > limit:
         raise ValueError(f"series order {order} is above the ceiling {limit} over {ring}")
     p = ring.modulus
@@ -223,8 +226,8 @@ def euler_quotient(
     ):
         exponents = _frobenius_reduced(exponents, p)
     exponents = {d: r for d, r in exponents.items() if d < order}
-    steps = {}  # over ZZ, delta -> f_delta for the factors applied as sparse steps
-    if ring.is_exact:
+    steps = {}  # on object storage, delta -> f_delta for the factors taken as sparse steps
+    if not _int64_storage(ring):
         for delta, r in exponents.items():
             f = euler_product(delta, order, ring)
             if 2 * abs(r) * len(f.support()) <= order * abs(r).bit_length():
@@ -258,10 +261,11 @@ def euler_quotient(
 def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:
     """q-expansion of prod_delta (q^{delta/24} f_delta)^{r_delta}.
 
-    The result has offset eq.delta_sum / 24 and integer coefficients; its
-    order is the given order (exponents of the final q-expansion, offset
-    included).  The leading power must be a nonnegative integer and the
-    exponent map must not be empty.
+    The leading power q^{eq.delta_sum / 24} becomes that many leading
+    zero coefficients, so the result starts at q^0 like every series; its
+    order is the given order, or the leading power when that is larger.
+    The leading power must be a nonnegative integer and the exponent map
+    must not be empty.
     """
     if not eq.exponents:
         raise ValueError("exponent map has no nonzero entry")
@@ -271,10 +275,7 @@ def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:
             f"sum(delta * r_delta) = {total} is {total % 24} mod 24, not 0:"
             " leading power would be fractional"
         )
-    offset = total // 24
-    if offset < 0:
-        raise ValueError(f"negative leading exponent {offset} (Laurent tails unsupported)")
-    inner_order = order - offset
-    if inner_order <= 0:
-        return TruncatedSeries(ring, (), offset, max(order, offset))
-    return euler_quotient(eq.exponents, inner_order, ring).shift(offset)
+    lead = total // 24
+    if lead < 0:
+        raise ValueError(f"negative leading exponent {lead} (Laurent tails unsupported)")
+    return euler_quotient(eq.exponents, max(order - lead, 0), ring).shift(lead)

@@ -1,10 +1,10 @@
 """Exact truncated formal power series over ZZ and ZZ/mZZ.
 
-A TruncatedSeries stores the coefficients of exponents ``offset`` through
-``order - 1``; exponents below ``offset`` are zero, exponents at or above
-``order`` are *unknown* (not zero).  All values are immutable after
-construction and every operation is a pure function of its inputs, so
-series may be shared freely between threads.
+A TruncatedSeries is a ring and one coefficient array: ``coeffs[n]`` is
+the coefficient of q^n from q^0 on, and the order is the array's length.
+Exponents at or above the order are *unknown* (not zero).  All values are
+immutable after construction and every operation is a pure function of
+its inputs, so series may be shared freely between threads.
 
 Coefficients over the exact-integer ring are arbitrary-precision Python
 ints.  Over a mod-m ring they are reduced representatives in [0, m-1].
@@ -15,11 +15,12 @@ for larger moduli, it holds Python ints with dtype object.  The
 constructor reduces its input once, in one vectorised pass where the
 values fit an int64.  The arrays that the numpy kernels behind ``mul``,
 ``inverse`` and ``pow`` return are wrapped as they come, never converted
-to Python ints and never reduced again, and ``truncate``, ``shift`` and
-an ``extract_progression`` from offset 0 share their input's array as a
-view.  ``coefficient``, ``coefficients`` and the arithmetic that could
-leave int64 (``__add__``, ``__neg__``, ``scale``, ``divide``) work on
-Python ints, so no int64 overflow can hide in them.
+to Python ints and never reduced again, and ``truncate`` and
+``extract_progression`` share their input's array as a view; ``shift``,
+a product with q^k, copies it behind k zeros.  ``coefficient``,
+``coefficients`` and the arithmetic that could leave int64 (``__add__``,
+``__neg__``, ``scale``, ``divide``) work on Python ints, so no int64
+overflow can hide in them.
 
 Multiplication of object-storage series is schoolbook convolution on
 Python ints, which skips the zero coefficients of its left operand:
@@ -373,14 +374,19 @@ def _ints(coeffs) -> list[int]:
 class TruncatedSeries:
     """Coefficient vector indexed by exponent, with truncation tracking.
 
-    ``coeffs[i]`` is the coefficient of q^(offset+i), held in one
-    read-only ndarray of int64 residues or of Python ints (dtype object;
-    see the module docstring).  The
-    truncation order is pessimistic: operations never fabricate
-    coefficients beyond what their inputs determine.
+    ``coeffs[n]`` is the coefficient of q^n, held in one read-only
+    ndarray of int64 residues or of Python ints (dtype object; see the
+    module docstring), and ``order`` is its length.  The truncation order
+    is pessimistic: operations never fabricate coefficients beyond what
+    their inputs determine.  The constructor's offset and order only pad
+    or cut its input: offset zeros go in front of coeffs, and the result
+    is cut, or padded with zeros, to order terms.
     """
 
-    __slots__ = ("ring", "offset", "coeffs", "order")
+    __slots__ = ("ring", "coeffs")
+
+    # every series starts at q^0; bench/tracer.py still reads a.offset
+    offset = 0
 
     def __init__(
         self,
@@ -403,25 +409,32 @@ class TruncatedSeries:
             order = offset + len(cs)
         if order < offset:
             raise ValueError(f"order {order} is below offset {offset}")
-        want = order - offset
-        if len(cs) < want:
-            cs = np.concatenate((cs, np.zeros(want - len(cs), dtype=cs.dtype)))
-        _install(self, ring, cs[:want], offset, order)
+        cs = cs[: order - offset]
+        if len(cs) < order:
+            out = np.zeros(order, dtype=cs.dtype)
+            out[offset : offset + len(cs)] = cs
+            cs = out
+        _install(self, ring, cs)
 
     @classmethod
-    def _wrap(cls, ring: Ring, coeffs, offset: int, order: int) -> TruncatedSeries:
-        """A series over final coefficients: reduced, order - offset of them.
+    def _wrap(cls, ring: Ring, coeffs) -> TruncatedSeries:
+        """A series over final coefficients: reduced, from q^0 on.
 
         coeffs is an ndarray of the ring's storage dtype, int64 or object
         (see ``_int64_storage``); it is kept as it is, a view included,
         and made read-only.
         """
         self = object.__new__(cls)
-        _install(self, ring, coeffs, offset, order)
+        _install(self, ring, coeffs)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def order(self) -> int:
+        """The first exponent whose coefficient is unknown."""
+        return len(self.coeffs)
 
     # -- access ---------------------------------------------------------
 
@@ -431,9 +444,9 @@ class TruncatedSeries:
             raise IndexError(
                 f"coefficient of q^{n} unknown: series truncated at order {self.order}"
             )
-        if n < self.offset:
+        if n < 0:
             return 0
-        return int(self.coeffs[n - self.offset])
+        return int(self.coeffs[n])
 
     def coefficients(self, stop: Optional[int] = None) -> list[int]:
         """Coefficients of q^0 .. q^(stop-1) as a plain list."""
@@ -443,40 +456,30 @@ class TruncatedSeries:
             raise IndexError(
                 f"coefficients up to {stop} unknown: series truncated at {self.order}"
             )
-        out = [0] * min(self.offset, stop)
-        out.extend(_ints(self.coeffs[: max(stop - self.offset, 0)]))
-        return out
+        return _ints(self.coeffs[: max(stop, 0)])
 
     def support(self) -> np.ndarray:
         """The exponents of the nonzero coefficients, ascending, as int64."""
-        return np.flatnonzero(self.coeffs) + self.offset
+        return np.flatnonzero(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         """Semantic equality: same ring, same order, same coefficients."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.ring != other.ring or self.order != other.order:
-            return False
-        a = self.with_zero_offset().coeffs
-        b = other.with_zero_offset().coeffs
-        return bool(np.array_equal(a, b))
+        return self.ring == other.ring and bool(np.array_equal(self.coeffs, other.coeffs))
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
-        return (
-            f"TruncatedSeries({self.ring}, q^{self.offset}*[{head}{tail}],"
-            f" order={self.order})"
-        )
+        return f"TruncatedSeries({self.ring}, [{head}{tail}], order={self.order})"
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for n, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            n = self.offset + i
             if n == 0:
                 terms.append(str(c))
             else:
@@ -496,57 +499,40 @@ class TruncatedSeries:
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._require_same_ring(other)
-        offset = min(self.offset, other.offset)
         order = min(self.order, other.order)
-        if order <= offset:
-            return TruncatedSeries(self.ring, (), offset, max(order, offset))
-        a = self.coefficients(order)[offset:]
-        b = other.coefficients(order)[offset:]
-        return TruncatedSeries(
-            self.ring, [x + y for x, y in zip(a, b)], offset, order
-        )
+        a = self.coefficients(order)
+        b = other.coefficients(order)
+        return TruncatedSeries(self.ring, [x + y for x, y in zip(a, b)])
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(
-            self.ring, [-c for c in _ints(self.coeffs)], self.offset, self.order
-        )
+        return TruncatedSeries(self.ring, [-c for c in _ints(self.coeffs)])
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
 
     def scale(self, k: int) -> TruncatedSeries:
         """Multiply every coefficient by the integer k."""
-        return TruncatedSeries(
-            self.ring, [k * c for c in _ints(self.coeffs)], self.offset, self.order
-        )
+        return TruncatedSeries(self.ring, [k * c for c in _ints(self.coeffs)])
 
     def mul(self, other: TruncatedSeries) -> TruncatedSeries:
         """Product, truncated pessimistically.
 
-        result.order = min(a.order + b.offset, b.order + a.offset): the
-        first exponent either factor's unknown tail could pollute.
+        result.order = min(a.order, b.order): the first exponent either
+        factor's unknown tail could pollute.
         """
         self._require_same_ring(other)
-        offset = self.offset + other.offset
-        order = min(self.order + other.offset, other.order + self.offset)
-        rl = order - offset  # == min(len(a), len(b))
-        if rl <= 0:
-            return TruncatedSeries(self.ring, (), offset, order)
+        rl = min(self.order, other.order)
         a, b = self.coeffs[:rl], other.coeffs[:rl]
-        if _int64_storage(self.ring):
+        if rl and _int64_storage(self.ring):
             out = _mul_mod(a, a if other is self else b, rl, self.ring.modulus)
-            return TruncatedSeries._wrap(self.ring, out, offset, order)
+            return TruncatedSeries._wrap(self.ring, out)
         product = _schoolbook(_ints(a), _ints(b), rl)
-        return TruncatedSeries(self.ring, product, offset, order)
+        return TruncatedSeries(self.ring, product)
 
     __mul__ = mul
 
     def _unit_constant_inverse(self) -> int:
-        """Inverse of the constant term; requires offset 0 and a unit there."""
-        if self.offset != 0:
-            raise ValueError(
-                f"cannot invert a series with leading exponent {self.offset}"
-            )
+        """Inverse of the constant term; requires a unit there."""
         if self.order < 1:
             raise ValueError("cannot invert: constant term not represented")
         a0 = self.coefficient(0)
@@ -557,9 +543,9 @@ class TruncatedSeries:
         return self.ring.invert(a0)
 
     def divide(self, f: TruncatedSeries) -> TruncatedSeries:
-        """self / f; f must have offset 0 and a unit constant term.
+        """self / f; f must have a unit constant term.
 
-        result.order = min(self.order, f.order + self.offset).  The
+        result.order = min(self.order, f.order).  The
         recurrence out_n = f0^{-1} (self_n - sum_{i>=1} f_i out_{n-i})
         skips zero coefficients of f, so dividing by a sparse series (an
         Euler product, say) costs O(order * nnz(f)).  The terms are summed
@@ -568,9 +554,7 @@ class TruncatedSeries:
         """
         self._require_same_ring(f)
         inv0 = f._unit_constant_inverse()
-        offset = self.offset
-        order = min(self.order, f.order + offset)
-        out = _ints(self.coeffs[: order - offset])
+        out = _ints(self.coeffs[: f.order])
         terms: dict[int, list[int]] = {}  # f_i -> the ascending i >= 1 holding it
         for i, c in enumerate(_ints(f.coeffs[1 : len(out)]), 1):
             if c:
@@ -586,10 +570,10 @@ class TruncatedSeries:
                     t += out[n - i]
                 s -= c * t
             out[n] = norm(inv0 * s) if s else 0
-        return TruncatedSeries(self.ring, out, offset, order)
+        return TruncatedSeries(self.ring, out)
 
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse; requires offset 0 and a unit constant term.
+        """Multiplicative inverse; requires a unit constant term.
 
         Over int64 storage, when ``_fft_exact`` admits dense operands of
         this length at the transform length of Newton's last doubling,
@@ -602,7 +586,7 @@ class TruncatedSeries:
             if _fft_exact(worst, worst, _fft_length(self.order)):
                 inv0 = self._unit_constant_inverse()
                 out = _inverse_newton(self.coeffs, self.order, m, inv0)
-                return TruncatedSeries._wrap(self.ring, out, 0, self.order)
+                return TruncatedSeries._wrap(self.ring, out)
         return one(self.ring, self.order).divide(self)
 
     def pow(self, e: int) -> TruncatedSeries:
@@ -634,7 +618,7 @@ class TruncatedSeries:
             return self
         out = np.zeros(k * len(self.coeffs), dtype=self.coeffs.dtype)
         out[::k] = self.coeffs
-        return TruncatedSeries._wrap(self.ring, out, k * self.offset, k * self.order)
+        return TruncatedSeries._wrap(self.ring, out)
 
     def truncate(self, order: int) -> TruncatedSeries:
         """The same series known only below order (0 <= order <= self.order).
@@ -644,10 +628,7 @@ class TruncatedSeries:
         """
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate a series of order {self.order} at {order}")
-        offset = min(self.offset, order)
-        return TruncatedSeries._wrap(
-            self.ring, self.coeffs[: order - offset], offset, order
-        )
+        return TruncatedSeries._wrap(self.ring, self.coeffs[:order])
 
     def reduce_mod(self, m: int) -> TruncatedSeries:
         """Reduce an exact-integer series into the mod-m ring.
@@ -659,10 +640,10 @@ class TruncatedSeries:
             return self
         if not self.ring.is_exact:
             raise ValueError(f"cannot rereduce a {self.ring} series mod {m}")
-        return TruncatedSeries(Ring(m), self.coeffs, self.offset, self.order)
+        return TruncatedSeries(Ring(m), self.coeffs)
 
     def extract_progression(self, p: int, r: int) -> TruncatedSeries:
-        """The series of coefficients along exponents p*n + r.
+        """The series of coefficients along exponents p*n + r, as a strided view.
 
         result.order = ceil((order - r) / p): the count of progression
         exponents whose coefficients are determined.
@@ -671,44 +652,28 @@ class TruncatedSeries:
             raise ValueError(f"progression modulus must be >= 1, got {p}")
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range [0, {p})")
-        if p == 1 and r == 0 and self.offset == 0:
+        if p == 1:
             return self
-        new_order = max(-(-(self.order - r) // p), 0)
-        # the first n whose exponent p n + r is stored; a strided slice from it
-        first = min(max(-(-(self.offset - r) // p), 0), new_order)
-        values = self.coeffs[p * first + r - self.offset :: p][: new_order - first]
-        return TruncatedSeries._wrap(
-            self.ring, values, first, new_order
-        ).with_zero_offset()
-
-    def with_zero_offset(self) -> TruncatedSeries:
-        """Materialize the leading zeros, giving an equal series with offset 0."""
-        if self.offset == 0:
-            return self
-        cs = np.concatenate((np.zeros(self.offset, dtype=self.coeffs.dtype), self.coeffs))
-        return TruncatedSeries._wrap(self.ring, cs, 0, self.order)
+        return TruncatedSeries._wrap(self.ring, self.coeffs[r::p])
 
     def shift(self, k: int) -> TruncatedSeries:
-        """Multiply by q^k (k >= 0): raises offset and order by k."""
+        """Multiply by q^k (k >= 0): a copy behind k zeros, order raised by k."""
         if k < 0:
             raise ValueError(f"shift must be >= 0, got {k}")
-        return TruncatedSeries._wrap(
-            self.ring, self.coeffs, self.offset + k, self.order + k
-        )
+        zeros = np.zeros(k, dtype=self.coeffs.dtype)
+        return TruncatedSeries._wrap(self.ring, np.concatenate((zeros, self.coeffs)))
 
 
-def _install(s: TruncatedSeries, ring: Ring, coeffs, offset: int, order: int) -> None:
-    """Set the four fields of s; the coefficient array is made read-only first."""
+def _install(s: TruncatedSeries, ring: Ring, coeffs) -> None:
+    """Set the two fields of s; the coefficient array is made read-only first."""
     coeffs.flags.writeable = False
     object.__setattr__(s, "ring", ring)
-    object.__setattr__(s, "offset", offset)
     object.__setattr__(s, "coeffs", coeffs)
-    object.__setattr__(s, "order", order)
 
 
 def one(ring: Ring, order: int) -> TruncatedSeries:
     """The constant series 1, truncated at the given order."""
-    return TruncatedSeries(ring, [1] if order > 0 else [], 0, order)
+    return TruncatedSeries(ring, [1], 0, order)
 
 
 def zero(ring: Ring, order: int) -> TruncatedSeries:

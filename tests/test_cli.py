@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from cubicpart import cli
 from cubicpart.cli import main
+from cubicpart.partitions import PartitionFamily, generating_series
+from cubicpart.series import zmod
 
 
 def run(capsys, *argv):
@@ -42,6 +45,15 @@ def test_series_text_and_mod(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["0: 1", "1: 1", "2: 0", "3: 1", "4: 0"]
+
+
+def test_series_text_across_a_chunk_boundary(capsys, monkeypatch):
+    argv = ("series", "--family", "overcubic", "--colors", "3", "--order", "23", "--mod", "7")
+    whole = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_SERIES_CHUNK", 5)
+    assert run(capsys, *argv) == whole
+    coeffs = generating_series(PartitionFamily("overcubic", 3), 23, zmod(7)).coefficients()
+    assert whole[1] == "".join(f"{n}: {c}\n" for n, c in enumerate(coeffs))
 
 
 def test_series_json(capsys):

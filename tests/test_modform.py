@@ -177,14 +177,6 @@ def test_hecke_tp_displayed_formula():
     assert image.coefficients() == [3, 1, 3, 1, 3, 1, 3, 1, 3, 1]
 
 
-def test_hecke_tp_requires_zero_offset():
-    f = TruncatedSeries(ZZ, [1, 1], 3, 5)
-    with pytest.raises(ValueError, match="offset"):
-        hecke_tp(f, 2, 2, TRIVIAL_CH)
-    padded = f.with_zero_offset()
-    assert hecke_tp(padded, 2, 2, TRIVIAL_CH).order == 3
-
-
 def test_hecke_tp_rejects_a_weight_below_one_and_a_p_that_is_not_prime():
     for ring in (ZZ, zmod(7)):
         f = euler_product(1, 30, ring)
@@ -298,7 +290,7 @@ def test_hecke_image_of_h_matches_progression_product():
     # H|T7 mod 7 equals (sum a_3(7n+4) q^(n+1)) * f1^11 mod 7
     order = 7 * 60
     ring = zmod(7)
-    h_exp = eta_expansion(H, order, ring).with_zero_offset()
+    h_exp = eta_expansion(H, order, ring)
     ch = check_candidacy(H).character
     image = hecke_tp(h_exp, 7, 37, ch)
 

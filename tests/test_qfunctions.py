@@ -224,6 +224,16 @@ def test_euler_quotient_takes_sparse_steps_over_zz(counted_steps):
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
 
 
+def test_euler_quotient_takes_sparse_steps_mod_m_above_2_63(counted_steps):
+    # object storage, as over ZZ: steps, not a quadratic Python-int pow
+    m = 2**64 + 13
+    s = euler_quotient({2: -4, 1: -1}, 4001, zmod(m))
+    assert counted_steps == [("divide", 2)] * 4 + [("divide", 1)]
+    assert s == euler_quotient({2: -4, 1: -1}, 4001, ZZ).reduce_mod(m)
+    with pytest.raises(ValueError, match=f"order {10**6 + 1} is above the ceiling {10**6}"):
+        euler_quotient({2: -4, 1: -1}, 10**6 + 1, zmod(m))
+
+
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
     euler_quotient({2: -9999, 1: -1}, 60, ZZ)
     # f2 by pow (2 * 9999 * 9 > 60 * 14), strided: 1 / f1 at order 30 from
@@ -365,7 +375,7 @@ def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
 
 def test_eta_expansion_weight37_quotient():
     s = eta_expansion(EtaQuotient(8, {1: 76, 2: -2}), 40, ZZ)
-    assert s.offset == 3
+    assert s.support()[0] == 3
     assert s.coefficient(3) == 1
     assert s.coefficient(0) == 0 and s.coefficient(2) == 0
     assert s.order == 40
@@ -373,13 +383,13 @@ def test_eta_expansion_weight37_quotient():
 
 def test_eta_expansion_weight14_quotient():
     s = eta_expansion(EtaQuotient(4, {1: 32, 2: -4}), 30, ZZ)
-    assert s.offset == 1
+    assert s.support()[0] == 1
     assert s.coefficient(1) == 1
 
 
 def test_eta_expansion_single_factor():
     s = eta_expansion(EtaQuotient(1, {1: 24}), 25, ZZ)
-    assert s.offset == 1
+    assert s.coefficients(2) == [0, 1]
     expected = euler_product(1, 24, ZZ).pow(24).shift(1)
     assert s == expected
 
@@ -405,9 +415,11 @@ def test_eta_request_validation():
 
 def test_eta_expansion_nonneg_exponents_unit_leading():
     for level, exps in ((1, {1: 24}), (2, {2: 12}), (3, {3: 8}), (6, {1: 24, 6: 4})):
-        s = eta_expansion(EtaQuotient(level, exps), 30, ZZ)
-        assert s.offset >= 0
-        assert s.coefficient(s.offset) == 1
+        eq = EtaQuotient(level, exps)
+        s = eta_expansion(eq, 30, ZZ)
+        lead = int(s.support()[0])
+        assert lead == eq.delta_sum // 24
+        assert s.coefficient(lead) == 1
 
 
 def test_eta_expansion_telescopes_with_negated_exponents():
@@ -434,7 +446,7 @@ def test_euler_quotient_rejects_a_delta_below_one(ring, exponents):
 
 def test_eta_expansion_order_below_offset():
     s = eta_expansion(EtaQuotient(8, {1: 76, 2: -2}), 2, ZZ)
-    assert s.offset == 3 and s.order == 3 and len(s.coeffs) == 0
+    assert s.order == 3 and s.coefficients() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("ring,limit", [(ZZ, "_MAX_ORDER_ZZ"), (zmod(7), "_MAX_ORDER_MOD")])
