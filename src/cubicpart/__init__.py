@@ -7,7 +7,14 @@ integer or mod-m coefficient rings.
 """
 
 from .series import Ring, TruncatedSeries, ZZ, one, zero, zmod
-from .qfunctions import eta_expansion, euler_product, euler_quotient, frobenius_split, psi
+from .qfunctions import (
+    eta_expansion,
+    euler_product,
+    euler_quotient,
+    frobenius_split,
+    jacobi_cube,
+    psi,
+)
 from .partitions import (
     CUBIC,
     OVERCUBIC,
@@ -62,6 +69,7 @@ __all__ = [
     "one",
     "zero",
     "euler_product",
+    "jacobi_cube",
     "psi",
     "frobenius_split",
     "euler_quotient",

@@ -18,13 +18,13 @@ import json
 import sys
 # unused by the package; bench/tracer.py wraps this name
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from . import engine
 from .partitions import _IDENTITIES, PartitionFamily, check_named_identity, generating_series
-from .series import ZZ, zmod
+from .series import ZZ, TruncatedSeries, zmod
 
-# `series` prints its text lines in slices of this many coefficients
+# `series` prints its text lines, or its --json array, in slices of this many terms
 _SERIES_CHUNK = 1 << 16
 
 _THEOREM_IDS = {
@@ -84,25 +84,34 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _slices(series: TruncatedSeries) -> Iterator[Tuple[int, List[int]]]:
+    """(start, the coefficients from start on as ints), _SERIES_CHUNK at a time."""
+    for start in range(0, series.order, _SERIES_CHUNK):
+        yield start, series.coeffs[start : start + _SERIES_CHUNK].tolist()
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     fam = PartitionFamily(args.family, args.colors)
     if args.order < 1:
         raise ValueError(f"order must be >= 1, got {args.order}")
     ring = zmod(args.mod) if args.mod is not None else ZZ
     series = generating_series(fam, args.order, ring)
-    if args.json:
-        payload = {
-            "family": args.family,
-            "colors": args.colors,
-            "order": args.order,
-            "modulus": args.mod,
-            "coefficients": [str(c) for c in series.coefficients()],
-        }
-        _emit(args, payload, "")
+    if not args.json:
+        for start, chunk in _slices(series):
+            print("\n".join(f"{n}: {c}" for n, c in enumerate(chunk, start)))
         return 0
-    for start in range(0, series.order, _SERIES_CHUNK):
-        chunk = series.coeffs[start : start + _SERIES_CHUNK].tolist()
-        print("\n".join(f"{n}: {c}" for n, c in enumerate(chunk, start)))
+    # the document of _emit, streamed: "coefficients" sorts before every
+    # other key, so its array opens the object and the rest follows it
+    rest = json.dumps(
+        {"family": args.family, "colors": args.colors, "order": args.order, "modulus": args.mod},
+        indent=2,
+        sort_keys=True,
+    )
+    sep = '{\n  "coefficients": [\n'
+    for _, chunk in _slices(series):
+        print(sep + ",\n".join(f'    "{c}"' for c in chunk), end="")
+        sep = ",\n"
+    print("\n  ],\n" + rest[2:])
     return 0
 
 

@@ -1,6 +1,7 @@
 """Canonical q-series building blocks.
 
-Euler products f_k = (q^k; q^k)_inf, the theta series psi (triangular-
+Euler products f_k = (q^k; q^k)_inf, Jacobi's f_k^3 (triangular-number
+support, coefficients (-1)^n (2n+1)), the theta series psi (triangular-
 number support), the Frobenius split of an exponent map modulo a prime,
 the Euler-quotient core prod_delta f_delta^{r_delta} that every family,
 identity and certificate expands through, and eta-quotient q-expansions
@@ -20,7 +21,7 @@ from .arith import is_odd_prime
 from .modform import EtaQuotient
 from .series import Ring, TruncatedSeries, _int64_storage, one
 
-__all__ = ["euler_product", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
+__all__ = ["euler_product", "jacobi_cube", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
 
 
 def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
@@ -43,6 +44,22 @@ def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
     coeffs = np.zeros(max(order, 0), dtype=np.int64)
     if order > 0:
         coeffs[exps] = signs
+    return TruncatedSeries(ring, coeffs, 0, order)
+
+
+def jacobi_cube(k: int, order: int, ring: Ring) -> TruncatedSeries:
+    """The expansion of f_k^3 = prod_{j>=1} (1 - q^{kj})^3 to the given order.
+
+    Jacobi's identity: coefficient (-1)^n (2n+1) at exponent k*n(n+1)/2,
+    zero elsewhere.  About sqrt(2 order / k) nonzero terms, all distinct.
+    """
+    if k < 1:
+        raise ValueError(f"jacobi_cube expects k >= 1, got {k}")
+    coeffs = np.zeros(max(order, 0), dtype=np.int64)
+    n = 0
+    while k * n * (n + 1) // 2 < order:
+        coeffs[k * n * (n + 1) // 2] = -(2 * n + 1) if n % 2 else 2 * n + 1
+        n += 1
     return TruncatedSeries(ring, coeffs, 0, order)
 
 
@@ -147,6 +164,23 @@ def _expand(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
     return s.substitute_power(k).truncate(order)
 
 
+def _sparse_steps(prod: TruncatedSeries, k: int, r: int) -> TruncatedSeries:
+    """prod * f_k^r at prod's order by |r| sparse steps, three at a time by f_k^3.
+
+    A step multiplies by its factor (r > 0) or divides by it (r < 0):
+    floor(|r| / 3) steps by ``jacobi_cube`` and then |r| mod 3 by
+    ``euler_product``.
+    """
+    n, ring = prod.order, prod.ring
+    cubes, rest = divmod(abs(r), 3)
+    for count, build in ((cubes, jacobi_cube), (rest, euler_product)):
+        if count:
+            f = build(k, n, ring)
+            for _ in range(count):
+                prod = f * prod if r > 0 else prod.divide(f)
+    return prod
+
+
 def euler_quotient(
     exponents: Mapping[int, int], order: int, ring: Ring
 ) -> TruncatedSeries:
@@ -159,13 +193,14 @@ def euler_quotient(
     m <= 2^63) the ceiling is _MAX_ORDER_MOD = 10^7 terms, set by memory:
     at 10^6 terms mod 7 and 13 the ``verify``, ``theorem`` and ``search``
     scans peak at about 85 bytes a term above the interpreter's 29 MB,
-    and so does ``series``, which prints its text in slices (linear from
-    10^6 to 4*10^6), so about 0.9 GB at the ceiling.  On object storage,
-    over ZZ and mod m > 2^63, it is _MAX_ORDER_ZZ = 10^6, set by time:
-    ``count`` for cubic c = 2 takes 9.4 s at 10^5 and 34 s at 2*10^5 on a
-    2-vCPU VM, growing about as order^1.9, so some 12 minutes at the
-    ceiling.  Mod m > 2^63 the sparse steps below give the costs of ZZ:
-    ``verify`` of a_3(7n+4) takes about 1.1 s at n_max = 2*10^4.
+    and so does ``series``, which prints its text and its ``--json``
+    array in slices (linear from 10^6 to 4*10^6), so about 0.9 GB at the
+    ceiling.  On object storage, over ZZ and mod m > 2^63, it is
+    _MAX_ORDER_ZZ = 10^6, set by time: ``count`` for cubic c = 2 took
+    6.1-7.3 s at 10^5 and 22-26 s at 2*10^5 on a 2-vCPU VM (two runs
+    each), growing about as order^1.8, so some 7 minutes at the ceiling
+    by extrapolation.  Mod m > 2^63 the sparse steps below give the costs
+    of ZZ: ``verify`` of a_3(7n+4) takes about 1.1 s at n_max = 2*10^4.
 
     When the ring's modulus p is prime (2 included) and some
     |r_delta| > p / 2, the map is first rewritten by ``frobenius_split``:
@@ -178,19 +213,36 @@ def euler_quotient(
     f_delta = 1 + O(q^delta), so factors at delta >= order are dropped; at
     order 0 none is built and the result is the empty series.
 
-    The factors are applied in descending delta.  On object storage
-    (``_int64_storage`` false: ZZ, and ZZ/m for m > 2^63) a factor whose
-    exponent r satisfies 2 |r| nnz(f_delta) <= order * bit_length(|r|)
-    is applied as |r| sparse steps on the running product: f_delta * prod
-    for r > 0 (the schoolbook product skips the zero coefficients of its
-    left operand) and prod.divide(f_delta) for r < 0.  The steps cost
-    |r| nnz(f_delta) order coefficient operations against about
-    bit_length(|r|) dense products of order^2 / 2 for f_delta.pow(r).
-    The factor 2 is measured: without it {1: -2, 2: -397, 4: 199} at
-    order 400 takes 199 steps for f_4 and runs 1.9 times slower than with
-    it.  f_delta has about 1.6 sqrt(order / delta) nonzero coefficients,
-    all +-1 (Euler's pentagonal theorem), so steps win at small |r| and
-    large order, and pow at colour counts large against the order.
+    The factors are applied in descending delta, and the running product
+    is kept as a series in q^g, g the gcd of the deltas applied so far, at
+    order ceil(order / g); the final q -> q^g and cut give the order.  A
+    factor at delta first moves the product to q^h, h = gcd(g, delta),
+    at order ceil(order / h); the first factor has h = delta.
+
+    On object storage (``_int64_storage`` false: ZZ, and ZZ/m for
+    m > 2^63) a factor whose exponent r satisfies
+    2 |r| nnz(f_delta) <= order * bit_length(|r|) is applied as |r|
+    sparse steps on the product in q^h (``_sparse_steps``): f_delta is
+    f_{delta/h} there, and a step multiplies by it for r > 0 (the
+    schoolbook product skips the zero coefficients of its left operand)
+    or divides by it (``divide``) for r < 0.  The first such factor
+    starts from 1 at ceil(order / delta).  Three steps at a time go by
+    Jacobi's f^3 (``jacobi_cube``), and the |r| mod 3 left by f.  Both
+    have nnz(f_delta) within a constant: f_delta has about
+    1.6 sqrt(order / delta) nonzero coefficients, all +-1 (Euler's
+    pentagonal theorem), and f_delta^3 about sqrt(2 order / delta), all
+    distinct.  So the steps cost at most |r| nnz(f_delta) order / h
+    coefficient operations, against about bit_length(|r|) dense products
+    of order^2 / 2 for f_delta.pow(r); the rule prices the steps at full
+    length and by f alone.  A cube step has 0.29 of the terms of three
+    steps by f (sqrt(2) against 3 * 1.6); over ZZ at 4001 terms one
+    division by f^3 took 0.45 of the time of three by f, and one product
+    0.28.  The factor 2 is measured: without it {1: -2, 2: -397,
+    4: 199} at order 400 takes 199 steps for f_4 and runs 1.9 times
+    slower than with it.  So steps win at small |r| and large order, and
+    pow at colour counts large against the order: cubic c = 5,
+    {2: -4, 1: -1} at 4001, is one division by f^3 and one by f at 2001
+    terms, then one by f at 4001.
 
     Every other factor, and every factor on int64 storage, is taken by
     stride: f_delta^r is zero off multiples of delta, so f_1^r is
@@ -202,16 +254,15 @@ def euler_quotient(
     ``inverse``, at the longest order any negative factor of the map
     needs, and every shorter request is a read-only cut of it.  This is
     exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to
-    any longer order.  The running product is kept the
-    same way, as a series in q^g for g the gcd of the deltas applied so
-    far, at order ceil(order / g), and multiplied with the next factor at
-    that order; the final q -> q^g and cut give the order.  So every pow
-    costs products of length order / delta, and a product costs length
-    order / g: mod 13 the overcubic c = 25 map {1: -2, 2: -47, 4: 24}
-    becomes {52: 2, 26: -4, 4: -2, 2: 5, 1: -2}, and only the inverse,
-    the square and the one product of the f_1 factor run at full length.
-    The sparsest factor comes first, so an exact-integer product with
-    g = 1 still skips most of its left operand.
+    any longer order.  The power is multiplied with the product in q^h
+    at order ceil(order / h), or becomes the product when it is the
+    first factor.  So every pow costs products of length order / delta,
+    and a product costs length order / h: mod 13 the overcubic c = 25
+    map {1: -2, 2: -47, 4: 24} becomes {52: 2, 26: -4, 4: -2, 2: 5,
+    1: -2}, and only the inverse, the square and the one product of the
+    f_1 factor run at full length.  The sparsest factor comes first, so
+    an exact-integer product with h = 1 still skips most of its left
+    operand.
     """
     if min(exponents, default=1) < 1:
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
@@ -226,34 +277,32 @@ def euler_quotient(
     ):
         exponents = _frobenius_reduced(exponents, p)
     exponents = {d: r for d, r in exponents.items() if d < order}
-    steps = {}  # on object storage, delta -> f_delta for the factors taken as sparse steps
+    steps = set()  # on object storage, the deltas whose factors are taken as sparse steps
     if not _int64_storage(ring):
         for delta, r in exponents.items():
-            f = euler_product(delta, order, ring)
-            if 2 * abs(r) * len(f.support()) <= order * abs(r).bit_length():
-                steps[delta] = f
+            # f_delta to the order has the nonzero terms of f_1 to ceil(order / delta)
+            nnz = len(euler_product(1, -(-order // delta), ring).support())
+            if 2 * abs(r) * nnz <= order * abs(r).bit_length():
+                steps.add(delta)
     # 1 / f_1 once, at the longest order a negative pow-branch factor needs
     inverse_orders = [-(-order // d) for d, r in exponents.items() if r < 0 and d not in steps]
     f1_inverse = _f1_inverse(max(inverse_orders), ring) if inverse_orders else None
     prod, g = None, 0  # the product so far, as a series in q^g
     for delta in sorted(exponents, reverse=True):
         r = exponents[delta]
-        if delta in steps:
-            f = steps[delta]
-            prod = one(ring, order) if prod is None else _expand(prod, g, order)
-            g = 1
-            for _ in range(abs(r)):
-                prod = f * prod if r > 0 else prod.divide(f)
-            continue
-        n = -(-order // delta)
-        base = euler_product(1, n, ring) if r > 0 else f1_inverse.truncate(n)
-        factor = base.pow(abs(r))  # f_delta^r in q^delta
-        if prod is None:
-            prod, g = factor, delta
-            continue
-        h = gcd(g, delta)
+        h = gcd(g, delta)  # delta itself for the first factor, as gcd(0, delta)
         n = -(-order // h)
-        prod = _expand(prod, g // h, n) * _expand(factor, delta // h, n)
+        if delta in steps:
+            prod = one(ring, n) if prod is None else _expand(prod, g // h, n)
+            prod = _sparse_steps(prod, delta // h, r)
+        else:
+            nd = -(-order // delta)
+            base = euler_product(1, nd, ring) if r > 0 else f1_inverse.truncate(nd)
+            factor = base.pow(abs(r))  # f_delta^r in q^delta
+            if prod is None:
+                prod = factor
+            else:
+                prod = _expand(prod, g // h, n) * _expand(factor, delta // h, n)
         g = h
     return one(ring, order) if prod is None else _expand(prod, g, order)
 

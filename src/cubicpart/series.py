@@ -28,7 +28,10 @@ f * g, with f an Euler product (about 1.6 sqrt(order) nonzero terms) as
 long as g, costs O(order nnz(f)).  Exact division g / f by a series f
 with a unit constant term (``divide``) is the recurrence
 out_n = f0^{-1} (g_n - sum_{i>=1} f_i out_{n-i}), which skips the zero
-f_i and also costs O(order nnz(f)).
+f_i and also costs O(order nnz(f)).  The terms of a value that occurs
+more than once among the f_i are summed before one multiplication by it;
+a value that occurs once, as do the coefficients of Jacobi's f^3, is a
+single term.
 
 Every product of int64-storage series is ``_mul_mod``: both operands are
 first cut to the result length, then the first of these paths whose
@@ -548,9 +551,11 @@ class TruncatedSeries:
         result.order = min(self.order, f.order).  The
         recurrence out_n = f0^{-1} (self_n - sum_{i>=1} f_i out_{n-i})
         skips zero coefficients of f, so dividing by a sparse series (an
-        Euler product, say) costs O(order * nnz(f)).  The terms are summed
-        per distinct value of f_i before one multiplication by it, so the
-        +-1 of an Euler product cost two multiplications per n, not nnz.
+        Euler product, say) costs O(order * nnz(f)).  The terms of a value
+        that occurs more than once among the f_i are summed before one
+        multiplication by it, so the +-1 of an Euler product cost two
+        multiplications per n, not nnz.  A value that occurs once, as do
+        the distinct coefficients of Jacobi's f_k^3, is one term.
         """
         self._require_same_ring(f)
         inv0 = f._unit_constant_inverse()
@@ -559,16 +564,22 @@ class TruncatedSeries:
         for i, c in enumerate(_ints(f.coeffs[1 : len(out)]), 1):
             if c:
                 terms.setdefault(c, []).append(i)
+        groups = [(c, idx) for c, idx in terms.items() if len(idx) > 1]
+        singles = sorted((idx[0], c) for c, idx in terms.items() if len(idx) == 1)
         norm = self.ring.normalize
         for n in range(len(out)):
             s = out[n]
-            for c, idx in terms.items():
+            for c, idx in groups:
                 t = 0
                 for i in idx:
                     if i > n:
                         break
                     t += out[n - i]
                 s -= c * t
+            for i, c in singles:
+                if i > n:
+                    break
+                s -= c * out[n - i]
             out[n] = norm(inv0 * s) if s else 0
         return TruncatedSeries(self.ring, out)
 

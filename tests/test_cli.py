@@ -8,7 +8,7 @@ import pytest
 from cubicpart import cli
 from cubicpart.cli import main
 from cubicpart.partitions import PartitionFamily, generating_series
-from cubicpart.series import zmod
+from cubicpart.series import ZZ, zmod
 
 
 def run(capsys, *argv):
@@ -64,6 +64,30 @@ def test_series_json(capsys):
     payload = json.loads(out)
     assert payload["coefficients"] == ["1", "1", "2", "3", "5", "7"]
     assert payload["modulus"] is None
+
+
+def series_document(family, colors, order, mod):
+    ring = zmod(mod) if mod is not None else ZZ
+    coeffs = generating_series(PartitionFamily(family, colors), order, ring).coefficients()
+    payload = {
+        "family": family,
+        "colors": colors,
+        "order": order,
+        "modulus": mod,
+        "coefficients": [str(c) for c in coeffs],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 23, 1 << 16])
+@pytest.mark.parametrize("order, mod", [(1, None), (23, 7), (23, None), (30, 2**64 + 13)])
+def test_series_json_is_streamed_in_slices_as_one_document(capsys, monkeypatch, chunk, order, mod):
+    monkeypatch.setattr(cli, "_SERIES_CHUNK", chunk)
+    argv = ["--json", "series", "--family", "overcubic", "--colors", "3", "--order", str(order)]
+    argv += ["--mod", str(mod)] if mod is not None else []
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == series_document("overcubic", 3, order, mod)
 
 
 def test_verify_exit_codes(capsys):

@@ -23,6 +23,7 @@ from cubicpart.qfunctions import (
     euler_product,
     euler_quotient,
     frobenius_split,
+    jacobi_cube,
     psi,
 )
 from cubicpart.series import ZZ, TruncatedSeries, one, zero, zmod
@@ -68,6 +69,20 @@ def test_euler_product_is_substitution_of_f1():
         subbed = euler_product(1, 15, ZZ).substitute_power(k)
         n = min(direct.order, subbed.order)
         assert direct.coefficients(n) == subbed.coefficients(n)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 64, 281, 500])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_jacobi_cube_is_the_cube_of_the_euler_product(k, order):
+    for ring in (ZZ, zmod(7), zmod(2**64 + 13)):
+        assert jacobi_cube(k, order, ring) == euler_product(k, order, ring).pow(3)
+
+
+def test_jacobi_cube_terms_and_validation():
+    assert jacobi_cube(1, 11, ZZ).coefficients() == [1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9]
+    assert jacobi_cube(2, 7, zmod(5)).coefficients() == [1, 0, 2, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="k >= 1"):
+        jacobi_cube(0, 10, ZZ)
 
 
 def test_psi_support():
@@ -216,22 +231,101 @@ def counted_steps(monkeypatch):
     return calls
 
 
-def test_euler_quotient_takes_sparse_steps_over_zz(counted_steps):
-    # 2 |r| nnz(f_delta) is far below order * bit_length(|r|) for both factors
+@pytest.fixture
+def step_factors(monkeypatch):
+    """The sparse steps taken, as (op, power, k, order) for a factor f_k^power.
+
+    op is "mul" or "divide"; power is 3 for ``jacobi_cube``, 1 for
+    ``euler_product``.  pow and inverse may not run.
+    """
+    calls = []
+    real_mul, real_divide = TruncatedSeries.__mul__, TruncatedSeries.divide
+
+    def factor(f):
+        k = next(i for i, c in enumerate(f.coeffs) if i and c)
+        for power, build in ((3, jacobi_cube), (1, euler_product)):
+            if f == build(k, f.order, f.ring):
+                return power, k, f.order
+        raise AssertionError(f"{f!r} is no step factor")
+
+    def counting_mul(self, other):
+        calls.append(("mul",) + factor(self))
+        return real_mul(self, other)
+
+    def counting_divide(self, f):
+        calls.append(("divide",) + factor(f))
+        return real_divide(self, f)
+
+    def no_call(self, *args):
+        raise AssertionError("a sparse step map ran pow or inverse")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(TruncatedSeries, "divide", counting_divide)
+    monkeypatch.setattr(TruncatedSeries, "pow", no_call)
+    monkeypatch.setattr(TruncatedSeries, "inverse", no_call)
+    return calls
+
+
+# cubic c = 5, {2: -4, 1: -1} at 4001: f2^-4 is one step by f1^3 and one by
+# f1, in q^2 at 2001 terms, the product starting from 1 at 2001; then f1^-1
+# by one step at 4001, after q^2 -> q
+CUBIC_5_STEPS = [("divide", 3, 1, 2001), ("divide", 1, 1, 2001), ("divide", 1, 1, 4001)]
+
+
+def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
+    # 2 |r| nnz(f_delta) is far below order * bit_length(|r|) for every factor
     s = euler_quotient({2: -4, 1: -1}, 4001, ZZ)
-    assert counted_steps == [("divide", 2)] * 4 + [("divide", 1)]
+    assert step_factors == CUBIC_5_STEPS
     fam = PartitionFamily(CUBIC, 5)
+    assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
+    # overcubic c = 3, {4: 2, 2: -3, 1: -2} at 3000: f4^2 is two products
+    # by f1 in q^4 at 750 terms, f2^-3 one division by f1^3 in q^2 at 1500
+    # and f1^-2 two divisions by f1 at 3000
+    step_factors.clear()
+    s = euler_quotient(PartitionFamily(OVERCUBIC, 3).exponents, 3000, ZZ)
+    assert step_factors == [
+        ("mul", 1, 1, 750), ("mul", 1, 1, 750),
+        ("divide", 3, 1, 1500),
+        ("divide", 1, 1, 3000), ("divide", 1, 1, 3000),
+    ]
+    fam = PartitionFamily(OVERCUBIC, 3)
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
 
 
-def test_euler_quotient_takes_sparse_steps_mod_m_above_2_63(counted_steps):
+def test_euler_quotient_takes_sparse_steps_mod_m_above_2_63(step_factors):
     # object storage, as over ZZ: steps, not a quadratic Python-int pow
     m = 2**64 + 13
     s = euler_quotient({2: -4, 1: -1}, 4001, zmod(m))
-    assert counted_steps == [("divide", 2)] * 4 + [("divide", 1)]
+    assert step_factors == CUBIC_5_STEPS
     assert s == euler_quotient({2: -4, 1: -1}, 4001, ZZ).reduce_mod(m)
     with pytest.raises(ValueError, match=f"order {10**6 + 1} is above the ceiling {10**6}"):
         euler_quotient({2: -4, 1: -1}, 10**6 + 1, zmod(m))
+
+
+# each delta divides the one before, or shares a proper divisor with it
+STEP_CHAINS = [(6, 3, 2, 1), (12, 6, 3, 1), (12, 4, 2, 1), (9, 3, 1), (12, 8, 6, 1), (10, 4, 1)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, zmod(2**64 + 13)], ids=["ZZ", "mod 2^64+13"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_strided_and_cube_steps_match_dense_powers(ring, data):
+    """Object storage: every factor is taken as steps, strided and by f^3.
+
+    From 80 terms on, 2 |r| nnz(f_delta) <= order * bit_length(|r|) holds
+    for every |r| <= 7, so no pow runs; |r| from 3 on takes cube steps,
+    and |r| mod 3 remainder steps follow, with either sign.  Deltas from a
+    chain, and any others up to 12, give every gcd case of the stride.
+    """
+    chain = data.draw(st.sampled_from(STEP_CHAINS))
+    deltas = st.sampled_from(chain) | st.integers(1, 12)
+    exps = data.draw(
+        st.dictionaries(deltas, st.integers(-7, 7).filter(bool), min_size=1, max_size=4)
+    )
+    order = data.draw(st.integers(80, 300))
+    with mock.patch.object(TruncatedSeries, "pow", side_effect=AssertionError("pow ran")):
+        fast = euler_quotient(exps, order, ring)
+    assert fast == dense_quotient(exps, order, ring)
 
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):

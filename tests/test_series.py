@@ -190,6 +190,30 @@ def test_divide_undoes_multiply_property(case):
     assert (a * f).divide(f) == a.truncate(min(a.order, f.order))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(ZZ, -1), (zmod(101), 3), (zmod(2**64 + 13), 5), (zmod(2**64 + 13), -2)]),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=40),
+    st.lists(st.booleans(), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_divide_by_distinct_coefficients_and_a_unit_constant_term(ring_f0, g_coeffs, present, repeat):
+    """(g / f) f == g for f whose nonzero f_i, i >= 1, are distinct, so each is a single term.
+
+    f_0 is a unit other than 1 in its ring.  The f_i are (-1)^i (2i + 1),
+    odd and below 101 in size, so distinct mod 101 too; with repeat, f_1
+    and the last f_i are both 7, so single terms and a summed group meet
+    in one division.
+    """
+    ring, f0 = ring_f0
+    tail = [(-1) ** i * (2 * i + 1) if on else 0 for i, on in enumerate(present, 1)]
+    if repeat and len(tail) > 1:
+        tail[0] = tail[-1] = 7
+    f = TruncatedSeries(ring, [f0] + tail)
+    g = TruncatedSeries(ring, g_coeffs)
+    assert g.divide(f) * f == g.truncate(min(g.order, f.order))
+
+
 def test_divide_by_f1_gives_partition_numbers():
     ones = TruncatedSeries(ZZ, [1] * 20, 0, 20)
     p = ones.divide(euler_product(1, 20, ZZ))
