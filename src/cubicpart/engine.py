@@ -167,17 +167,12 @@ def theorem_claims(
         raise ValueError(f"k must be >= 1, got {k}")
     if k != 1 and theorem in ("1.1", "1.2", "1.5"):
         raise ValueError(f"theorem {theorem} takes no k, got k = {k}")
-    if theorem in ("1.2", "cor-1.3"):
+    if theorem in ("1.2", "cor-1.3", "4.1"):
         if p is None:
             raise ValueError(f"theorem {theorem} needs an odd prime p")
-        fam = PartitionFamily(CUBIC, k * p - 1)
-        residues = admissible_residues(p, CUBIC).admissible
-        return [CongruenceClaim(fam, p, p, r) for r in sorted(residues)]
-    if theorem == "4.1":
-        if p is None:
-            raise ValueError("theorem 4.1 needs an odd prime p")
-        fam = PartitionFamily(OVERCUBIC, k * p - 1)
-        residues = admissible_residues(p, OVERCUBIC).admissible
+        kind = OVERCUBIC if theorem == "4.1" else CUBIC
+        fam = PartitionFamily(kind, k * p - 1)
+        residues = admissible_residues(p, kind).admissible
         return [CongruenceClaim(fam, p, p, r) for r in sorted(residues)]
     if theorem == "remarks":
         if p not in _CLASSICAL_RESIDUE:

@@ -1,19 +1,25 @@
 """Canonical q-series building blocks.
 
-Euler products f_k = (q^k; q^k)_inf, Jacobi's f_k^3 (triangular-number
-support, coefficients (-1)^n (2n+1)), the theta series psi (triangular-
-number support), the Frobenius split of an exponent map modulo a prime,
-the Euler-quotient core prod_delta f_delta^{r_delta} that every family,
-identity and certificate expands through, and eta-quotient q-expansions
-with the leading power q^{sum delta r_delta / 24} as leading zeros.
+One table of closed forms, each an eta product with its exponent map:
+Euler's f_k = (q^k; q^k)_inf (pentagonal support, coefficients +-1),
+Jacobi's f_k^3 and the theta series psi = f_2^2 / f_1 (both on the
+triangular numbers, coefficients (-1)^n (2n+1) and 1).  ``_terms`` gives
+an entry's exponents and coefficients, ``_closed_form`` builds its series
+in q^k, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
+builder.  Then the Frobenius split of an exponent map modulo a prime, the
+Euler-quotient core prod_delta f_delta^{r_delta} that every family,
+identity and certificate expands through, whose step-or-pow rule counts
+terms from ``_terms``, and eta-quotient q-expansions with the leading
+power q^{sum delta r_delta / 24} as leading zeros.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import count, takewhile
 from math import gcd
-from typing import Callable, Dict, Hashable, Mapping, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -24,53 +30,60 @@ from .series import Ring, TruncatedSeries, _int64_storage, one
 __all__ = ["euler_product", "jacobi_cube", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
 
 
-def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
-    """The expansion of prod_{j>=1} (1 - q^{kj}) to the given order.
+def _pentagonal(i: int) -> Tuple[int, int]:
+    """Term i of f_1 (Euler's pentagonal theorem): (-1)^j at j(3j-1)/2, j = 0, 1, -1, 2, ..."""
+    j = (i + 1) // 2 if i % 2 else -(i // 2)
+    return j * (3 * j - 1) // 2, -1 if j % 2 else 1
 
-    Pentagonal-number support: coefficient (-1)^j at exponent k*j*(3j+-1)/2,
-    zero elsewhere.  O(sqrt(order/k)) nonzero terms.
-    """
+
+# The closed forms by public name: the exponent map of the eta product each
+# one is, and its term i as (exponent, coefficient) in q, exponents rising
+# with i.  The entry at k is the same series in q^k.
+_CLOSED_FORMS: Dict[str, Tuple[Dict[int, int], Callable[[int], Tuple[int, int]]]] = {
+    "euler_product": ({1: 1}, _pentagonal),
+    # Jacobi's identity: (-1)^i (2i+1) at i(i+1)/2
+    "jacobi_cube": ({1: 3}, lambda i: (i * (i + 1) // 2, (-1) ** i * (2 * i + 1))),
+    # Gauss: 1 at each triangular number
+    "psi": ({1: -1, 2: 2}, lambda i: (i * (i + 1) // 2, 1)),
+}
+
+
+def _terms(name: str, n: int) -> List[Tuple[int, int]]:
+    """The closed form's terms (exponent, coefficient) at k = 1 with exponent below n."""
+    return list(takewhile(lambda t: t[0] < n, map(_CLOSED_FORMS[name][1], count())))
+
+
+def _closed_form(name: str, k: int, order: int, ring: Ring) -> TruncatedSeries:
+    """The closed form in q^k to the given order."""
     if k < 1:
-        raise ValueError(f"euler_product expects k >= 1, got {k}")
-    exps, signs = [0], [1]
-    j = 1
-    while k * j * (3 * j - 1) // 2 < order:
-        sign = -1 if j % 2 else 1
-        for e in (k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2):
-            if e < order:
-                exps.append(e)
-                signs.append(sign)
-        j += 1
+        raise ValueError(f"{name} expects k >= 1, got {k}")
     coeffs = np.zeros(max(order, 0), dtype=np.int64)
-    if order > 0:
-        coeffs[exps] = signs
+    for e, c in _terms(name, -(-order // k)):
+        coeffs[k * e] = c
     return TruncatedSeries(ring, coeffs, 0, order)
 
 
+def euler_product(k: int, order: int, ring: Ring) -> TruncatedSeries:
+    """f_k = prod_{j>=1} (1 - q^{kj}) to the given order.
+
+    Pentagonal-number support: coefficient (-1)^j at exponent k*j*(3j-1)/2,
+    j in ZZ, zero elsewhere.  O(sqrt(order/k)) nonzero terms, all +-1.
+    """
+    return _closed_form("euler_product", k, order, ring)
+
+
 def jacobi_cube(k: int, order: int, ring: Ring) -> TruncatedSeries:
-    """The expansion of f_k^3 = prod_{j>=1} (1 - q^{kj})^3 to the given order.
+    """f_k^3 = prod_{j>=1} (1 - q^{kj})^3 to the given order.
 
     Jacobi's identity: coefficient (-1)^n (2n+1) at exponent k*n(n+1)/2,
     zero elsewhere.  About sqrt(2 order / k) nonzero terms, all distinct.
     """
-    if k < 1:
-        raise ValueError(f"jacobi_cube expects k >= 1, got {k}")
-    coeffs = np.zeros(max(order, 0), dtype=np.int64)
-    n = 0
-    while k * n * (n + 1) // 2 < order:
-        coeffs[k * n * (n + 1) // 2] = -(2 * n + 1) if n % 2 else 2 * n + 1
-        n += 1
-    return TruncatedSeries(ring, coeffs, 0, order)
+    return _closed_form("jacobi_cube", k, order, ring)
 
 
 def psi(order: int, ring: Ring) -> TruncatedSeries:
-    """Theta series with coefficient 1 at each triangular number k(k+1)/2."""
-    coeffs = [0] * order
-    k = 0
-    while k * (k + 1) // 2 < order:
-        coeffs[k * (k + 1) // 2] = 1
-        k += 1
-    return TruncatedSeries(ring, coeffs, 0, order)
+    """Theta series psi = f_2^2 / f_1, coefficient 1 at each triangular number."""
+    return _closed_form("psi", 1, order, ring)
 
 
 def frobenius_split(
@@ -173,12 +186,32 @@ def _sparse_steps(prod: TruncatedSeries, k: int, r: int) -> TruncatedSeries:
     """
     n, ring = prod.order, prod.ring
     cubes, rest = divmod(abs(r), 3)
-    for count, build in ((cubes, jacobi_cube), (rest, euler_product)):
-        if count:
+    for times, build in ((cubes, jacobi_cube), (rest, euler_product)):
+        if times:
             f = build(k, n, ring)
-            for _ in range(count):
+            for _ in range(times):
                 prod = f * prod if r > 0 else prod.divide(f)
     return prod
+
+
+def _takes_steps(r: int, delta: int, g: int, order: int) -> bool:
+    """Whether f_delta^r costs no more coefficient products as sparse steps than by pow.
+
+    The product so far is a series in q^g (g = 0 before the first factor),
+    and the factor moves it to q^h, h = gcd(g, delta), at n = ceil(order / h)
+    terms.  The steps cost n products per nonzero term of their factor at
+    m = ceil(order / delta): floor(|r| / 3) steps by f^3 and |r| mod 3 by f,
+    whose terms ``_terms`` counts without building a series.  pow costs
+    bit_length(|r|) dense products of m^2, and after the first factor one
+    product of the power with the product so far, which skips the zeros of
+    that product's ceil(order / g) terms: n ceil(order / g).
+    """
+    h, m = gcd(g, delta), -(-order // delta)
+    n = -(-order // h)
+    cubes, rest = divmod(abs(r), 3)
+    steps = n * (cubes * len(_terms("jacobi_cube", m)) + rest * len(_terms("euler_product", m)))
+    power = abs(r).bit_length() * m * m + (n * -(-order // g) if g else 0)
+    return steps <= power
 
 
 def euler_quotient(
@@ -202,10 +235,11 @@ def euler_quotient(
     by extrapolation.  Mod m > 2^63 the sparse steps below give the costs
     of ZZ: ``verify`` of a_3(7n+4) takes about 1.1 s at n_max = 2*10^4.
 
-    When the ring's modulus p is prime (2 included) and some
-    |r_delta| > p / 2, the map is first rewritten by ``frobenius_split``:
-    f_delta^{r_delta} becomes f_delta^s f_{delta p}^t with r_delta = p t + s
-    and |s| <= p / 2, and exponents that land on the same delta are summed.
+    When the ring's modulus p is prime (2 included), the map is first
+    rewritten by ``frobenius_split``: f_delta^{r_delta} becomes
+    f_delta^s f_{delta p}^t with r_delta = p t + s and |s| <= p / 2, and
+    exponents that land on the same delta are summed; a map with every
+    |r_delta| <= p / 2 is left as it is.
     A factor at delta p then costs a power at order/(delta p) where it
     cost one at order/delta, and the balanced s keeps the powers left at
     delta small: a negative s costs one inverse and positive powers cost
@@ -220,29 +254,23 @@ def euler_quotient(
     at order ceil(order / h); the first factor has h = delta.
 
     On object storage (``_int64_storage`` false: ZZ, and ZZ/m for
-    m > 2^63) a factor whose exponent r satisfies
-    2 |r| nnz(f_delta) <= order * bit_length(|r|) is applied as |r|
-    sparse steps on the product in q^h (``_sparse_steps``): f_delta is
-    f_{delta/h} there, and a step multiplies by it for r > 0 (the
-    schoolbook product skips the zero coefficients of its left operand)
-    or divides by it (``divide``) for r < 0.  The first such factor
-    starts from 1 at ceil(order / delta).  Three steps at a time go by
-    Jacobi's f^3 (``jacobi_cube``), and the |r| mod 3 left by f.  Both
-    have nnz(f_delta) within a constant: f_delta has about
-    1.6 sqrt(order / delta) nonzero coefficients, all +-1 (Euler's
-    pentagonal theorem), and f_delta^3 about sqrt(2 order / delta), all
-    distinct.  So the steps cost at most |r| nnz(f_delta) order / h
-    coefficient operations, against about bit_length(|r|) dense products
-    of order^2 / 2 for f_delta.pow(r); the rule prices the steps at full
-    length and by f alone.  A cube step has 0.29 of the terms of three
-    steps by f (sqrt(2) against 3 * 1.6); over ZZ at 4001 terms one
-    division by f^3 took 0.45 of the time of three by f, and one product
-    0.28.  The factor 2 is measured: without it {1: -2, 2: -397,
-    4: 199} at order 400 takes 199 steps for f_4 and runs 1.9 times
-    slower than with it.  So steps win at small |r| and large order, and
+    m > 2^63) a factor may be applied as |r| sparse steps on the product
+    in q^h (``_sparse_steps``): f_delta is f_{delta/h} there, and a step
+    multiplies by it for r > 0 (the schoolbook product skips the zero
+    coefficients of its left operand) or divides by it (``divide``) for
+    r < 0.  The first such factor starts from 1 at ceil(order / delta).
+    Three steps at a time go by Jacobi's f^3 (``jacobi_cube``), and the
+    |r| mod 3 left by f.  ``_takes_steps`` counts coefficient products
+    from the closed forms' terms: each step costs ceil(order / h) per
+    nonzero term of its factor at ceil(order / delta), about
+    sqrt(2 order / delta) for f^3 and 1.6 sqrt(order / delta) for f, and
+    pow costs bit_length(|r|) dense products of ceil(order / delta)^2
+    plus its product with the product so far.  The steps are taken iff
+    they cost no more.  So steps win at small |r| and large order, and
     pow at colour counts large against the order: cubic c = 5,
     {2: -4, 1: -1} at 4001, is one division by f^3 and one by f at 2001
-    terms, then one by f at 4001.
+    terms, then one by f at 4001; cubic c = 251 at 4001 takes 83
+    divisions by f^3 and one by f for f_2^-250, and c = 1001 takes pow.
 
     Every other factor, and every factor on int64 storage, is taken by
     stride: f_delta^r is zero off multiples of delta, so f_1^r is
@@ -270,20 +298,16 @@ def euler_quotient(
     if order > limit:
         raise ValueError(f"series order {order} is above the ceiling {limit} over {ring}")
     p = ring.modulus
-    if (
-        p is not None
-        and any(2 * abs(r) > p for r in exponents.values())
-        and (p == 2 or is_odd_prime(p))
-    ):
+    if p is not None and (p == 2 or is_odd_prime(p)):
         exponents = _frobenius_reduced(exponents, p)
     exponents = {d: r for d, r in exponents.items() if d < order}
     steps = set()  # on object storage, the deltas whose factors are taken as sparse steps
     if not _int64_storage(ring):
-        for delta, r in exponents.items():
-            # f_delta to the order has the nonzero terms of f_1 to ceil(order / delta)
-            nnz = len(euler_product(1, -(-order // delta), ring).support())
-            if 2 * abs(r) * nnz <= order * abs(r).bit_length():
+        g = 0
+        for delta in sorted(exponents, reverse=True):
+            if _takes_steps(exponents[delta], delta, g, order):
                 steps.add(delta)
+            g = gcd(g, delta)
     # 1 / f_1 once, at the longest order a negative pow-branch factor needs
     inverse_orders = [-(-order // d) for d, r in exponents.items() if r < 0 and d not in steps]
     f1_inverse = _f1_inverse(max(inverse_orders), ring) if inverse_orders else None

@@ -167,6 +167,12 @@ def test_theorem_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_theorem_41_without_p_exits_2(capsys):
+    code, out, err = run(capsys, "theorem", "--id", "4.1")
+    assert code == 2 and out == ""
+    assert "theorem 4.1 needs an odd prime p" in err
+
+
 def test_theorem_k_on_an_id_without_k_exits_2(capsys):
     code, out, err = run(capsys, "--json", "theorem", "--id", "1.5", "--k", "4")
     assert code == 2

@@ -147,6 +147,12 @@ def test_theorem_15_claims_and_filter():
         theorem_claims("1.5", p=13)
 
 
+@pytest.mark.parametrize("theorem", ["1.2", "cor-1.3", "4.1"])
+def test_theorem_without_p_needs_an_odd_prime(theorem):
+    with pytest.raises(ValueError, match=f"theorem {theorem} needs an odd prime p"):
+        theorem_claims(theorem)
+
+
 def test_k_rejected_where_the_theorem_has_none():
     for theorem, p in (("1.1", None), ("1.2", 7), ("1.5", None)):
         assert theorem_claims(theorem, p, k=1)

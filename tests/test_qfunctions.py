@@ -1,11 +1,12 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
+import functools
 from collections import Counter, OrderedDict
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubicpart import cli, engine, qfunctions
 from cubicpart import series as series_module
@@ -71,11 +72,27 @@ def test_euler_product_is_substitution_of_f1():
         assert direct.coefficients(n) == subbed.coefficients(n)
 
 
+@functools.lru_cache(maxsize=None)
+def brute_euler_500(k):
+    return brute_euler_product(k, 500)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 64, 281, 500])
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_jacobi_cube_is_the_cube_of_the_euler_product(k, order):
+    """Every closed form in q^k (f, f^3, psi) is the dense product of its exponent map.
+
+    f_{k delta}^r comes from the plain-list product and ``pow`` (an
+    inverse for r < 0); at order 0 every series is empty.
+    """
     for ring in (ZZ, zmod(7), zmod(2**64 + 13)):
-        assert jacobi_cube(k, order, ring) == euler_product(k, order, ring).pow(3)
+        for name, (exponents, _) in qfunctions._CLOSED_FORMS.items():
+            dense = one(ring, order)
+            for delta, r in exponents.items():
+                if order:
+                    f = TruncatedSeries(ring, brute_euler_500(k * delta)[:order])
+                    dense = dense * f.pow(r)
+            assert qfunctions._closed_form(name, k, order, ring) == dense, name
 
 
 def test_jacobi_cube_terms_and_validation():
@@ -180,30 +197,36 @@ SPLIT_MODULI = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 12, 2**64 + 13]
 @pytest.mark.parametrize("m", SPLIT_MODULI)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
+@example(data=None)  # psi's map {2: 1, 1: -1}: every 2 |r| <= p
 def test_split_and_stride_match_dense_powers_mod_m(m, data):
     """Mod every prime p <= 31 the map is split and each factor strided.
 
     The exponents reach +-3p, so t = 2 and 3 occur, and delta = p, 2p
-    next to delta up to 12 let delta p land on a delta of the map.  Mod 12
-    (not a prime) and mod 2^64 + 13 (a prime far above twice every
-    exponent) no split happens, and the factors are strided all the same.
+    next to delta up to 12 let delta p land on a delta of the map.  Mod
+    2^64 + 13 (a prime far above twice every exponent), and at any prime
+    where every 2 |r| <= p, the split leaves the map as it is.  Mod 12
+    (not a prime) no split is made.  The factors are strided all the same.
     """
-    bound = 3 * min(m, 31)
-    exps = data.draw(
-        st.dictionaries(
-            st.integers(1, 12) | st.sampled_from([m, 2 * m]),
-            st.integers(-bound, bound).filter(bool),
-            max_size=4,
+    if data is None:
+        exps, order = {2: 1, 1: -1}, 200
+    else:
+        bound = 3 * min(m, 31)
+        exps = data.draw(
+            st.dictionaries(
+                st.integers(1, 12) | st.sampled_from([m, 2 * m]),
+                st.integers(-bound, bound).filter(bool),
+                max_size=4,
+            )
         )
-    )
-    order = data.draw(st.integers(1, 300 if m < 2**63 else 120))
+        order = data.draw(st.integers(1, 300 if m < 2**63 else 120))
     ring = zmod(m)
     with mock.patch.object(
         qfunctions, "frobenius_split", wraps=qfunctions.frobenius_split
     ) as split:
         fast = euler_quotient(exps, order, ring)
-    splits = m in SPLIT_MODULI[:11] and any(2 * abs(r) > m for r in exps.values())
-    assert split.called == splits
+    assert split.called == (m != 12)
+    if m != 12 and all(2 * abs(r) <= m for r in exps.values()):
+        assert qfunctions._frobenius_reduced(exps, m) == exps
     assert fast == dense_quotient(exps, order, ring)
 
 
@@ -273,7 +296,7 @@ CUBIC_5_STEPS = [("divide", 3, 1, 2001), ("divide", 1, 1, 2001), ("divide", 1, 1
 
 
 def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
-    # 2 |r| nnz(f_delta) is far below order * bit_length(|r|) for every factor
+    # every factor's steps cost far fewer coefficient products than its pow
     s = euler_quotient({2: -4, 1: -1}, 4001, ZZ)
     assert step_factors == CUBIC_5_STEPS
     fam = PartitionFamily(CUBIC, 5)
@@ -302,6 +325,25 @@ def test_euler_quotient_takes_sparse_steps_mod_m_above_2_63(step_factors):
         euler_quotient({2: -4, 1: -1}, 10**6 + 1, zmod(m))
 
 
+def test_step_rule_takes_steps_where_they_cost_less(step_factors, monkeypatch):
+    # cubic c = 251, {2: -250, 1: -1} at 1001: 83 steps by f^3 and one by
+    # f, each 501 products per nonzero term (32 of f^3, 37 of f), cost
+    # less than bit_length(250) = 8 products of 501^2; then f1^-1 by one step
+    s = euler_quotient({2: -250, 1: -1}, 1001, ZZ)
+    assert step_factors == (
+        [("divide", 3, 1, 501)] * 83 + [("divide", 1, 1, 501), ("divide", 1, 1, 1001)]
+    )
+    # {6: 1, 5: 1} at 80: after f6 in q^6 at 14 terms, f5 moves the product
+    # to q at 80 terms; its step, 80 * 7 products, costs less than pow's
+    # 16^2 and the product of the power with the 14 terms of f6, 80 * 14
+    step_factors.clear()
+    t = euler_quotient({6: 1, 5: 1}, 80, ZZ)
+    assert step_factors == [("mul", 1, 1, 14), ("mul", 1, 5, 80)]
+    monkeypatch.undo()
+    assert s == dense_quotient({2: -250, 1: -1}, 1001, ZZ)
+    assert t == dense_quotient({6: 1, 5: 1}, 80, ZZ)
+
+
 # each delta divides the one before, or shares a proper divisor with it
 STEP_CHAINS = [(6, 3, 2, 1), (12, 6, 3, 1), (12, 4, 2, 1), (9, 3, 1), (12, 8, 6, 1), (10, 4, 1)]
 
@@ -312,10 +354,11 @@ STEP_CHAINS = [(6, 3, 2, 1), (12, 6, 3, 1), (12, 4, 2, 1), (9, 3, 1), (12, 8, 6,
 def test_strided_and_cube_steps_match_dense_powers(ring, data):
     """Object storage: every factor is taken as steps, strided and by f^3.
 
-    From 80 terms on, 2 |r| nnz(f_delta) <= order * bit_length(|r|) holds
-    for every |r| <= 7, so no pow runs; |r| from 3 on takes cube steps,
-    and |r| mod 3 remainder steps follow, with either sign.  Deltas from a
-    chain, and any others up to 12, give every gcd case of the stride.
+    The step-or-pow rule is set aside, so that no pow runs: at these
+    orders it prices some factors cheaper by pow ({11: 1, 5: 5} at 80
+    takes f_5 by pow).  |r| from 3 on takes cube steps, and |r| mod 3
+    remainder steps follow, with either sign.  Deltas from a chain, and
+    any others up to 12, give every gcd case of the stride.
     """
     chain = data.draw(st.sampled_from(STEP_CHAINS))
     deltas = st.sampled_from(chain) | st.integers(1, 12)
@@ -323,16 +366,20 @@ def test_strided_and_cube_steps_match_dense_powers(ring, data):
         st.dictionaries(deltas, st.integers(-7, 7).filter(bool), min_size=1, max_size=4)
     )
     order = data.draw(st.integers(80, 300))
-    with mock.patch.object(TruncatedSeries, "pow", side_effect=AssertionError("pow ran")):
+    with (
+        mock.patch.object(TruncatedSeries, "pow", side_effect=AssertionError("pow ran")),
+        mock.patch.object(qfunctions, "_takes_steps", return_value=True),
+    ):
         fast = euler_quotient(exps, order, ring)
     assert fast == dense_quotient(exps, order, ring)
 
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
     euler_quotient({2: -9999, 1: -1}, 60, ZZ)
-    # f2 by pow (2 * 9999 * 9 > 60 * 14), strided: 1 / f1 at order 30 from
-    # the store, built by one division by f1, to the power 9999; then f1 by
-    # one step (2 * 13 <= 60)
+    # f2 by pow (3333 steps by f^3, 8 terms at order 30, cost 30 * 3333 * 8
+    # products against 14 * 30^2), strided: 1 / f1 at order 30 from the
+    # store, built by one division by f1, to the power 9999; then f1 by
+    # one step (60 * 13 against 60^2 + 30 * 60)
     assert counted_steps == [("divide", 1), ("pow", 9999), ("divide", 1)]
 
 
@@ -399,8 +446,9 @@ STORE_RINGS = [ZZ] + [zmod(m) for m in (2, 3, 7, 13, 65521, 2**61 - 1, 2**64 + 1
 def test_cold_and_warm_store_give_equal_quotients(monkeypatch, ring):
     """1 / f1 built fresh, cut from a longer one, or held exactly: one result.
 
-    Over ZZ the cubic c = 200 map takes f2 by pow (2 * 199 nnz(f2) > order
-    bit_length(199)), so its f2^-199 reads 1 / f1 from the store too.
+    Over ZZ the cubic c = 200 map takes f2 by pow (at 200 its 66 steps by
+    f^3 and one by f cost 100 * (66 * 14 + 16) products against
+    8 * 100^2), so its f2^-199 reads 1 / f1 from the store too.
     """
     maps = [{1: -1, 2: -199}, {1: -2, 2: 3, 4: -1}, {1: -1}, {3: -2, 1: 1}]
     orders = (200, 57, 1)
