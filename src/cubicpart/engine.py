@@ -13,11 +13,14 @@ The engine runs on the calling thread.  Every mod-m expansion goes
 through one bounded store (``qfunctions._stored``) that keeps the
 longest series built so far for each key, so a scan to a lower bound
 after a higher one costs no build: the shorter series is a view of the
-stored one.  The store holds two kinds of key in one LRU bound: a
-family's series under (kind, colors, modulus), and 1 / f_1 under
-("f1-inverse", ring), which every family's expansion cuts from.  The
-scans read a progression as a strided view and find its nonzero values
-in one vectorised pass.
+stored one.  The store holds three kinds of key in one LRU bound: a
+family's series under (kind, colors, modulus); 1 / f_1 under
+("f1-inverse", ring), which every family's expansion cuts from; and the
+factor from one colour to the next under ("colour-step", kind, ring),
+with which ``generating_series`` builds F_c from a held F_{c-1}, as
+``search`` does for c = 2, 3, ... at each modulus.  The scans read a
+progression as a strided view and find its nonzero values in one
+vectorised pass.
 """
 
 from __future__ import annotations
@@ -404,7 +407,8 @@ def search_congruences(
     for p in ps:
         if p < 2:
             raise ValueError(f"progression modulus must be >= 2, got {p}")
-        if n_max < p * min_confirmations:
+        # n_max = p K - 1 gives each of the p residue classes K values
+        if n_max < p * min_confirmations - 1:
             raise ValueError(
                 f"n_max {n_max} cannot give {min_confirmations} confirmations at p = {p}"
             )

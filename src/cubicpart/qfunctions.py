@@ -19,7 +19,7 @@ import threading
 from collections import OrderedDict
 from itertools import count, takewhile
 from math import gcd
-from typing import Callable, Dict, Hashable, List, Mapping, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -128,9 +128,24 @@ _MAX_ORDER_ZZ = 10**6
 _STORE_SIZE = 64
 
 # key -> the longest series built so far for it: (kind, colors, modulus) for
-# a family's series (engine._series_mod), ("f1-inverse", ring) for 1 / f_1
+# a family's series (engine._series_mod), ("f1-inverse", ring) for 1 / f_1,
+# ("colour-step", kind, ring) for the factor from one colour to the next
+# (partitions.generating_series)
 _store: "OrderedDict[tuple, TruncatedSeries]" = OrderedDict()
 _store_lock = threading.Lock()
+
+
+def _held(key: Hashable, order: int) -> Optional[TruncatedSeries]:
+    """The series under key cut to the given order, or None if none that long is held.
+
+    It builds and stores nothing; a hit counts as a use for the LRU order.
+    """
+    with _store_lock:
+        series = _store.get(key)
+        if series is None or series.order < order:
+            return None
+        _store.move_to_end(key)
+    return series if series.order == order else series.truncate(order)
 
 
 def _stored(
@@ -138,16 +153,14 @@ def _stored(
 ) -> TruncatedSeries:
     """The series under key to exactly the given order; build(order) makes it.
 
-    A shorter series is cut from the stored one as a view; a longer one is
-    built and replaces it.  The least recently used keys beyond _STORE_SIZE
-    go.  The lock guards the store only, never a build: callers on several
-    threads get correct series but may build one key twice.
+    A shorter series is cut from the stored one as a view (``_held``); a
+    longer one is built and replaces it.  The least recently used keys
+    beyond _STORE_SIZE go.  The lock guards the store only, never a build:
+    callers on several threads get correct series but may build one key
+    twice.
     """
-    with _store_lock:
-        series = _store.get(key)
-        if series is not None:
-            _store.move_to_end(key)
-    if series is None or series.order < order:
+    series = _held(key, order)
+    if series is None:
         series = build(order)
         with _store_lock:
             held = _store.get(key)
@@ -156,9 +169,7 @@ def _stored(
             _store.move_to_end(key)
             while len(_store) > _STORE_SIZE:
                 _store.popitem(last=False)
-    if series.order == order:
-        return series
-    return series.truncate(order)
+    return series
 
 
 def _f1_inverse(order: int, ring: Ring) -> TruncatedSeries:
@@ -277,8 +288,8 @@ def euler_quotient(
     expanded by ``pow`` at order ceil(order / delta) and then q -> q^delta
     (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
     raised to |r|.  It comes from the one bounded series store that also
-    holds the families' series (``_stored``; two kinds of key, one LRU
-    bound): under ("f1-inverse", ring) it is built once per ring, by
+    holds the families' series and their colour steps (``_stored``; three
+    kinds of key, one LRU bound): under ("f1-inverse", ring) it is built once per ring, by
     ``inverse``, at the longest order any negative factor of the map
     needs, and every shorter request is a read-only cut of it.  This is
     exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to

@@ -240,6 +240,15 @@ def test_search_min_confirmations_below_one_exits_2(capsys):
     assert "min_confirmations must be >= 1" in err
 
 
+def test_search_nmax_boundary(capsys):
+    # at n_max = p K - 1 every residue class has K values
+    code, out, _ = run(capsys, "search", "--cmax", "2", "--primes", "3", "--nmax", "29")
+    assert code == 0 and "a_2(3n+2) == 0 (mod 3)" in out
+    code, out, err = run(capsys, "search", "--cmax", "2", "--primes", "3", "--nmax", "28")
+    assert code == 2 and out == ""
+    assert "n_max 28 cannot give 10 confirmations at p = 3" in err
+
+
 def test_search_bad_primes(capsys):
     code, _, err = run(capsys, "search", "--cmax", "2", "--primes", "3,x", "--nmax", "500")
     assert code == 2 and "comma-separated" in err

@@ -9,7 +9,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from cubicpart import engine, qfunctions
+from cubicpart import engine, partitions, qfunctions
 from cubicpart.engine import (
     CongruenceClaim,
     FAILED,
@@ -337,6 +337,19 @@ def test_search_validates_bounds():
         search_congruences(1, {13}, 10, min_confirmations=0)
 
 
+def test_search_needs_n_max_of_p_k_minus_1():
+    # n_max = 29 gives each class mod 3 exactly 10 values: 0..27, 1..28, 2..29
+    assert CongruenceClaim(A2, 3, 3, 2) in search_congruences(2, {3}, 29)
+    # one value per class mod 5 from n_max = 4: p(4) = 5
+    assert CongruenceClaim(PartitionFamily(CUBIC, 1), 5, 5, 4) in search_congruences(
+        1, {5}, 4, min_confirmations=1
+    )
+    with pytest.raises(ValueError, match="n_max 28 cannot give 10 confirmations at p = 3"):
+        search_congruences(2, {3}, 28)
+    with pytest.raises(ValueError, match="n_max 3 cannot give 1 confirmations at p = 5"):
+        search_congruences(1, {5}, 3, min_confirmations=1)
+
+
 @pytest.fixture
 def counted_builds(monkeypatch):
     """An empty series store whose builds are recorded as (kind, colors, modulus, order)."""
@@ -444,3 +457,28 @@ def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
     short.join(timeout=10)
     assert not short.is_alive()
     assert qfunctions._store[(CUBIC, 1, 101)] is long
+
+
+def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeypatch):
+    maps = []
+    quotient = partitions.euler_quotient
+
+    def counting(exponents, order, ring):
+        maps.append(dict(exponents))
+        return quotient(exponents, order, ring)
+
+    monkeypatch.setattr(partitions, "euler_quotient", counting)
+    primes = [3, 5, 7, 11]
+    claims = search_congruences(6, primes, 8000)
+    assert len(counted_builds) == 48
+    # one c = 1 build and one step per kind and modulus
+    assert len(maps) == 16
+    assert len([m for m in maps if m in partitions._COLOUR_STEP.values()]) == 8
+    # 48 series, 4 inverses of f_1 and 8 steps
+    assert len(qfunctions._store) == 60
+    # every series built directly from its own map gives the same claims
+    monkeypatch.setattr(partitions, "_held", lambda key, order: None)
+    qfunctions._store.clear()
+    del maps[:]
+    assert search_congruences(6, primes, 8000) == claims
+    assert len(maps) == 48 and len(claims) == 20

@@ -1,8 +1,13 @@
 """Counting families: series vs DP oracle, identities, functional equation."""
 
+import functools
+from collections import OrderedDict
+
 import pytest
 
+from cubicpart import engine, partitions, qfunctions
 from cubicpart.partitions import (
+    _COLOUR_STEP,
     CUBIC,
     OVERCUBIC,
     PartitionFamily,
@@ -12,8 +17,8 @@ from cubicpart.partitions import (
     count_direct,
     generating_series,
 )
-from cubicpart.qfunctions import psi
-from cubicpart.series import ZZ
+from cubicpart.qfunctions import euler_quotient, psi
+from cubicpart.series import ZZ, zmod
 
 
 def test_family_validation():
@@ -161,3 +166,85 @@ def test_named_identity_unknown_id():
 def test_check_report_mismatch_description():
     report = check_functional_equation(2, 50)
     assert bool(report) and report.first_mismatch is None
+
+
+# -- the colour ladder: F_c = F_{c-1} * step ----------------------------------
+
+
+def test_colour_step_is_the_difference_of_consecutive_maps():
+    # overcubic c = 1 -> 2 is where -(2c - 3) changes sign
+    for kind in (CUBIC, OVERCUBIC):
+        for c in range(1, 61):
+            now = PartitionFamily(kind, c).exponents
+            nxt = PartitionFamily(kind, c + 1).exponents
+            diff = {d: nxt.get(d, 0) - now.get(d, 0) for d in now.keys() | nxt.keys()}
+            assert {d: r for d, r in diff.items() if r} == _COLOUR_STEP[kind], (kind, c)
+
+
+@pytest.fixture
+def expanded_maps(monkeypatch):
+    """An empty series store; the maps generating_series expands are recorded."""
+    maps = []
+
+    def recording(exponents, order, ring):
+        maps.append(dict(exponents))
+        return euler_quotient(exponents, order, ring)
+
+    monkeypatch.setattr(partitions, "euler_quotient", recording)
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    return maps
+
+
+# 383, 384 and 385 straddle series._FFT_MIN_LEN, where products turn to the FFT
+LADDER_ORDERS = [1, 383, 384, 385, 1000]
+
+
+@functools.lru_cache(maxsize=None)
+def direct_over_zz(kind, c):
+    """The family's map expanded directly over ZZ, at the largest ladder order.
+
+    Reduced mod m and cut, it is the direct build at every modulus and
+    order, through none of the int64 kernels the ladder runs on.
+    """
+    return euler_quotient(PartitionFamily(kind, c).exponents, LADDER_ORDERS[-1], ZZ)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 12, 13, 65521, 2**61 - 1])
+@pytest.mark.parametrize("kind", [CUBIC, OVERCUBIC])
+def test_colour_ladder_matches_direct_builds(expanded_maps, kind, m):
+    ring = zmod(m)
+    for order in LADDER_ORDERS:
+        qfunctions._store.clear()
+        engine._series_mod(kind, 1, m, order)
+        for c in range(2, 13):
+            del expanded_maps[:]
+            s = engine._series_mod(kind, c, m, order)
+            assert s == direct_over_zz(kind, c).truncate(order).reduce_mod(m), (order, c)
+            # the step is built once, at c = 2, and never the family's map
+            assert expanded_maps == ([_COLOUR_STEP[kind]] if c == 2 else []), (order, c)
+    # F_11 is held at 1000: F_12 below it is cut from it and takes the ladder
+    del expanded_maps[:]
+    fam = PartitionFamily(kind, 12)
+    assert generating_series(fam, 385, ring) == euler_quotient(fam.exponents, 385, ring)
+    assert expanded_maps == []
+    # held only to 383: F_3 to 1000 is a direct build
+    qfunctions._store.clear()
+    engine._series_mod(kind, 2, m, 383)
+    del expanded_maps[:]
+    fam = PartitionFamily(kind, 3)
+    assert generating_series(fam, 1000, ring) == euler_quotient(fam.exponents, 1000, ring)
+    assert expanded_maps == [fam.exponents]
+
+
+@pytest.mark.parametrize("m", [None, 2**64 + 13])
+def test_object_storage_never_takes_the_colour_ladder(expanded_maps, m):
+    ring = ZZ if m is None else zmod(m)
+    for kind in (CUBIC, OVERCUBIC):
+        for c in (2, 5):
+            prev = PartitionFamily(kind, c - 1)
+            qfunctions._store[(kind, c - 1, m)] = euler_quotient(prev.exponents, 300, ring)
+            del expanded_maps[:]
+            fam = PartitionFamily(kind, c)
+            assert generating_series(fam, 200, ring) == euler_quotient(fam.exponents, 200, ring)
+            assert expanded_maps == [fam.exponents]
+    assert not any(key[0] == "colour-step" for key in qfunctions._store)
