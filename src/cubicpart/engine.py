@@ -1,8 +1,14 @@
 """Congruence claims, numerical verification, certificates, and search.
 
 A CongruenceClaim says "count(family, p*n + r) == 0 (mod m) for all n".
-verify_claim checks it for every progression value up to a bound by
-expanding the family's generating series in a mod-m ring.  The named
+verify_claim checks it for every progression value up to a bound.  When
+the progression is the modulus, a prime p, and the family's map is
+congruent mod p to a closed form C of ``qfunctions`` (psi for cubic
+c = kp - 1, phi for overcubic c = kp - 1), the series is C(q) H(q^p)
+mod p, and the class is read from C's terms times H at about n_max / p
+terms; for every admissible class of the paper's theorems C has no term
+in the class and H is never built.  Every other claim is scanned on the
+family's generating series, expanded in the mod-m ring.  The named
 theorem families instantiate claims from the admissible-residue
 criteria.  prove_isolated reproduces the two Sturm-bound proofs
 (a_3(7n+4) mod 7 and a_5(11n+10) mod 11) and emits a self-contained
@@ -13,14 +19,15 @@ The engine runs on the calling thread.  Every mod-m expansion goes
 through one bounded store (``qfunctions._stored``) that keeps the
 longest series built so far for each key, so a scan to a lower bound
 after a higher one costs no build: the shorter series is a view of the
-stored one.  The store holds three kinds of key in one LRU bound: a
+stored one.  The store holds four kinds of key in one LRU bound: a
 family's series under (kind, colors, modulus); 1 / f_1 under
-("f1-inverse", ring), which every family's expansion cuts from; and the
+("f1-inverse", ring), which every family's expansion cuts from; the
 factor from one colour to the next under ("colour-step", kind, ring),
 with which ``generating_series`` builds F_c from a held F_{c-1}, as
-``search`` does for c = 2, 3, ... at each modulus.  The scans read a
-progression as a strided view and find its nonzero values in one
-vectorised pass.
+``search`` does for c = 2, 3, ... at each modulus; and the cofactor H of
+a theta core under ("theta-cofactor", map of H, ring), which every class
+of one family shares.  The scans read a progression as a strided view
+and find its nonzero values in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .modform import (
     weight,
 )
 from .partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
-from .qfunctions import _stored, eta_expansion
+from .qfunctions import _progression_class, _stored, eta_expansion
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -134,15 +141,28 @@ def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSe
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
-    """Scan every progression value <= n_max; report the first violation."""
+    """Scan every progression value <= n_max; report the first violation.
+
+    A claim whose progression is its prime modulus p and whose family's
+    map has a theta core mod p (cubic and overcubic c = kp - 1, among
+    others) is scanned class first: the class alone is read from the core
+    (``qfunctions._progression_class``), at about (n_max + 1) / p terms.
+    Every other claim cuts its class from the family's full series.
+    """
     if n_max < claim.residue:
         raise ValueError(
             f"n_max {n_max} does not reach the first progression value {claim.residue}"
         )
-    series = _series_mod(
-        claim.family.kind, claim.family.colors, claim.modulus, n_max + 1
-    )
-    values = series.extract_progression(claim.progression, claim.residue)
+    values = None
+    if claim.progression == claim.modulus:
+        values = _progression_class(
+            claim.family.exponents, claim.residue, n_max + 1, zmod(claim.modulus)
+        )
+    if values is None:
+        series = _series_mod(
+            claim.family.kind, claim.family.colors, claim.modulus, n_max + 1
+        )
+        values = series.extract_progression(claim.progression, claim.residue)
     hits = values.support()
     if hits.size:
         n = int(hits[0])

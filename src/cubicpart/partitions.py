@@ -85,9 +85,10 @@ def generating_series(fam: PartitionFamily, order: int, ring: Ring) -> Truncated
     f_2^-1 (cubic) or f_4 / f_2^2 (overcubic), ``_COLOUR_STEP``, built once
     per kind and ring by ``euler_quotient`` and stored under
     ("colour-step", kind, ring).  So a scan over c = 1, 2, ... costs one
-    full-length product per colour after the first.  The step is built
-    only after F_{c-1} is held, so the 1 / f_1 its build cuts from is
-    already stored at full order.  Over ZZ and mod m > 2^63 the
+    full-length product per colour after the first, and none where the
+    step is the series 1 (overcubic mod 2): F_c is then the held F_{c-1}.
+    The step is built only after F_{c-1} is held, so the 1 / f_1 its build
+    cuts from is already stored at full order.  Over ZZ and mod m > 2^63 the
     coefficients are Python ints and the product would be a dense Python
     schoolbook, slower than the sparse steps of ``euler_quotient``; there,
     and for c = 1 or with no predecessor held, the series is
@@ -101,7 +102,8 @@ def generating_series(fam: PartitionFamily, order: int, ring: Ring) -> Truncated
                 order,
                 lambda n: euler_quotient(_COLOUR_STEP[fam.kind], n, ring),
             )
-            return held * step
+            # mod 2 the overcubic step f_4 / f_2^2 is 1, as f_2^2 == f_4
+            return held * step if step.coeffs[1:].any() else held
     return euler_quotient(fam.exponents, order, ring)
 
 

@@ -2,15 +2,18 @@
 
 One table of closed forms, each an eta product with its exponent map:
 Euler's f_k = (q^k; q^k)_inf (pentagonal support, coefficients +-1),
-Jacobi's f_k^3 and the theta series psi = f_2^2 / f_1 (both on the
-triangular numbers, coefficients (-1)^n (2n+1) and 1).  ``_terms`` gives
-an entry's exponents and coefficients, ``_closed_form`` builds its series
-in q^k, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
-builder.  Then the Frobenius split of an exponent map modulo a prime, the
-Euler-quotient core prod_delta f_delta^{r_delta} that every family,
-identity and certificate expands through, whose step-or-pow rule counts
-terms from ``_terms``, and eta-quotient q-expansions with the leading
-power q^{sum delta r_delta / 24} as leading zeros.
+Jacobi's f_k^3 and the theta series psi = f_2^2 / f_1 and
+psi(-q) = f_1 f_4 / f_2 (on the triangular numbers), and
+phi = f_2^5 / (f_1^2 f_4^2) and phi(-q) = f_1^2 / f_2 (on the squares).
+``_terms`` gives an entry's exponents and coefficients, ``_closed_form``
+builds its series in q^k, and ``euler_product``, ``jacobi_cube`` and
+``psi`` are that builder.  Then the Frobenius split of an exponent map
+modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
+that every family, identity and certificate expands through, whose
+step-or-pow rule counts terms from ``_terms``, the class-first read of
+one residue class mod a prime through a table entry congruent to the
+map (``_progression_class``), and eta-quotient q-expansions with the
+leading power q^{sum delta r_delta / 24} as leading zeros.
 """
 
 from __future__ import annotations
@@ -36,15 +39,20 @@ def _pentagonal(i: int) -> Tuple[int, int]:
     return j * (3 * j - 1) // 2, -1 if j % 2 else 1
 
 
-# The closed forms by public name: the exponent map of the eta product each
-# one is, and its term i as (exponent, coefficient) in q, exponents rising
-# with i.  The entry at k is the same series in q^k.
+# The closed forms by name (the public builder's, where there is one): the
+# exponent map of the eta product each one is, and its term i as (exponent,
+# coefficient) in q, exponents rising with i.  The entry at k is the same
+# series in q^k.
 _CLOSED_FORMS: Dict[str, Tuple[Dict[int, int], Callable[[int], Tuple[int, int]]]] = {
     "euler_product": ({1: 1}, _pentagonal),
     # Jacobi's identity: (-1)^i (2i+1) at i(i+1)/2
     "jacobi_cube": ({1: 3}, lambda i: (i * (i + 1) // 2, (-1) ** i * (2 * i + 1))),
     # Gauss: 1 at each triangular number
     "psi": ({1: -1, 2: 2}, lambda i: (i * (i + 1) // 2, 1)),
+    # the sum of q^(n^2) over all integers n: 1 at 0, 2 at each other square
+    "phi": ({1: -2, 2: 5, 4: -2}, lambda i: (i * i, 2 if i else 1)),
+    "phi(-q)": ({1: 2, 2: -1}, lambda i: (i * i, 2 * (-1) ** i if i else 1)),
+    "psi(-q)": ({1: 1, 2: -1, 4: 1}, lambda i: (i * (i + 1) // 2, (-1) ** (i * (i + 1) // 2))),
 }
 
 
@@ -130,7 +138,8 @@ _STORE_SIZE = 64
 # key -> the longest series built so far for it: (kind, colors, modulus) for
 # a family's series (engine._series_mod), ("f1-inverse", ring) for 1 / f_1,
 # ("colour-step", kind, ring) for the factor from one colour to the next
-# (partitions.generating_series)
+# (partitions.generating_series), ("theta-cofactor", D, ring) for the
+# cofactor of a theta core (_progression_class)
 _store: "OrderedDict[tuple, TruncatedSeries]" = OrderedDict()
 _store_lock = threading.Lock()
 
@@ -225,6 +234,13 @@ def _takes_steps(r: int, delta: int, g: int, order: int) -> bool:
     return steps <= power
 
 
+def _check_order(order: int, ring: Ring) -> None:
+    """Refuse an order above the ceiling of the ring kind; ``euler_quotient`` sets out both."""
+    limit = _MAX_ORDER_MOD if _int64_storage(ring) else _MAX_ORDER_ZZ
+    if order > limit:
+        raise ValueError(f"series order {order} is above the ceiling {limit} over {ring}")
+
+
 def euler_quotient(
     exponents: Mapping[int, int], order: int, ring: Ring
 ) -> TruncatedSeries:
@@ -288,8 +304,9 @@ def euler_quotient(
     expanded by ``pow`` at order ceil(order / delta) and then q -> q^delta
     (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
     raised to |r|.  It comes from the one bounded series store that also
-    holds the families' series and their colour steps (``_stored``; three
-    kinds of key, one LRU bound): under ("f1-inverse", ring) it is built once per ring, by
+    holds the families' series, their colour steps and the cofactors of
+    theta cores (``_stored``; four kinds of key, one LRU bound): under
+    ("f1-inverse", ring) it is built once per ring, by
     ``inverse``, at the longest order any negative factor of the map
     needs, and every shorter request is a read-only cut of it.  This is
     exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to
@@ -305,9 +322,7 @@ def euler_quotient(
     """
     if min(exponents, default=1) < 1:
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
-    limit = _MAX_ORDER_MOD if _int64_storage(ring) else _MAX_ORDER_ZZ
-    if order > limit:
-        raise ValueError(f"series order {order} is above the ceiling {limit} over {ring}")
+    _check_order(order, ring)
     p = ring.modulus
     if p is not None and (p == 2 or is_odd_prime(p)):
         exponents = _frobenius_reduced(exponents, p)
@@ -340,6 +355,69 @@ def euler_quotient(
                 prod = _expand(prod, g // h, n) * _expand(factor, delta // h, n)
         g = h
     return one(ring, order) if prod is None else _expand(prod, g, order)
+
+
+def _theta_core(
+    exponents: Mapping[int, int], p: int
+) -> Optional[Tuple[str, Dict[int, int]]]:
+    """The first closed form C with E == C (mod p) entrywise, and the map (E - C) / p.
+
+    None when no entry of ``_CLOSED_FORMS`` matches.  The match is by the
+    congruence, not by ``frobenius_split``'s balanced part, which misses
+    cores: overcubic c = 6 at p = 7 splits to {1: -2, 2: -2, 4: -2}, yet
+    its map is phi's mod 7.
+    """
+    for name, (core, _) in _CLOSED_FORMS.items():
+        rest = {d: exponents.get(d, 0) - core.get(d, 0) for d in exponents.keys() | core.keys()}
+        if all(r % p == 0 for r in rest.values()):
+            return name, {d: r // p for d, r in rest.items() if r}
+    return None
+
+
+def _progression_class(
+    exponents: Mapping[int, int], r: int, order: int, ring: Ring
+) -> Optional[TruncatedSeries]:
+    """Class r of prod_delta f_delta^{r_delta} modulo p = ring's modulus, by its theta core.
+
+    The result is the series of the quotient's coefficients at p n + r
+    below order, as ``extract_progression(p, r)`` of the quotient to that
+    order would give it: ceil((order - r) / p) terms, 0 <= r < p.
+    It is None, and nothing is built, when p is not a prime (2 included)
+    or the map has no theta core (``_theta_core``).  An order above the
+    ceiling is refused first, as by ``euler_quotient``.
+
+    With a core C the map is E = C + p D, and modulo p, by Frobenius
+    (f_delta^p == f_{delta p}), the quotient is C(q) H(q^p) with
+    H = prod f_delta^{D(delta)}.  So its class r is [C]_r(q) H(q), where
+    [C]_r takes C's terms at exponents p m + r to q^m: a read of the
+    closed form's O(sqrt(order)) terms from ``_terms``.  When [C]_r is
+    zero mod p the class is zero and no H is built; so it is for every
+    admissible class of the paper's theorems, where C is psi or phi and
+    8r + 1, or r, is a nonresidue mod p.  Otherwise H is built by
+    ``euler_quotient`` at ceil(order / p) terms, once for every class,
+    and held in the one series store under ("theta-cofactor", D, ring).
+    """
+    _check_order(order, ring)
+    p = ring.modulus
+    if p is None or not (p == 2 or is_odd_prime(p)):
+        return None
+    core = _theta_core(exponents, p)
+    if core is None:
+        return None
+    name, cofactor = core
+    coeffs = np.zeros(-(-(order - r) // p), dtype=np.int64)
+    for e, c in _terms(name, order):
+        if e % p == r:
+            coeffs[e // p] = c
+    part = TruncatedSeries(ring, coeffs)
+    if not part.coeffs.any():
+        return part
+    h = _stored(
+        ("theta-cofactor", tuple(sorted(cofactor.items())), ring),
+        -(-order // p),
+        lambda n: euler_quotient(cofactor, n, ring),
+    )
+    return part * h.truncate(part.order)
 
 
 def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:

@@ -281,6 +281,8 @@ HUGE = "100000000000"  # 10^11, far above every order ceiling
     ("search", "--cmax", "3", "--primes", "5,7", "--nmax", HUGE),
     ("theorem", "--id", "1.2", "--p", "13", "--nmax", HUGE),
     ("identity", "--id", "chan-a2-3n2", "--order", HUGE),
+    ("verify", "--family", "overcubic", "--colors", "25", "--mod", "13",
+     "--progression", "13", "--residue", "11", "--nmax", HUGE),
 ])
 def test_an_oversized_order_exits_2_at_once(capsys, argv):
     start = time.perf_counter()

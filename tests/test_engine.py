@@ -482,3 +482,112 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
     del maps[:]
     assert search_congruences(6, primes, 8000) == claims
     assert len(maps) == 48 and len(claims) == 20
+
+
+# -- class-first scans through a theta core ----------------------------------
+
+
+@pytest.fixture
+def series_requests(monkeypatch):
+    """An empty series store; the keys _series_mod is asked for are recorded."""
+    requests = []
+    series_mod = engine._series_mod
+
+    def recording(kind, colors, modulus, order):
+        requests.append((kind, colors, modulus))
+        return series_mod(kind, colors, modulus, order)
+
+    monkeypatch.setattr(engine, "_series_mod", recording)
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    return requests
+
+
+def generic_scan(claim, n_max):
+    """The verdict and witness of the claim, read from the family's full series."""
+    values = generating_series(claim.family, n_max + 1, zmod(claim.modulus))
+    values = values.extract_progression(claim.progression, claim.residue)
+    hits = values.support()
+    if hits.size:
+        n = int(hits[0])
+        return REFUTED, (claim.progression * n + claim.residue, values.coefficient(n))
+    return HOLDS, None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("kind", [CUBIC, OVERCUBIC])
+def test_class_first_matches_the_generic_class(series_requests, kind, p):
+    ring = zmod(p)
+    for k in (1, 2, 3):
+        fam = PartitionFamily(kind, k * p - 1)
+        assert qfunctions._theta_core(fam.exponents, p) is not None, fam
+        for order in (1, p, 997):
+            full = generating_series(fam, order, ring)
+            for r in range(p):
+                got = qfunctions._progression_class(fam.exponents, r, order, ring)
+                assert got == full.extract_progression(p, r), (fam, order, r)
+                if r < order:
+                    claim = CongruenceClaim(fam, p, p, r)
+                    result = verify_claim(claim, order - 1)
+                    assert (result.verdict, result.witness) == generic_scan(claim, order - 1)
+    assert series_requests == []
+
+
+@pytest.mark.parametrize("kind, p", [(CUBIC, 7), (OVERCUBIC, 13)])
+def test_class_first_matches_the_generic_class_at_10_5(series_requests, kind, p):
+    fam = PartitionFamily(kind, 2 * p - 1)
+    full = generating_series(fam, 10**5, zmod(p))
+    for r in range(p):
+        got = qfunctions._progression_class(fam.exponents, r, 10**5, zmod(p))
+        assert got == full.extract_progression(p, r), r
+    assert series_requests == []
+
+
+def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
+    def no_call(*args):
+        raise AssertionError("a cofactor was built")
+
+    monkeypatch.setattr(qfunctions, "euler_quotient", no_call)
+    for p in (3, 5, 7, 11, 13):
+        for theorem, ks in (("1.2", (1,)), ("cor-1.3", (1, 2, 3)), ("4.1", (1, 2, 3))):
+            for k in ks:
+                results = verify_theorem_family(theorem, p, k, 4000)
+                assert results and all(r.holds for r in results), (theorem, p, k)
+    assert series_requests == [] and not qfunctions._store
+
+
+def test_every_class_shares_one_stored_cofactor(series_requests):
+    fam = PartitionFamily(OVERCUBIC, 25)
+    for r in range(13):
+        verify_claim(CongruenceClaim(fam, 13, 13, r), 5000)
+    # (E - phi) / 13 = {2: -4, 4: 2}, built once at ceil(5001 / 13)
+    held = {k: s.order for k, s in qfunctions._store.items() if k[0] == "theta-cofactor"}
+    assert held == {("theta-cofactor", ((2, -4), (4, 2)), zmod(13)): 385}
+    assert series_requests == []
+
+
+@pytest.mark.parametrize("claim", [
+    CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4),  # no core mod 7
+    CongruenceClaim(PartitionFamily(CUBIC, 2), 5, 25, 22),  # theorem 1.1, progression 25
+    CongruenceClaim(PartitionFamily(CUBIC, 5), 6, 6, 2),  # composite modulus
+    CongruenceClaim(PartitionFamily(OVERCUBIC, 6), 7, 1, 0),  # progression 1
+])
+def test_claims_without_a_prime_core_stay_generic(series_requests, claim):
+    result = verify_claim(claim, 3000)
+    assert series_requests == [(claim.family.kind, claim.family.colors, claim.modulus)]
+    assert (result.verdict, result.witness) == generic_scan(claim, 3000)
+
+
+def test_theorem_11_stays_generic(series_requests):
+    (result,) = verify_theorem_family("1.1", n_max=2000)
+    assert result.holds and series_requests == [(CUBIC, 2, 5)]
+
+
+def test_class_first_refuses_an_order_above_the_ceiling_first(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("allocated above the ceiling")
+
+    monkeypatch.setattr(qfunctions, "_terms", no_call)
+    monkeypatch.setattr(qfunctions.np, "zeros", no_call)
+    claim = CongruenceClaim(PartitionFamily(OVERCUBIC, 25), 13, 13, 11)
+    with pytest.raises(ValueError, match="series order 10000001 is above the ceiling"):
+        verify_claim(claim, 10**7)

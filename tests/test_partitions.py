@@ -6,6 +6,7 @@ from collections import OrderedDict
 import pytest
 
 from cubicpart import engine, partitions, qfunctions
+from cubicpart import series as series_module
 from cubicpart.partitions import (
     _COLOUR_STEP,
     CUBIC,
@@ -248,3 +249,22 @@ def test_object_storage_never_takes_the_colour_ladder(expanded_maps, m):
             assert generating_series(fam, 200, ring) == euler_quotient(fam.exponents, 200, ring)
             assert expanded_maps == [fam.exponents]
     assert not any(key[0] == "colour-step" for key in qfunctions._store)
+
+
+def test_overcubic_ladder_mod_2_takes_no_product(expanded_maps, monkeypatch):
+    # f_2^2 == f_4 mod 2, so the overcubic step is the series 1 and F_c is F_{c-1}
+    products = []
+    mul_mod = series_module._mul_mod
+
+    def counting(a, b, rl, m):
+        products.append(rl)
+        return mul_mod(a, b, rl, m)
+
+    monkeypatch.setattr(series_module, "_mul_mod", counting)
+    engine._series_mod(OVERCUBIC, 1, 2, 10**4)
+    ladder = [engine._series_mod(OVERCUBIC, c, 2, 10**4) for c in range(2, 13)]
+    assert products == []
+    assert expanded_maps[1:] == [_COLOUR_STEP[OVERCUBIC]]
+    for c, s in enumerate(ladder, 2):
+        fam = PartitionFamily(OVERCUBIC, c)
+        assert s == euler_quotient(fam.exponents, 10**4, zmod(2)), c

@@ -95,6 +95,13 @@ def test_jacobi_cube_is_the_cube_of_the_euler_product(k, order):
             assert qfunctions._closed_form(name, k, order, ring) == dense, name
 
 
+@pytest.mark.parametrize("ring", [ZZ, zmod(2), zmod(3), zmod(7), zmod(13)])
+@pytest.mark.parametrize("name", ["phi", "phi(-q)", "psi(-q)"])
+def test_theta_entries_match_the_quotients_of_their_maps(name, ring):
+    exponents = qfunctions._CLOSED_FORMS[name][0]
+    assert qfunctions._closed_form(name, 1, 2000, ring) == euler_quotient(exponents, 2000, ring)
+
+
 def test_jacobi_cube_terms_and_validation():
     assert jacobi_cube(1, 11, ZZ).coefficients() == [1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9]
     assert jacobi_cube(2, 7, zmod(5)).coefficients() == [1, 0, 2, 0, 0, 0, 0]
