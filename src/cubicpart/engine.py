@@ -3,14 +3,18 @@
 A CongruenceClaim says "count(family, p*n + r) == 0 (mod m) for all n".
 verify_claim checks it for every progression value up to a bound.  When
 the progression is the modulus, a prime p, and the family's map is
-congruent mod p to a closed form C of ``qfunctions`` (psi for cubic
-c = kp - 1, phi for overcubic c = kp - 1), the series is C(q) H(q^p)
-mod p, and the class is read from C's terms times H at about n_max / p
-terms; for every admissible class of the paper's theorems C has no term
-in the class and H is never built.  Every other claim is scanned on the
-family's generating series, expanded in the mod-m ring.  The named
-theorem families instantiate claims from the admissible-residue
-criteria.  prove_isolated reproduces the two Sturm-bound proofs
+congruent mod p to a theta core C of ``qfunctions``, a closed form or a
+product of two closed forms in q^k (psi for cubic c = kp - 1, phi for
+overcubic c = kp - 1, psi(q) f_2^3 for a_3 mod 7), the series is
+C(q) H(q^p) mod p, and the class is [C]_r, read from the closed forms'
+terms (pair by pair for two, summed in int64 under a stated bound),
+times H at up to about n_max / p terms.  For every admissible class of
+the paper's theorems, and for a_3(7n+4) mod 7, [C]_r is zero and H is
+never built; otherwise the class is scanned on prefixes that double in
+length and the scan stops at the first nonzero value.  Every other
+claim is scanned on the family's generating series, expanded in the
+mod-m ring.  The named theorem families instantiate claims from the
+admissible-residue criteria.  prove_isolated reproduces the two Sturm-bound proofs
 (a_3(7n+4) mod 7 and a_5(11n+10) mod 11) and emits a self-contained
 certificate.  search_congruences scans for candidate congruences
 empirically; it never calls anything proven.
@@ -144,10 +148,17 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
     """Scan every progression value <= n_max; report the first violation.
 
     A claim whose progression is its prime modulus p and whose family's
-    map has a theta core mod p (cubic and overcubic c = kp - 1, among
-    others) is scanned class first: the class alone is read from the core
+    map has a theta core mod p, one closed form or a product of two
+    (cubic and overcubic c = kp - 1, a_3 mod 7, among others), is scanned
+    class first: the class alone is read from the core
     (``qfunctions._progression_class``), at about (n_max + 1) / p terms.
-    Every other claim cuts its class from the family's full series.
+    The core's part [C]_r is read whole, pair by pair within the class
+    for two factors, with int64 sums that ``qfunctions._class_read``
+    bounds.  When it is zero the class is zero; otherwise the class is
+    read on prefixes that double in length, and the scan stops at the
+    first prefix with a nonzero value, so a witness at small n costs a
+    cofactor of 256 terms (``qfunctions._FIRST_PREFIX``).  Every other
+    claim cuts its class from the family's full series.
     """
     if n_max < claim.residue:
         raise ValueError(
@@ -155,9 +166,12 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
         )
     values = None
     if claim.progression == claim.modulus:
-        values = _progression_class(
+        prefixes = _progression_class(
             claim.family.exponents, claim.residue, n_max + 1, zmod(claim.modulus)
         )
+        for values in prefixes or ():
+            if values.coeffs.any():
+                break
     if values is None:
         series = _series_mod(
             claim.family.kind, claim.family.colors, claim.modulus, n_max + 1

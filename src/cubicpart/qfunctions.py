@@ -11,18 +11,22 @@ builds its series in q^k, and ``euler_product``, ``jacobi_cube`` and
 modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
 step-or-pow rule counts terms from ``_terms``, the class-first read of
-one residue class mod a prime through a table entry congruent to the
-map (``_progression_class``), and eta-quotient q-expansions with the
-leading power q^{sum delta r_delta / 24} as leading zeros.
+one residue class mod a prime through a theta core congruent to the map
+(``_progression_class``), and eta-quotient q-expansions with the leading
+power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
+table entry, or a product of two, each in q^k (``_theta_core``): mod 7,
+1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14.  Its class is read from the
+entries' terms, for two of them pair by pair within the class, summed
+exactly in int64 under the bound that ``_class_read`` states.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import count, takewhile
+from itertools import chain, combinations_with_replacement, count, takewhile
 from math import gcd
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -357,67 +361,159 @@ def euler_quotient(
     return one(ring, order) if prod is None else _expand(prod, g, order)
 
 
-def _theta_core(
-    exponents: Mapping[int, int], p: int
-) -> Optional[Tuple[str, Dict[int, int]]]:
-    """The first closed form C with E == C (mod p) entrywise, and the map (E - C) / p.
+# a theta core as its factors: (name in _CLOSED_FORMS, k) for the entry in q^k
+_Core = Tuple[Tuple[str, int], ...]
 
-    None when no entry of ``_CLOSED_FORMS`` matches.  The match is by the
-    congruence, not by ``frobenius_split``'s balanced part, which misses
-    cores: overcubic c = 6 at p = 7 splits to {1: -2, 2: -2, 4: -2}, yet
-    its map is phi's mod 7.
+
+def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[Tuple[_Core, Dict[int, int]]]:
+    """The first core C with E == C (mod p) entrywise, and the map (E - C) / p.
+
+    A core is one ``_CLOSED_FORMS`` entry or a product of two, each in
+    q^k for k = 1 or a delta of E (the entry's map delta -> r becomes
+    k delta -> r), given as its factors (name, k).  The single entries at
+    k = 1 are tried first, in the table's order, then the other single
+    entries and then the pairs, so a map that a single entry at k = 1
+    matches keeps that core.  None when no core matches.  The match is by
+    the congruence, not by ``frobenius_split``'s balanced part, which
+    misses cores: overcubic c = 6 at p = 7 splits to {1: -2, 2: -2,
+    4: -2}, yet its map is phi's mod 7.  Cubic c = 3 at p = 7,
+    {1: -1, 2: -2}, is psi(q) f_2^3 + 7 {2: -1}.
     """
-    for name, (core, _) in _CLOSED_FORMS.items():
-        rest = {d: exponents.get(d, 0) - core.get(d, 0) for d in exponents.keys() | core.keys()}
-        if all(r % p == 0 for r in rest.values()):
-            return name, {d: r // p for d, r in rest.items() if r}
+    factors = [(name, k) for k in sorted({1, *exponents}) for name in _CLOSED_FORMS]
+    for core in chain(((f,) for f in factors), combinations_with_replacement(factors, 2)):
+        rest = dict(exponents)
+        for name, k in core:
+            for d, e in _CLOSED_FORMS[name][0].items():
+                rest[k * d] = rest.get(k * d, 0) - e
+        if all(v % p == 0 for v in rest.values()):
+            return core, {d: v // p for d, v in rest.items() if v}
     return None
+
+
+def _residue_terms(
+    name: str, k: int, order: int, p: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the closed form in q^k below order whose coefficient is nonzero mod p < 2^63.
+
+    Three int64 arrays: the exponents, rising; their coefficients, the
+    table's integers, not reduced mod p; and the exponents' residues mod p.
+    """
+    terms = _terms(name, -(-order // k))
+    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=2 * len(terms))
+    e, c = flat.reshape(-1, 2).T
+    keep = c % p != 0
+    e = k * e[keep]
+    return e, c[keep], e % p
+
+
+# the series 1, as _residue_terms gives it: the second factor of a single-entry core
+_UNIT = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+# the most pairs _class_read forms at once
+_PAIR_BLOCK = 1 << 14
+
+
+def _class_read(core: _Core, r: int, order: int, p: int) -> np.ndarray:
+    """[C]_r: the core's coefficients at p m + r below order, at index m, as int64.
+
+    C is one or two factors (``_theta_core``); a single entry is read as
+    the product with the series 1.  For each residue t of the second
+    factor's exponents only the first factor's exponents == r - t
+    (mod p) are paired with them, in blocks of at most _PAIR_BLOCK pairs,
+    and the pairs below order are summed into their exponent by
+    ``np.add.at``.  So all pairs never exist at once: at the 10^7
+    ceiling, psi f_2^3 has about 14 million, and mod 7 the ones of class
+    4 all have a coefficient 2j + 1 == 0 of f_2^3, whose terms are
+    dropped before any pair is formed.
+    The sums are exact in int64.  One exponent takes at most one pair per
+    term of either factor, at most 2 sqrt(N) + 1 terms below N (phi, the
+    densest entry), and each pair is a product of two coefficients of
+    absolute value at most sqrt(8N + 1) (f^3's 2i + 1; the others are at
+    most 2), so every sum is below (2 sqrt(N) + 1)(8N + 1) < 2^39 at
+    N = 10^7.  The result is not reduced mod p.
+    """
+    factors = [_residue_terms(name, k, order, p) for name, k in core] + [_UNIT]
+    (a, ca, ra), (b, cb, rb) = factors[:2]
+    out = np.zeros(-(-(order - r) // p), dtype=np.int64)
+    for t in set(rb.tolist()):
+        first = ra == (r - t) % p
+        if not first.any():
+            continue
+        x, cx = a[first], ca[first]
+        y, cy = b[rb == t, None], cb[rb == t, None]
+        rows = max(1, _PAIR_BLOCK // len(x))
+        for i in range(0, len(y), rows):
+            e = x + y[i:i + rows]
+            keep = e < order
+            np.add.at(out, (e[keep] - r) // p, (cx * cy[i:i + rows])[keep])
+    return out
+
+
+# the length of the first prefix of a class read with its cofactor
+_FIRST_PREFIX = 256
 
 
 def _progression_class(
     exponents: Mapping[int, int], r: int, order: int, ring: Ring
-) -> Optional[TruncatedSeries]:
+) -> Optional[Iterator[TruncatedSeries]]:
     """Class r of prod_delta f_delta^{r_delta} modulo p = ring's modulus, by its theta core.
 
-    The result is the series of the quotient's coefficients at p n + r
+    The class is the series of the quotient's coefficients at p n + r
     below order, as ``extract_progression(p, r)`` of the quotient to that
-    order would give it: ceil((order - r) / p) terms, 0 <= r < p.
-    It is None, and nothing is built, when p is not a prime (2 included)
-    or the map has no theta core (``_theta_core``).  An order above the
-    ceiling is refused first, as by ``euler_quotient``.
+    order would give it: ceil((order - r) / p) terms, 0 <= r < p.  The
+    result is an iterator over prefixes of the class whose lengths double,
+    and the last is the whole class, so a scan may stop at the first
+    nonzero value.  It is None, and nothing is built, when p is not a
+    prime (2 included) below 2^63, the int64 storage that the read of
+    the core sums in, or the map has no theta core (``_theta_core``).
+    An order above the ceiling is refused first, as by ``euler_quotient``.
 
-    With a core C the map is E = C + p D, and modulo p, by Frobenius
-    (f_delta^p == f_{delta p}), the quotient is C(q) H(q^p) with
-    H = prod f_delta^{D(delta)}.  So its class r is [C]_r(q) H(q), where
-    [C]_r takes C's terms at exponents p m + r to q^m: a read of the
-    closed form's O(sqrt(order)) terms from ``_terms``.  When [C]_r is
-    zero mod p the class is zero and no H is built; so it is for every
-    admissible class of the paper's theorems, where C is psi or phi and
-    8r + 1, or r, is a nonresidue mod p.  Otherwise H is built by
-    ``euler_quotient`` at ceil(order / p) terms, once for every class,
-    and held in the one series store under ("theta-cofactor", D, ring).
+    With a core C, one closed form or a product of two, the map is
+    E = C + p D, and modulo p, by Frobenius (f_delta^p == f_{delta p}),
+    the quotient is C(q) H(q^p) with H = prod f_delta^{D(delta)}.  So its
+    class r is [C]_r(q) H(q), where [C]_r takes C's terms at exponents
+    p m + r to q^m: a read of the closed forms' O(sqrt(order)) terms from
+    ``_terms``, and for two factors of their pairs in the class
+    (``_class_read``, which states its int64 bound).  When [C]_r is zero
+    mod p the class is zero, the iterator gives it whole, and no H is
+    built; so it is for every admissible class of the paper's theorems,
+    where C is psi or phi and 8r + 1, or r, is a nonresidue mod p, and
+    for a_3(7n + 4) mod 7, where C is psi(q) f_2^3.  Otherwise the
+    prefixes take _FIRST_PREFIX, then twice as many terms, and so on:
+    each is [C]_r cut to its length times H at that length, held in the
+    one series store under ("theta-cofactor", D, ring), so a longer
+    prefix rebuilds H at most once per doubling and a shorter one cuts it.
     """
     _check_order(order, ring)
     p = ring.modulus
-    if p is None or not (p == 2 or is_odd_prime(p)):
+    if not _int64_storage(ring) or not (p == 2 or is_odd_prime(p)):
         return None
     core = _theta_core(exponents, p)
     if core is None:
         return None
-    name, cofactor = core
-    coeffs = np.zeros(-(-(order - r) // p), dtype=np.int64)
-    for e, c in _terms(name, order):
-        if e % p == r:
-            coeffs[e // p] = c
-    part = TruncatedSeries(ring, coeffs)
+    factors, cofactor = core
+    return _class_prefixes(TruncatedSeries(ring, _class_read(factors, r, order, p)), cofactor)
+
+
+def _class_prefixes(
+    part: TruncatedSeries, cofactor: Dict[int, int]
+) -> Iterator[TruncatedSeries]:
+    """part * H on prefixes of doubling length, H = prod f_delta^{cofactor(delta)}.
+
+    ``_progression_class`` sets out the lengths and the store key.
+    """
     if not part.coeffs.any():
-        return part
-    h = _stored(
-        ("theta-cofactor", tuple(sorted(cofactor.items())), ring),
-        -(-order // p),
-        lambda n: euler_quotient(cofactor, n, ring),
-    )
-    return part * h.truncate(part.order)
+        yield part
+        return
+    ring, n = part.ring, part.order
+    key = ("theta-cofactor", tuple(sorted(cofactor.items())), ring)
+    length = min(_FIRST_PREFIX, n)
+    while True:
+        h = _stored(key, length, lambda m: euler_quotient(cofactor, m, ring))
+        yield part.truncate(length) * h
+        if length == n:
+            return
+        length = min(2 * length, n)
 
 
 def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:

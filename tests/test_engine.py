@@ -513,33 +513,132 @@ def generic_scan(claim, n_max):
     return HOLDS, None
 
 
+def whole_class(exponents, r, order, ring):
+    """The last prefix _progression_class gives: the whole class."""
+    *_, values = qfunctions._progression_class(exponents, r, order, ring)
+    return values
+
+
+def assert_classes_match(fam, p, orders):
+    """Every class of the family read class first equals its cut of the full series,
+    and verify_claim gives the verdict and witness of the full series."""
+    ring = zmod(p)
+    for order in orders:
+        full = generating_series(fam, order, ring)
+        for r in range(p):
+            got = whole_class(fam.exponents, r, order, ring)
+            assert got == full.extract_progression(p, r), (fam, order, r)
+            if r < order:
+                claim = CongruenceClaim(fam, p, p, r)
+                result = verify_claim(claim, order - 1)
+                assert (result.verdict, result.witness) == generic_scan(claim, order - 1)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("kind", [CUBIC, OVERCUBIC])
 def test_class_first_matches_the_generic_class(series_requests, kind, p):
-    ring = zmod(p)
     for k in (1, 2, 3):
         fam = PartitionFamily(kind, k * p - 1)
-        assert qfunctions._theta_core(fam.exponents, p) is not None, fam
-        for order in (1, p, 997):
-            full = generating_series(fam, order, ring)
-            for r in range(p):
-                got = qfunctions._progression_class(fam.exponents, r, order, ring)
-                assert got == full.extract_progression(p, r), (fam, order, r)
-                if r < order:
-                    claim = CongruenceClaim(fam, p, p, r)
-                    result = verify_claim(claim, order - 1)
-                    assert (result.verdict, result.witness) == generic_scan(claim, order - 1)
+        assert len(qfunctions._theta_core(fam.exponents, p)[0]) == 1, fam
+        assert_classes_match(fam, p, (1, p, 997))
+    assert series_requests == []
+
+
+def pair_core_cases():
+    """Every (family, p) with c <= 30 whose first core is a product of two closed forms."""
+    return [
+        (PartitionFamily(kind, c), p)
+        for kind in (CUBIC, OVERCUBIC)
+        for c in range(1, 31)
+        for p in (2, 3, 5, 7, 11, 13)
+        if len((qfunctions._theta_core(PartitionFamily(kind, c).exponents, p) or ((),))[0]) == 2
+    ]
+
+
+def test_pair_cores_of_the_small_families():
+    cases = {(fam.kind, fam.colors, p) for fam, p in pair_core_cases()}
+    assert (CUBIC, 3, 7) in cases and (OVERCUBIC, 5, 7) in cases
+    assert len(cases) == 104
+    # 1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14 (mod 7)
+    assert qfunctions._theta_core({1: -1, 2: -2}, 7) == (
+        (("psi", 1), ("jacobi_cube", 2)), {2: -1}
+    )
+    # a_5(11n+10) mod 11 has no core of one or two factors
+    assert qfunctions._theta_core(PartitionFamily(CUBIC, 5).exponents, 11) is None
+
+
+@pytest.mark.parametrize("fam, p", pair_core_cases(), ids=lambda x: getattr(x, "colors", x))
+def test_pair_cores_match_the_generic_class(series_requests, fam, p):
+    assert_classes_match(fam, p, (1, p, 997))
     assert series_requests == []
 
 
 @pytest.mark.parametrize("kind, p", [(CUBIC, 7), (OVERCUBIC, 13)])
 def test_class_first_matches_the_generic_class_at_10_5(series_requests, kind, p):
-    fam = PartitionFamily(kind, 2 * p - 1)
-    full = generating_series(fam, 10**5, zmod(p))
-    for r in range(p):
-        got = qfunctions._progression_class(fam.exponents, r, 10**5, zmod(p))
-        assert got == full.extract_progression(p, r), r
+    assert_classes_match(PartitionFamily(kind, 2 * p - 1), p, (10**5,))
     assert series_requests == []
+
+
+@pytest.mark.parametrize("kind, c, p", [(CUBIC, 3, 7), (OVERCUBIC, 5, 7)])
+def test_pair_cores_match_the_generic_class_at_10_5(series_requests, kind, c, p):
+    fam = PartitionFamily(kind, c)
+    assert len(qfunctions._theta_core(fam.exponents, p)[0]) == 2
+    assert_classes_match(fam, p, (10**5,))
+    assert series_requests == []
+
+
+@pytest.mark.parametrize("core", [
+    (("jacobi_cube", 1), ("jacobi_cube", 2)),  # the largest coefficients
+    (("phi", 1), ("euler_product", 4)),
+    (("psi(-q)", 2),),
+])
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_class_read_sums_every_pair_in_the_class(core, p):
+    order = 3001
+    terms = [[(k * e, c) for e, c in qfunctions._terms(name, -(-order // k)) if c % p]
+             for name, k in core] + [[(0, 1)]]
+    for r in range(min(p, 9)):
+        want = [0] * -(-(order - r) // p)
+        for a, ca in terms[0]:
+            for b, cb in terms[1]:
+                if a + b < order and (a + b) % p == r:
+                    want[(a + b) // p] += ca * cb
+        assert qfunctions._class_read(core, r, order, p).tolist() == want, r
+
+
+def test_a_class_with_core_terms_stops_at_its_first_witness(series_requests, monkeypatch):
+    orders = []
+    quotient = qfunctions.euler_quotient
+
+    def recording(exponents, order, ring):
+        orders.append(order)
+        return quotient(exponents, order, ring)
+
+    monkeypatch.setattr(qfunctions, "euler_quotient", recording)
+    for claim in [
+        CongruenceClaim(PartitionFamily(OVERCUBIC, 25), 13, 13, 1),
+        CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 3),
+    ]:
+        result = verify_claim(claim, 10**6)
+        e = claim.residue  # the witness is the first value of the class
+        witness = (e, count_direct(claim.family, e) % claim.modulus)
+        assert (result.verdict, result.witness) == (REFUTED, witness)
+    # one cofactor per claim, at the first prefix only
+    assert orders == [qfunctions._FIRST_PREFIX] * 2
+    assert series_requests == []
+
+
+def test_prefixes_double_to_the_whole_class(monkeypatch):
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    fam = PartitionFamily(OVERCUBIC, 25)
+    prefixes = list(qfunctions._progression_class(fam.exponents, 1, 13 * 1000 + 1, zmod(13)))
+    assert [s.order for s in prefixes] == [256, 512, 1000]
+    assert all(s == prefixes[-1].truncate(s.order) for s in prefixes)
+    held = {k: s.order for k, s in qfunctions._store.items() if k[0] == "theta-cofactor"}
+    assert held == {("theta-cofactor", ((2, -4), (4, 2)), zmod(13)): 1000}
+    # a zero class is given whole at once
+    (zero,) = qfunctions._progression_class(fam.exponents, 11, 13 * 1000 + 1, zmod(13))
+    assert zero.order == 1000 and not zero.coeffs.any()
 
 
 def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
@@ -552,6 +651,8 @@ def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
             for k in ks:
                 results = verify_theorem_family(theorem, p, k, 4000)
                 assert results and all(r.holds for r in results), (theorem, p, k)
+    # a_3(7n+4) mod 7: psi(q) f_2^3 has no term in the class
+    assert verify_claim(CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4), 10**6).holds
     assert series_requests == [] and not qfunctions._store
 
 
@@ -559,17 +660,20 @@ def test_every_class_shares_one_stored_cofactor(series_requests):
     fam = PartitionFamily(OVERCUBIC, 25)
     for r in range(13):
         verify_claim(CongruenceClaim(fam, 13, 13, r), 5000)
-    # (E - phi) / 13 = {2: -4, 4: 2}, built once at ceil(5001 / 13)
+        whole_class(fam.exponents, r, 5001, zmod(13))
+    # (E - phi) / 13 = {2: -4, 4: 2}, held at the longest class, ceil(5001 / 13)
     held = {k: s.order for k, s in qfunctions._store.items() if k[0] == "theta-cofactor"}
     assert held == {("theta-cofactor", ((2, -4), (4, 2)), zmod(13)): 385}
     assert series_requests == []
 
 
 @pytest.mark.parametrize("claim", [
-    CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4),  # no core mod 7
+    CongruenceClaim(PartitionFamily(CUBIC, 5), 11, 11, 10),  # no core mod 11
     CongruenceClaim(PartitionFamily(CUBIC, 2), 5, 25, 22),  # theorem 1.1, progression 25
     CongruenceClaim(PartitionFamily(CUBIC, 5), 6, 6, 2),  # composite modulus
     CongruenceClaim(PartitionFamily(OVERCUBIC, 6), 7, 1, 0),  # progression 1
+    # psi is a core mod 2^64 + 13, a prime above the int64 storage the read sums in
+    CongruenceClaim(PartitionFamily(CUBIC, 2**64 + 12), 2**64 + 13, 2**64 + 13, 4),
 ])
 def test_claims_without_a_prime_core_stay_generic(series_requests, claim):
     result = verify_claim(claim, 3000)
@@ -588,6 +692,9 @@ def test_class_first_refuses_an_order_above_the_ceiling_first(monkeypatch):
 
     monkeypatch.setattr(qfunctions, "_terms", no_call)
     monkeypatch.setattr(qfunctions.np, "zeros", no_call)
-    claim = CongruenceClaim(PartitionFamily(OVERCUBIC, 25), 13, 13, 11)
-    with pytest.raises(ValueError, match="series order 10000001 is above the ceiling"):
-        verify_claim(claim, 10**7)
+    for claim in [
+        CongruenceClaim(PartitionFamily(OVERCUBIC, 25), 13, 13, 11),  # one closed form
+        CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4),  # two closed forms
+    ]:
+        with pytest.raises(ValueError, match="series order 10000001 is above the ceiling"):
+            verify_claim(claim, 10**7)
