@@ -14,6 +14,7 @@ coefficients are decimal strings since they outgrow doubles quickly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 # unused by the package; bench/tracer.py wraps this name
@@ -211,7 +212,9 @@ def _add_family(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--colors", type=int, required=True, metavar="C")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="cubicpart",
         description="Partition counts with colored even parts: series, congruences, certificates.",

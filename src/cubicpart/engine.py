@@ -6,12 +6,11 @@ the progression is the modulus, a prime p, and the family's map is
 congruent mod p to a theta core C of ``qfunctions``, a closed form or a
 product of two closed forms in q^k (psi for cubic c = kp - 1, phi for
 overcubic c = kp - 1, psi(q) f_2^3 for a_3 mod 7), the series is
-C(q) H(q^p) mod p, and the class is [C]_r, read from the closed forms'
-terms (pair by pair for two, summed in int64 under a stated bound),
-times H at up to about n_max / p terms.  For every admissible class of
-the paper's theorems, and for a_3(7n+4) mod 7, [C]_r is zero and H is
-never built; otherwise the class is scanned on prefixes that double in
-length and the scan stops at the first nonzero value.  Every other
+C(q) H(q^p) mod p, and the class is [C]_r(q) H(q).  H(0) = 1, so the
+class has the verdict and first witness of [C]_r, read from the closed
+forms' terms (pair by pair for two, summed in int64 under a stated
+bound), and H is never built.  For every admissible class of the
+paper's theorems, and for a_3(7n+4) mod 7, [C]_r is zero.  Every other
 claim is scanned on the family's generating series, expanded in the
 mod-m ring.  The named theorem families instantiate claims from the
 admissible-residue criteria.  prove_isolated reproduces the two Sturm-bound proofs
@@ -23,15 +22,14 @@ The engine runs on the calling thread.  Every mod-m expansion goes
 through one bounded store (``qfunctions._stored``) that keeps the
 longest series built so far for each key, so a scan to a lower bound
 after a higher one costs no build: the shorter series is a view of the
-stored one.  The store holds four kinds of key in one LRU bound: a
+stored one.  The store holds three kinds of key in one LRU bound: a
 family's series under (kind, colors, modulus); 1 / f_1 under
-("f1-inverse", ring), which every family's expansion cuts from; the
+("f1-inverse", ring), which every family's expansion cuts from; and the
 factor from one colour to the next under ("colour-step", kind, ring),
 with which ``generating_series`` builds F_c from a held F_{c-1}, as
-``search`` does for c = 2, 3, ... at each modulus; and the cofactor H of
-a theta core under ("theta-cofactor", map of H, ring), which every class
-of one family shares.  The scans read a progression as a strided view
-and find its nonzero values in one vectorised pass.
+``search`` does for c = 2, 3, ... at each modulus.  The scans read a
+progression as a strided view and find its nonzero values in one
+vectorised pass.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .modform import (
     weight,
 )
 from .partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
-from .qfunctions import _progression_class, _stored, eta_expansion
+from .qfunctions import _core_class, _stored, eta_expansion
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -148,34 +146,25 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
     """Scan every progression value <= n_max; report the first violation.
 
     A claim whose progression is its prime modulus p and whose family's
-    map has a theta core mod p, one closed form or a product of two
-    (cubic and overcubic c = kp - 1, a_3 mod 7, among others), is scanned
-    class first: the class alone is read from the core
-    (``qfunctions._progression_class``), at about (n_max + 1) / p terms.
-    The core's part [C]_r is read whole, pair by pair within the class
-    for two factors, with int64 sums that ``qfunctions._class_read``
-    bounds.  When it is zero the class is zero; otherwise the class is
-    read on prefixes that double in length, and the scan stops at the
-    first prefix with a nonzero value, so a witness at small n costs a
-    cofactor of 256 terms (``qfunctions._FIRST_PREFIX``).  Every other
-    claim cuts its class from the family's full series.
+    map E has a theta core C mod p, one closed form or a product of two
+    (cubic and overcubic c = kp - 1, a_3 mod 7, among others), is read
+    from the core's class [C]_r alone (``qfunctions._core_class``), at
+    about (n_max + 1) / p terms.  With E = C + p D the class is
+    [C]_r(q) H(q), H = prod f_delta^{D(delta)}, and H(0) = 1, so the
+    class is zero up to n_max exactly when [C]_r is, and its first
+    nonzero value is [C]_r's, at the same index.  Every other claim cuts
+    its class from the family's full series.
     """
     if n_max < claim.residue:
         raise ValueError(
             f"n_max {n_max} does not reach the first progression value {claim.residue}"
         )
+    fam = claim.family
     values = None
     if claim.progression == claim.modulus:
-        prefixes = _progression_class(
-            claim.family.exponents, claim.residue, n_max + 1, zmod(claim.modulus)
-        )
-        for values in prefixes or ():
-            if values.coeffs.any():
-                break
+        values = _core_class(fam.exponents, claim.residue, n_max + 1, zmod(claim.modulus))
     if values is None:
-        series = _series_mod(
-            claim.family.kind, claim.family.colors, claim.modulus, n_max + 1
-        )
+        series = _series_mod(fam.kind, fam.colors, claim.modulus, n_max + 1)
         values = series.extract_progression(claim.progression, claim.residue)
     hits = values.support()
     if hits.size:

@@ -12,10 +12,12 @@ modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
 step-or-pow rule counts terms from ``_terms``, the class-first read of
 one residue class mod a prime through a theta core congruent to the map
-(``_progression_class``), and eta-quotient q-expansions with the leading
+(``_core_class``), and eta-quotient q-expansions with the leading
 power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
 table entry, or a product of two, each in q^k (``_theta_core``): mod 7,
-1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14.  Its class is read from the
+1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14.  Mod p the quotient is the
+core times a series in q^p with constant term 1, so each class has the
+verdict and first witness of the core's class, which is read from the
 entries' terms, for two of them pair by pair within the class, summed
 exactly in int64 under the bound that ``_class_read`` states.
 """
@@ -26,7 +28,7 @@ import threading
 from collections import OrderedDict
 from itertools import chain, combinations_with_replacement, count, takewhile
 from math import gcd
-from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -141,9 +143,8 @@ _STORE_SIZE = 64
 
 # key -> the longest series built so far for it: (kind, colors, modulus) for
 # a family's series (engine._series_mod), ("f1-inverse", ring) for 1 / f_1,
-# ("colour-step", kind, ring) for the factor from one colour to the next
-# (partitions.generating_series), ("theta-cofactor", D, ring) for the
-# cofactor of a theta core (_progression_class)
+# and ("colour-step", kind, ring) for the factor from one colour to the next
+# (partitions.generating_series)
 _store: "OrderedDict[tuple, TruncatedSeries]" = OrderedDict()
 _store_lock = threading.Lock()
 
@@ -308,8 +309,8 @@ def euler_quotient(
     expanded by ``pow`` at order ceil(order / delta) and then q -> q^delta
     (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
     raised to |r|.  It comes from the one bounded series store that also
-    holds the families' series, their colour steps and the cofactors of
-    theta cores (``_stored``; four kinds of key, one LRU bound): under
+    holds the families' series and their colour steps (``_stored``; three
+    kinds of key, one LRU bound): under
     ("f1-inverse", ring) it is built once per ring, by
     ``inverse``, at the longest order any negative factor of the map
     needs, and every shorter request is a read-only cut of it.  This is
@@ -365,8 +366,8 @@ def euler_quotient(
 _Core = Tuple[Tuple[str, int], ...]
 
 
-def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[Tuple[_Core, Dict[int, int]]]:
-    """The first core C with E == C (mod p) entrywise, and the map (E - C) / p.
+def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[_Core]:
+    """The first core C with E == C (mod p) entrywise.
 
     A core is one ``_CLOSED_FORMS`` entry or a product of two, each in
     q^k for k = 1 or a delta of E (the entry's map delta -> r becomes
@@ -386,7 +387,7 @@ def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[Tuple[_Core, D
             for d, e in _CLOSED_FORMS[name][0].items():
                 rest[k * d] = rest.get(k * d, 0) - e
         if all(v % p == 0 for v in rest.values()):
-            return core, {d: v // p for d, v in rest.items() if v}
+            return core
     return None
 
 
@@ -449,40 +450,28 @@ def _class_read(core: _Core, r: int, order: int, p: int) -> np.ndarray:
     return out
 
 
-# the length of the first prefix of a class read with its cofactor
-_FIRST_PREFIX = 256
-
-
-def _progression_class(
+def _core_class(
     exponents: Mapping[int, int], r: int, order: int, ring: Ring
-) -> Optional[Iterator[TruncatedSeries]]:
-    """Class r of prod_delta f_delta^{r_delta} modulo p = ring's modulus, by its theta core.
+) -> Optional[TruncatedSeries]:
+    """[C]_r: class r of the map's theta core C mod p = ring's modulus, or None.
 
-    The class is the series of the quotient's coefficients at p n + r
-    below order, as ``extract_progression(p, r)`` of the quotient to that
-    order would give it: ceil((order - r) / p) terms, 0 <= r < p.  The
-    result is an iterator over prefixes of the class whose lengths double,
-    and the last is the whole class, so a scan may stop at the first
-    nonzero value.  It is None, and nothing is built, when p is not a
-    prime (2 included) below 2^63, the int64 storage that the read of
-    the core sums in, or the map has no theta core (``_theta_core``).
-    An order above the ceiling is refused first, as by ``euler_quotient``.
+    [C]_r takes C's terms at exponents p m + r below order to q^m, at
+    ceil((order - r) / p) terms, 0 <= r < p, read from the closed forms'
+    O(sqrt(order)) terms (``_class_read``, which states its int64 bound).
+    None, with nothing built, when p is not a prime (2 included) below
+    2^63, the int64 storage the read sums in, or the map has no theta
+    core (``_theta_core``).  An order above the ceiling is refused first,
+    as by ``euler_quotient``.
 
-    With a core C, one closed form or a product of two, the map is
-    E = C + p D, and modulo p, by Frobenius (f_delta^p == f_{delta p}),
-    the quotient is C(q) H(q^p) with H = prod f_delta^{D(delta)}.  So its
-    class r is [C]_r(q) H(q), where [C]_r takes C's terms at exponents
-    p m + r to q^m: a read of the closed forms' O(sqrt(order)) terms from
-    ``_terms``, and for two factors of their pairs in the class
-    (``_class_read``, which states its int64 bound).  When [C]_r is zero
-    mod p the class is zero, the iterator gives it whole, and no H is
-    built; so it is for every admissible class of the paper's theorems,
-    where C is psi or phi and 8r + 1, or r, is a nonresidue mod p, and
-    for a_3(7n + 4) mod 7, where C is psi(q) f_2^3.  Otherwise the
-    prefixes take _FIRST_PREFIX, then twice as many terms, and so on:
-    each is [C]_r cut to its length times H at that length, held in the
-    one series store under ("theta-cofactor", D, ring), so a longer
-    prefix rebuilds H at most once per doubling and a shorter one cuts it.
+    The map is E = C + p D, so mod p, by Frobenius (f_delta^p ==
+    f_{delta p}), the quotient is C(q) H(q^p) with H =
+    prod f_delta^{D(delta)}, and its class r is [C]_r(q) H(q).  H is a
+    product of Euler products, so H(0) = 1: below any bound the class is
+    zero exactly when [C]_r is, and its first nonzero value is [C]_r's,
+    at the same index.  So [C]_r gives the class's verdict and first
+    witness, and H is never built.  [C]_r is zero for every admissible
+    class of the paper's theorems (C is psi or phi, and 8r + 1, or r, is
+    a nonresidue mod p) and for a_3(7n + 4) mod 7 (C is psi(q) f_2^3).
     """
     _check_order(order, ring)
     p = ring.modulus
@@ -491,29 +480,7 @@ def _progression_class(
     core = _theta_core(exponents, p)
     if core is None:
         return None
-    factors, cofactor = core
-    return _class_prefixes(TruncatedSeries(ring, _class_read(factors, r, order, p)), cofactor)
-
-
-def _class_prefixes(
-    part: TruncatedSeries, cofactor: Dict[int, int]
-) -> Iterator[TruncatedSeries]:
-    """part * H on prefixes of doubling length, H = prod f_delta^{cofactor(delta)}.
-
-    ``_progression_class`` sets out the lengths and the store key.
-    """
-    if not part.coeffs.any():
-        yield part
-        return
-    ring, n = part.ring, part.order
-    key = ("theta-cofactor", tuple(sorted(cofactor.items())), ring)
-    length = min(_FIRST_PREFIX, n)
-    while True:
-        h = _stored(key, length, lambda m: euler_quotient(cofactor, m, ring))
-        yield part.truncate(length) * h
-        if length == n:
-            return
-        length = min(2 * length, n)
+    return TruncatedSeries(ring, _class_read(core, r, order, p))
 
 
 def eta_expansion(eq: EtaQuotient, order: int, ring: Ring) -> TruncatedSeries:

@@ -263,6 +263,28 @@ def test_identity_exit_codes(capsys):
     assert code == 0 and json.loads(out)["equal"] is True
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    verify = ("verify", "--family", "cubic", "--colors", "3", "--mod", "7",
+              "--progression", "7", "--residue", "4", "--nmax", "400")
+    argvs = [
+        ("--json", *verify),
+        (*verify, "--json"),
+        verify,
+        ("--threads", "2", *verify),
+        (*verify, "--threads", "2", "--json"),
+        ("--json", "count", "--family", "overcubic", "--colors", "2", "3"),
+        ("count", "--family", "overcubic", "--colors", "2", "3", "--json", "--threads", "3"),
+    ]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert fresh[0] == fresh[1] != fresh[2]
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs * 2] == fresh * 2
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_threads_validation():
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "0", "count", "--family", "cubic", "--colors", "1", "1"])

@@ -514,9 +514,16 @@ def generic_scan(claim, n_max):
 
 
 def whole_class(exponents, r, order, ring):
-    """The last prefix _progression_class gives: the whole class."""
-    *_, values = qfunctions._progression_class(exponents, r, order, ring)
-    return values
+    """Class r of the quotient mod p: [C]_r times H = prod f_delta^D(delta), D = (E - C) / p."""
+    p = ring.modulus
+    rest = dict(exponents)
+    for name, k in qfunctions._theta_core(exponents, p):
+        for d, e in qfunctions._CLOSED_FORMS[name][0].items():
+            rest[k * d] = rest.get(k * d, 0) - e
+    assert all(v % p == 0 for v in rest.values()), (exponents, p, rest)
+    cofactor = {d: v // p for d, v in rest.items() if v}
+    part = qfunctions._core_class(exponents, r, order, ring)
+    return part * qfunctions.euler_quotient(cofactor, part.order, ring)
 
 
 def assert_classes_match(fam, p, orders):
@@ -539,7 +546,7 @@ def assert_classes_match(fam, p, orders):
 def test_class_first_matches_the_generic_class(series_requests, kind, p):
     for k in (1, 2, 3):
         fam = PartitionFamily(kind, k * p - 1)
-        assert len(qfunctions._theta_core(fam.exponents, p)[0]) == 1, fam
+        assert len(qfunctions._theta_core(fam.exponents, p)) == 1, fam
         assert_classes_match(fam, p, (1, p, 997))
     assert series_requests == []
 
@@ -551,7 +558,7 @@ def pair_core_cases():
         for kind in (CUBIC, OVERCUBIC)
         for c in range(1, 31)
         for p in (2, 3, 5, 7, 11, 13)
-        if len((qfunctions._theta_core(PartitionFamily(kind, c).exponents, p) or ((),))[0]) == 2
+        if len(qfunctions._theta_core(PartitionFamily(kind, c).exponents, p) or ()) == 2
     ]
 
 
@@ -560,9 +567,7 @@ def test_pair_cores_of_the_small_families():
     assert (CUBIC, 3, 7) in cases and (OVERCUBIC, 5, 7) in cases
     assert len(cases) == 104
     # 1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14 (mod 7)
-    assert qfunctions._theta_core({1: -1, 2: -2}, 7) == (
-        (("psi", 1), ("jacobi_cube", 2)), {2: -1}
-    )
+    assert qfunctions._theta_core({1: -1, 2: -2}, 7) == (("psi", 1), ("jacobi_cube", 2))
     # a_5(11n+10) mod 11 has no core of one or two factors
     assert qfunctions._theta_core(PartitionFamily(CUBIC, 5).exponents, 11) is None
 
@@ -582,7 +587,7 @@ def test_class_first_matches_the_generic_class_at_10_5(series_requests, kind, p)
 @pytest.mark.parametrize("kind, c, p", [(CUBIC, 3, 7), (OVERCUBIC, 5, 7)])
 def test_pair_cores_match_the_generic_class_at_10_5(series_requests, kind, c, p):
     fam = PartitionFamily(kind, c)
-    assert len(qfunctions._theta_core(fam.exponents, p)[0]) == 2
+    assert len(qfunctions._theta_core(fam.exponents, p)) == 2
     assert_classes_match(fam, p, (10**5,))
     assert series_requests == []
 
@@ -606,41 +611,6 @@ def test_class_read_sums_every_pair_in_the_class(core, p):
         assert qfunctions._class_read(core, r, order, p).tolist() == want, r
 
 
-def test_a_class_with_core_terms_stops_at_its_first_witness(series_requests, monkeypatch):
-    orders = []
-    quotient = qfunctions.euler_quotient
-
-    def recording(exponents, order, ring):
-        orders.append(order)
-        return quotient(exponents, order, ring)
-
-    monkeypatch.setattr(qfunctions, "euler_quotient", recording)
-    for claim in [
-        CongruenceClaim(PartitionFamily(OVERCUBIC, 25), 13, 13, 1),
-        CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 3),
-    ]:
-        result = verify_claim(claim, 10**6)
-        e = claim.residue  # the witness is the first value of the class
-        witness = (e, count_direct(claim.family, e) % claim.modulus)
-        assert (result.verdict, result.witness) == (REFUTED, witness)
-    # one cofactor per claim, at the first prefix only
-    assert orders == [qfunctions._FIRST_PREFIX] * 2
-    assert series_requests == []
-
-
-def test_prefixes_double_to_the_whole_class(monkeypatch):
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
-    fam = PartitionFamily(OVERCUBIC, 25)
-    prefixes = list(qfunctions._progression_class(fam.exponents, 1, 13 * 1000 + 1, zmod(13)))
-    assert [s.order for s in prefixes] == [256, 512, 1000]
-    assert all(s == prefixes[-1].truncate(s.order) for s in prefixes)
-    held = {k: s.order for k, s in qfunctions._store.items() if k[0] == "theta-cofactor"}
-    assert held == {("theta-cofactor", ((2, -4), (4, 2)), zmod(13)): 1000}
-    # a zero class is given whole at once
-    (zero,) = qfunctions._progression_class(fam.exponents, 11, 13 * 1000 + 1, zmod(13))
-    assert zero.order == 1000 and not zero.coeffs.any()
-
-
 def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
     def no_call(*args):
         raise AssertionError("a cofactor was built")
@@ -656,15 +626,39 @@ def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
     assert series_requests == [] and not qfunctions._store
 
 
-def test_every_class_shares_one_stored_cofactor(series_requests):
-    fam = PartitionFamily(OVERCUBIC, 25)
-    for r in range(13):
-        verify_claim(CongruenceClaim(fam, 13, 13, r), 5000)
-        whole_class(fam.exponents, r, 5001, zmod(13))
-    # (E - phi) / 13 = {2: -4, 4: 2}, held at the longest class, ceil(5001 / 13)
-    held = {k: s.order for k, s in qfunctions._store.items() if k[0] == "theta-cofactor"}
-    assert held == {("theta-cofactor", ((2, -4), (4, 2)), zmod(13)): 385}
-    assert series_requests == []
+def core_claims():
+    """Every claim of a family with c <= 30 at its progression p <= 13 whose map has a core."""
+    return [
+        CongruenceClaim(fam, p, p, r)
+        for kind in (CUBIC, OVERCUBIC)
+        for fam in (PartitionFamily(kind, c) for c in range(1, 31))
+        for p in (2, 3, 5, 7, 11, 13)
+        if qfunctions._theta_core(fam.exponents, p) is not None
+        for r in range(p)
+    ]
+
+
+def test_class_first_claims_build_no_series(monkeypatch):
+    claims = core_claims()
+    want = [generic_scan(claim, 996) for claim in claims]
+    assert len(want) == 846 and sum(verdict == HOLDS for verdict, _ in want) == 159
+
+    def no_call(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    for module, name in [
+        (qfunctions, "euler_quotient"),
+        (partitions, "euler_quotient"),
+        (qfunctions, "_stored"),
+        (engine, "_stored"),
+        (engine, "_series_mod"),
+    ]:
+        monkeypatch.setattr(module, name, no_call)
+    # holding and refuted classes alike: a refuted one has its witness from [C]_r
+    results = [verify_claim(claim, 996) for claim in claims]
+    assert [(r.verdict, r.witness) for r in results] == want
+    assert not qfunctions._store
 
 
 @pytest.mark.parametrize("claim", [
