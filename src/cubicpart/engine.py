@@ -16,7 +16,10 @@ mod-m ring.  The named theorem families instantiate claims from the
 admissible-residue criteria.  prove_isolated reproduces the two Sturm-bound proofs
 (a_3(7n+4) mod 7 and a_5(11n+10) mod 11) and emits a self-contained
 certificate.  search_congruences scans for candidate congruences
-empirically; it never calls anything proven.
+empirically; it never calls anything proven.  It reads each series
+first on a short prefix, where almost every class meets a nonzero
+value, and passes only the classes the prefix leaves open to
+verify_claim.
 
 The engine runs on the calling thread.  Every mod-m expansion goes
 through one bounded store (``qfunctions._stored``) that keeps the
@@ -27,9 +30,9 @@ family's series under (kind, colors, modulus); 1 / f_1 under
 ("f1-inverse", ring), which every family's expansion cuts from; and the
 factor from one colour to the next under ("colour-step", kind, ring),
 with which ``generating_series`` builds F_c from a held F_{c-1}, as
-``search`` does for c = 2, 3, ... at each modulus.  The scans read a
-progression as a strided view and find its nonzero values in one
-vectorised pass.
+``search`` does for its prefixes of c = 2, 3, ... at each modulus.  The
+scans read a progression as a strided view and find its nonzero values
+in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .modform import (
     weight,
 )
 from .partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
-from .qfunctions import _core_class, _stored, eta_expansion
+from .qfunctions import _check_order, _core_class, _stored, eta_expansion
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -409,6 +412,9 @@ def prove_isolated(which: str) -> SturmCertificate:
 
 # -- empirical search ------------------------------------------------------
 
+# search scans each series first on its _PREFIX p leading terms
+_PREFIX = 16
+
 
 def search_congruences(
     c_max: int,
@@ -421,6 +427,15 @@ def search_congruences(
     A claim is emitted iff every progression value <= n_max vanished and
     at least min_confirmations (>= 1) values were seen.  Emitted claims
     are empirical observations, not theorems.
+
+    Each (kind, c, p) series is built from the store at min(n_max + 1,
+    _PREFIX p) terms, on the colour ladder of ``generating_series``.  A
+    class with a nonzero value there is refuted: the value lies at an
+    exponent <= n_max, so the full scan would refute it too.  Every other
+    class goes to ``verify_claim`` to n_max, which reads it class first
+    where the map has a theta core mod a prime p and cuts it from the
+    full series otherwise, and its claim is emitted iff it holds.  So the
+    claims are those of a scan of every full series, whatever _PREFIX is.
     """
     ps = sorted(set(primes))
     if c_max < 1:
@@ -435,17 +450,21 @@ def search_congruences(
             raise ValueError(
                 f"n_max {n_max} cannot give {min_confirmations} confirmations at p = {p}"
             )
+    # the full scan's order, refused as its first build would, though no class may reach it
+    for p in ps:
+        _check_order(n_max + 1, zmod(p))
 
     results: List[CongruenceClaim] = []
     for kind in (CUBIC, OVERCUBIC):
         for c in range(1, c_max + 1):
             for p in ps:
-                series = _series_mod(kind, c, p, n_max + 1)
-                # the nonzero values seen in each residue class
-                seen = np.bincount(series.support() % p, minlength=p)
-                for r in range(p):
-                    if not seen[r]:
-                        results.append(CongruenceClaim(PartitionFamily(kind, c), p, p, r))
+                prefix = _series_mod(kind, c, p, min(n_max + 1, _PREFIX * p))
+                # the nonzero values seen in each residue class of the prefix
+                seen = np.bincount(prefix.support() % p, minlength=p)
+                for r in np.flatnonzero(seen == 0):
+                    claim = CongruenceClaim(PartitionFamily(kind, c), p, p, int(r))
+                    if verify_claim(claim, n_max).holds:
+                        results.append(claim)
     results.sort(
         key=lambda cl: (cl.family.kind, cl.family.colors, cl.progression, cl.residue)
     )

@@ -256,9 +256,10 @@ def euler_quotient(
     is allocated; every family, identity and certificate expansion, and
     so every CLI command, passes this check.  On int64 storage (mod
     m <= 2^63) the ceiling is _MAX_ORDER_MOD = 10^7 terms, set by memory:
-    at 10^6 terms mod 7 and 13 the ``verify``, ``theorem`` and ``search``
-    scans peak at about 85 bytes a term above the interpreter's 29 MB,
-    and so does ``series``, which prints its text and its ``--json``
+    at 10^6 terms mod 7 and 13 a scan of the full series (``verify``,
+    ``theorem``, and ``search`` for a class its prefix leaves open and no
+    core reads) peaks at about 85 bytes a term above the interpreter's
+    29 MB, and so does ``series``, which prints its text and its ``--json``
     array in slices (linear from 10^6 to 4*10^6), so about 0.9 GB at the
     ceiling.  On object storage, over ZZ and mod m > 2^63, it is
     _MAX_ORDER_ZZ = 10^6, set by time: ``count`` for cubic c = 2 took

@@ -305,6 +305,7 @@ HUGE = "100000000000"  # 10^11, far above every order ceiling
     ("identity", "--id", "chan-a2-3n2", "--order", HUGE),
     ("verify", "--family", "overcubic", "--colors", "25", "--mod", "13",
      "--progression", "13", "--residue", "11", "--nmax", HUGE),
+    ("search", "--cmax", "1", "--primes", "3", "--nmax", HUGE),  # no class survives its prefix
 ])
 def test_an_oversized_order_exits_2_at_once(capsys, argv):
     start = time.perf_counter()

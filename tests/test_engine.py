@@ -326,6 +326,57 @@ def test_scans_match_a_coefficient_loop():
     assert found == expected and expected
 
 
+def full_series_scan(c_max, moduli, n_max, prefix):
+    """The claims of a scan of every (kind, c, p) series to n_max + 1 terms,
+    and the claims whose class has no nonzero value in the first prefix p terms."""
+    claims, unrefuted = [], []
+    for kind in (CUBIC, OVERCUBIC):
+        for c in range(1, c_max + 1):
+            for p in sorted(moduli):
+                support = engine._series_mod(kind, c, p, n_max + 1).support()
+                seen = np.bincount(support % p, minlength=p)
+                early = np.bincount(support[support < prefix * p] % p, minlength=p)
+                for r in range(p):
+                    claim = CongruenceClaim(PartitionFamily(kind, c), p, p, r)
+                    if not seen[r]:
+                        claims.append(claim)
+                    if not early[r]:
+                        unrefuted.append(claim)
+    return claims, unrefuted
+
+
+@pytest.mark.parametrize("prefix", [engine._PREFIX, 1], ids=["default-prefix", "prefix-1"])
+@pytest.mark.parametrize(
+    "c_max, moduli, n_max, min_conf",
+    [
+        (12, [2, 3, 4, 6, 9], 3000, 10),
+        (30, [5, 7, 11, 13, 17], 2000, 10),
+        # n_max = p K - 1: each class mod 9 has exactly K = 10 values
+        (10, [2, 3, 4, 6, 9], 89, 10),
+        (8, [2, 3, 5, 6, 7, 13], 12, 1),
+        # the latest first witnesses of c <= 30, p <= 17: abar_22(12n+5) at 65, a_19(10n+2) at 52
+        (26, [10, 12, 15], 1000, 10),
+    ],
+    ids=["composite-moduli", "cmax-30", "n_max-9K-1", "one-confirmation", "late-witnesses"],
+)
+def test_search_matches_the_full_series_scan(monkeypatch, prefix, c_max, moduli, n_max, min_conf):
+    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    expected, unrefuted = full_series_scan(c_max, moduli, n_max, prefix)
+    qfunctions._store.clear()
+    monkeypatch.setattr(engine, "_PREFIX", prefix)
+    verified = []
+    verify = engine.verify_claim
+
+    def recording(claim, n):
+        verified.append(claim)
+        return verify(claim, n)
+
+    monkeypatch.setattr(engine, "verify_claim", recording)
+    assert search_congruences(c_max, moduli, n_max, min_conf) == expected
+    # only the classes with no nonzero value in the prefix reach verify_claim
+    assert verified == unrefuted
+
+
 def test_search_validates_bounds():
     with pytest.raises(ValueError):
         search_congruences(2, {5}, 40, min_confirmations=10)
@@ -335,6 +386,10 @@ def test_search_validates_bounds():
         search_congruences(2, {1}, 500)
     with pytest.raises(ValueError):
         search_congruences(1, {13}, 10, min_confirmations=0)
+    # every class mod 3 is refuted on its prefix, yet the order is refused over ZZ/3,
+    # the first modulus, as the full scan refused it, not over ZZ/5 by verify_claim
+    with pytest.raises(ValueError, match=r"^series order 100000000001 .* over ZZ/3$"):
+        search_congruences(1, {5, 3}, 10**11)
 
 
 def test_search_needs_n_max_of_p_k_minus_1():
@@ -459,29 +514,54 @@ def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
     assert qfunctions._store[(CUBIC, 1, 101)] is long
 
 
+def needs_full_series(kind, c, p):
+    """True when verify_claim cuts the classes mod p from the full series:
+    p is not a prime, or the family's map has no theta core mod p."""
+    return qfunctions._core_class(PartitionFamily(kind, c).exponents, 0, 1, zmod(p)) is None
+
+
 def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeypatch):
     maps = []
     quotient = partitions.euler_quotient
 
     def counting(exponents, order, ring):
-        maps.append(dict(exponents))
+        maps.append((dict(exponents), order, ring.modulus))
         return quotient(exponents, order, ring)
 
     monkeypatch.setattr(partitions, "euler_quotient", counting)
-    primes = [3, 5, 7, 11]
-    claims = search_congruences(6, primes, 8000)
-    assert len(counted_builds) == 48
-    # one c = 1 build and one step per kind and modulus
-    assert len(maps) == 16
-    assert len([m for m in maps if m in partitions._COLOUR_STEP.values()]) == 8
-    # 48 series, 4 inverses of f_1 and 8 steps
-    assert len(qfunctions._store) == 60
-    # every series built directly from its own map gives the same claims
-    monkeypatch.setattr(partitions, "_held", lambda key, order: None)
-    qfunctions._store.clear()
-    del maps[:]
-    assert search_congruences(6, primes, 8000) == claims
-    assert len(maps) == 48 and len(claims) == 20
+    # the benchmark's search grid, then p = 2 and composite moduli
+    grids = ((6, [3, 5, 7, 11], 8000, 20), (12, [2, 3, 4, 6, 9], 3000, 56))
+    for c_max, moduli, n_max, found in grids:
+        qfunctions._store.clear()
+        del counted_builds[:], maps[:]
+        claims = search_congruences(c_max, moduli, n_max)
+        assert len(claims) == found
+        prefix = {p: min(n_max + 1, engine._PREFIX * p) for p in moduli}
+        triples = [
+            (kind, c, p) for kind in (CUBIC, OVERCUBIC) for c in range(1, c_max + 1) for p in moduli
+        ]
+        survivors = {(cl.family.kind, cl.family.colors, cl.modulus) for cl in claims}
+        full = [t for t in triples if t in survivors and needs_full_series(*t)]
+        assert full  # cubic c = 1 and 5 mod 11 have no core; 4, 6 and 9 are composite
+        # every triple at its prefix order, and the full order only for a
+        # surviving triple whose classes verify_claim cuts from the full series
+        assert sorted(counted_builds) == sorted(
+            [(*t, prefix[t[2]]) for t in triples] + [(*t, n_max + 1) for t in full]
+        )
+        # at the prefix order, one c = 1 build and one colour step per kind and modulus
+        assert sorted((sorted(e.items()), p) for e, n, p in maps if n == prefix[p]) == sorted(
+            (sorted(e.items()), p)
+            for kind in (CUBIC, OVERCUBIC)
+            for e in (PartitionFamily(kind, 1).exponents, partitions._COLOUR_STEP[kind])
+            for p in moduli
+        )
+        # every series built directly from its own map gives the same claims
+        with monkeypatch.context() as direct:
+            direct.setattr(partitions, "_held", lambda key, order: None)
+            qfunctions._store.clear()
+            del maps[:]
+            assert search_congruences(c_max, moduli, n_max) == claims
+            assert len(maps) == len(triples) + len(full)
 
 
 # -- class-first scans through a theta core ----------------------------------

@@ -516,7 +516,11 @@ def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
     monkeypatch.setattr(series_module, "_inverse_newton", counting_newton)
     monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     assert cli.main(["search", "--cmax", "6", "--primes", "3,5,7,11", "--nmax", "8000"]) == 0
-    assert sorted(calls) == [(8001, 3), (8001, 5), (8001, 7), (8001, 11)]
+    # one inverse per modulus at the prefix order every search series is
+    # built at; cubic c = 1 and 5 mod 11 survive with no theta core, so
+    # verify_claim builds their full series, and mod 11 one more at 8001
+    prefixes = [(engine._PREFIX * p, p) for p in (3, 5, 7, 11)]
+    assert sorted(calls) == sorted(prefixes + [(8001, 11)])
 
 
 # -- eta expansions ----------------------------------------------------------
