@@ -10,7 +10,7 @@ itself a nonresidue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 __all__ = [
     "is_odd_prime",
@@ -56,11 +56,16 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"{p} is not an odd prime")
 
 
+def _euler_criterion(a: int, p: int) -> int:
+    """(a|p) as a^((p-1)/2) mod p, p an odd prime that the caller has checked."""
+    e = pow(a % p, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) by Euler's criterion, p an odd prime."""
     _require_odd_prime(p)
-    e = pow(a % p, (p - 1) // 2, p)
-    return -1 if e == p - 1 else e
+    return _euler_criterion(a, p)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -114,19 +119,23 @@ class ResidueClassReport:
     justification: Dict[int, int]
 
 
+def _symbols(p: int, family: str, start: int = 1) -> Iterator[Tuple[int, int]]:
+    """(r, the symbol of the family's criterion at r) for r = start, ..., p - 1, as
+    drawn; p and the family are checked once, at the first draw, not per symbol."""
+    _require_odd_prime(p)
+    criterion = {"cubic": lambda r: 8 * r + 1, "overcubic": lambda r: r}.get(family)
+    if criterion is None:
+        raise ValueError(f"unknown family {family!r}")
+    for r in range(max(start, 1), p):
+        yield r, _euler_criterion(criterion(r), p)
+
+
 def admissible_residues(p: int, family: str) -> ResidueClassReport:
     """Residues r in [1, p-1] passing the family's nonresidue criterion.
 
     An r with criterion value 0 mod p is rejected: zero is a square, so
     the obstruction argument has no force there.
     """
-    _require_odd_prime(p)
-    if family == "cubic":
-        criterion = lambda r: 8 * r + 1
-    elif family == "overcubic":
-        criterion = lambda r: r
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    justification = {r: legendre(criterion(r), p) for r in range(1, p)}
+    justification = dict(_symbols(p, family))
     admissible = frozenset(r for r, sym in justification.items() if sym == -1)
     return ResidueClassReport(p, family, admissible, justification)

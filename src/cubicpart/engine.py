@@ -1,38 +1,30 @@
 """Congruence claims, numerical verification, certificates, and search.
 
 A CongruenceClaim says "count(family, p*n + r) == 0 (mod m) for all n".
-verify_claim checks it for every progression value up to a bound.  When
-the progression is the modulus, a prime p, and the family's map is
-congruent mod p to a theta core C of ``qfunctions``, a closed form or a
-product of two closed forms in q^k (psi for cubic c = kp - 1, phi for
-overcubic c = kp - 1, psi(q) f_2^3 for a_3 mod 7), the series is
-C(q) H(q^p) mod p, and the class is [C]_r(q) H(q).  H(0) = 1, so the
-class has the verdict and first witness of [C]_r, read from the closed
-forms' terms (pair by pair for two, summed in int64 under a stated
-bound), and H is never built.  For every admissible class of the
-paper's theorems, and for a_3(7n+4) mod 7, [C]_r is zero.  Every other
-claim is scanned on the family's generating series, expanded in the
-mod-m ring.  The named theorem families instantiate claims from the
-admissible-residue criteria.  prove_isolated reproduces the two Sturm-bound proofs
-(a_3(7n+4) mod 7 and a_5(11n+10) mod 11) and emits a self-contained
-certificate.  search_congruences scans for candidate congruences
-empirically; it never calls anything proven.  It reads each series
-first on a short prefix, where almost every class meets a nonzero
-value, and passes only the classes the prefix leaves open to
-verify_claim.
+verify_claim checks it for every progression value up to a bound: mod a
+prime p at which the family's map has a theta core C, the class is read
+from [C]_r alone (``qfunctions._core_class``), and every other claim is
+scanned on the family's generating series mod m.  The named theorem
+families instantiate claims from the admissible-residue criteria.
+prove_isolated reproduces the two Sturm-bound proofs (a_3(7n+4) mod 7
+and a_5(11n+10) mod 11) and emits a self-contained certificate.
+search_congruences scans for candidate congruences empirically; it
+never calls anything proven.  It reads the colours of each modulus on a
+short prefix, where almost every class meets a nonzero value, and
+passes only the classes the prefix leaves open to verify_claim; mod a
+prime p a class's verdict depends on c mod p alone, so the colours
+above p copy the claims of c - p.
 
 The engine runs on the calling thread.  Every mod-m expansion goes
 through one bounded store (``qfunctions._stored``) that keeps the
 longest series built so far for each key, so a scan to a lower bound
 after a higher one costs no build: the shorter series is a view of the
-stored one.  The store holds three kinds of key in one LRU bound: a
-family's series under (kind, colors, modulus); 1 / f_1 under
-("f1-inverse", ring), which every family's expansion cuts from; and the
-factor from one colour to the next under ("colour-step", kind, ring),
-with which ``generating_series`` builds F_c from a held F_{c-1}, as
-``search`` does for its prefixes of c = 2, 3, ... at each modulus.  The
-scans read a progression as a strided view and find its nonzero values
-in one vectorised pass.
+stored one.  The store holds two kinds of key in one LRU bound: a
+family's series under (kind, colors, modulus), and 1 / f_1 under
+("f1-inverse", ring), which every family's expansion cuts from.  Colour
+reuse lives in ``search_congruences`` alone, on prefixes the store never
+holds.  The scans read a progression as a strided view and find its
+nonzero values in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .arith import admissible_residues
+from .arith import _is_prime, _symbols, admissible_residues
 from .modform import (
     CharacterDescriptor,
     CuspOrderTable,
@@ -55,8 +47,10 @@ from .modform import (
     sturm_bound,
     weight,
 )
-from .partitions import CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
-from .qfunctions import _check_order, _core_class, _stored, eta_expansion
+from .partitions import (
+    _COLOUR_STEP, CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
+)
+from .qfunctions import _check_order, _core_class, _stored, eta_expansion, euler_quotient
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -133,11 +127,8 @@ class VerificationResult:
 
 
 def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
-    """The family's series mod modulus to exactly the given order, from the store.
-
-    A shorter series is cut from the stored one as a view; a longer one is
-    built and replaces it (``qfunctions._stored``).
-    """
+    """The family's series mod modulus to exactly the given order, from the store
+    (``qfunctions._stored``): a cut of a longer stored one, or built and stored."""
     return _stored(
         (kind, colors, modulus),
         order,
@@ -192,16 +183,9 @@ def theorem_claims(
 
     1.1, 1.2 and 1.5 have no k; any k other than 1 is rejected there.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k != 1 and theorem in ("1.1", "1.2", "1.5"):
-        raise ValueError(f"theorem {theorem} takes no k, got k = {k}")
-    if theorem in ("1.2", "cor-1.3", "4.1"):
-        if p is None:
-            raise ValueError(f"theorem {theorem} needs an odd prime p")
-        kind = OVERCUBIC if theorem == "4.1" else CUBIC
-        fam = PartitionFamily(kind, k * p - 1)
-        residues = admissible_residues(p, kind).admissible
+    fam = _admissible_family(theorem, p, k)
+    if fam is not None:
+        residues = admissible_residues(p, fam.kind).admissible
         return [CongruenceClaim(fam, p, p, r) for r in sorted(residues)]
     if theorem == "remarks":
         if p not in _CLASSICAL_RESIDUE:
@@ -222,13 +206,39 @@ def theorem_claims(
     raise ValueError(f"unknown theorem id {theorem!r}")
 
 
+def _admissible_family(theorem: str, p: Optional[int], k: int) -> Optional[PartitionFamily]:
+    """The family of 1.2, cor-1.3 or 4.1, None for another theorem; k and p
+    are checked as ``theorem_claims`` states, p's primality aside."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k != 1 and theorem in ("1.1", "1.2", "1.5"):
+        raise ValueError(f"theorem {theorem} takes no k, got k = {k}")
+    if theorem not in ("1.2", "cor-1.3", "4.1"):
+        return None
+    if p is None:
+        raise ValueError(f"theorem {theorem} needs an odd prime p")
+    return PartitionFamily(OVERCUBIC if theorem == "4.1" else CUBIC, k * p - 1)
+
+
 def verify_theorem_family(
     theorem: str,
     p: Optional[int] = None,
     k: int = 1,
     n_max: int = DEFAULT_NMAX,
 ) -> List[VerificationResult]:
-    """Verify every claim a named result instantiates, one result per claim."""
+    """Verify every claim a named result instantiates, one result per claim.
+
+    For 1.2, cor-1.3 and 4.1 the least admissible residue above n_max,
+    found by a scan up from n_max + 1, is refused as ``verify_claim``
+    refuses it before the p - 1 residue symbols are computed (3 s per
+    10^6 on a 2-vCPU VM); an order above the ceiling is refused first.
+    """
+    fam = _admissible_family(theorem, p, k)
+    if fam is not None:
+        r = next((r for r, sym in _symbols(p, fam.kind, n_max + 1) if sym == -1), None)
+        if r is not None:
+            _check_order(n_max + 1, zmod(p))
+            verify_claim(CongruenceClaim(fam, p, p, r), n_max)  # raises: r > n_max
     return [verify_claim(c, n_max) for c in theorem_claims(theorem, p, k)]
 
 
@@ -428,14 +438,19 @@ def search_congruences(
     at least min_confirmations (>= 1) values were seen.  Emitted claims
     are empirical observations, not theorems.
 
-    Each (kind, c, p) series is built from the store at min(n_max + 1,
-    _PREFIX p) terms, on the colour ladder of ``generating_series``.  A
-    class with a nonzero value there is refuted: the value lies at an
-    exponent <= n_max, so the full scan would refute it too.  Every other
-    class goes to ``verify_claim`` to n_max, which reads it class first
-    where the map has a theta core mod a prime p and cuts it from the
-    full series otherwise, and its claim is emitted iff it holds.  So the
-    claims are those of a scan of every full series, whatever _PREFIX is.
+    Per (kind, p), F_1 and the step F_c / F_{c-1} (``_COLOUR_STEP``) are
+    built once on a prefix of min(n_max + 1, _PREFIX p) terms, and F_c is
+    F_{c-1} times the step, a local series never stored.  A class with a
+    nonzero value in the prefix is refuted at an exponent <= n_max, as the
+    full scan would refute it; every other class goes to ``verify_claim``
+    to n_max, and its claim is emitted iff it holds.  So the claims are
+    those of a scan of every full series, whatever _PREFIX is.
+
+    Mod a prime p (2 included), F_{c+p} == F_c(q) H(q^p) with H(0) = 1
+    (``partitions``), so class r of F_{c+p} is class r of F_c times H(q),
+    with its verdict and first witness: for c > p the claims of c - p are
+    copied, with no product and no ``verify_claim``.  A composite modulus
+    has no such period and reads every c.
     """
     ps = sorted(set(primes))
     if c_max < 1:
@@ -456,15 +471,26 @@ def search_congruences(
 
     results: List[CongruenceClaim] = []
     for kind in (CUBIC, OVERCUBIC):
-        for c in range(1, c_max + 1):
-            for p in ps:
-                prefix = _series_mod(kind, c, p, min(n_max + 1, _PREFIX * p))
-                # the nonzero values seen in each residue class of the prefix
-                seen = np.bincount(prefix.support() % p, minlength=p)
-                for r in np.flatnonzero(seen == 0):
-                    claim = CongruenceClaim(PartitionFamily(kind, c), p, p, int(r))
-                    if verify_claim(claim, n_max).holds:
-                        results.append(claim)
+        for p in ps:
+            n, ring, prime = min(n_max + 1, _PREFIX * p), zmod(p), _is_prime(p)
+            prefix = generating_series(PartitionFamily(kind, 1), n, ring)
+            # after F_1, whose 1 / f_1 is at least as long: the step's is a cut of it
+            step = euler_quotient(_COLOUR_STEP[kind], n, ring)
+            held: List[List[int]] = []  # held[c - 1]: the residues that survive at colour c
+            for c in range(1, c_max + 1):
+                fam = PartitionFamily(kind, c)
+                if prime and c > p:
+                    survivors = held[c - p - 1]
+                else:
+                    prefix = prefix * step if c > 1 else prefix
+                    # the residue classes with no nonzero value in the prefix
+                    seen = np.bincount(prefix.support() % p, minlength=p)
+                    survivors = [
+                        int(r) for r in np.flatnonzero(seen == 0)
+                        if verify_claim(CongruenceClaim(fam, p, p, int(r)), n_max).holds
+                    ]
+                held.append(survivors)
+                results.extend(CongruenceClaim(fam, p, p, r) for r in survivors)
     results.sort(
         key=lambda cl: (cl.family.kind, cl.family.colors, cl.progression, cl.residue)
     )

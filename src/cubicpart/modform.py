@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .arith import is_odd_prime, kronecker
+from .arith import _is_prime, kronecker
 from .series import TruncatedSeries
 
 __all__ = [
@@ -231,7 +231,7 @@ def hecke_tp(
     """
     if f.order < 1:
         raise ValueError("hecke_tp needs at least the constant coefficient")
-    if not (p == 2 or is_odd_prime(p)):
+    if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if ell < 1:
         raise ValueError(f"weight ell must be >= 1, got {ell}")

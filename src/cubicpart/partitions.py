@@ -7,9 +7,10 @@ independent routes -- generating-function series and a combinatorial
 dynamic program -- so each can serve as the other's oracle.  Each
 family's series, and the product side of each classical identity, is an
 Euler quotient: a map delta -> r_delta expanded by
-``qfunctions.euler_quotient``; mod m <= 2^63 a family's series may
-instead be the previous colour's, held in the series store, times the
-quotient that takes one colour to the next.
+``qfunctions.euler_quotient``.  The map of F_c / F_{c-1} is the same for
+every c >= 2 (``_COLOUR_STEP``), and mod a prime p, by Frobenius,
+F_{c+p} == F_c(q) H(q^p) with H(0) = 1, H = 1 / f_2 (cubic) or
+f_4 / f_2^2 (overcubic): ``engine.search_congruences`` builds on both.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .arith import is_odd_prime
-from .series import Ring, TruncatedSeries, ZZ, _int64_storage
-from .qfunctions import _held, _stored, euler_quotient, psi
+from .series import Ring, TruncatedSeries, ZZ
+from .qfunctions import euler_quotient, psi
 
 __all__ = [
     "CUBIC",
@@ -77,33 +78,8 @@ _COLOUR_STEP = {CUBIC: {2: -1}, OVERCUBIC: {2: -2, 4: 1}}
 
 
 def generating_series(fam: PartitionFamily, order: int, ring: Ring) -> TruncatedSeries:
-    """Counting series of the family, truncated at the given order.
-
-    On int64 storage (mod m <= 2^63), when the series store already holds
-    F_{c-1} of the same kind and modulus to at least this order (the key
-    of ``engine._series_mod``), F_c is that series times one step factor:
-    f_2^-1 (cubic) or f_4 / f_2^2 (overcubic), ``_COLOUR_STEP``, built once
-    per kind and ring by ``euler_quotient`` and stored under
-    ("colour-step", kind, ring).  So a scan over c = 1, 2, ... costs one
-    full-length product per colour after the first, and none where the
-    step is the series 1 (overcubic mod 2): F_c is then the held F_{c-1}.
-    The step is built only after F_{c-1} is held, so the 1 / f_1 its build
-    cuts from is already stored at full order.  Over ZZ and mod m > 2^63 the
-    coefficients are Python ints and the product would be a dense Python
-    schoolbook, slower than the sparse steps of ``euler_quotient``; there,
-    and for c = 1 or with no predecessor held, the series is
-    ``euler_quotient`` of the family's map.
-    """
-    if _int64_storage(ring) and fam.colors > 1:
-        held = _held((fam.kind, fam.colors - 1, ring.modulus), order)
-        if held is not None:
-            step = _stored(
-                ("colour-step", fam.kind, ring),
-                order,
-                lambda n: euler_quotient(_COLOUR_STEP[fam.kind], n, ring),
-            )
-            # mod 2 the overcubic step f_4 / f_2^2 is 1, as f_2^2 == f_4
-            return held * step if step.coeffs[1:].any() else held
+    """Counting series of the family to the given order: ``euler_quotient`` of its
+    map on every ring; colours share work only in ``engine.search_congruences``."""
     return euler_quotient(fam.exponents, order, ring)
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .arith import is_odd_prime
+from .arith import _is_prime
 from .modform import EtaQuotient
 from .series import Ring, TruncatedSeries, _int64_storage, one
 
@@ -142,24 +142,9 @@ _MAX_ORDER_ZZ = 10**6
 _STORE_SIZE = 64
 
 # key -> the longest series built so far for it: (kind, colors, modulus) for
-# a family's series (engine._series_mod), ("f1-inverse", ring) for 1 / f_1,
-# and ("colour-step", kind, ring) for the factor from one colour to the next
-# (partitions.generating_series)
+# a family's series (engine._series_mod) and ("f1-inverse", ring) for 1 / f_1
 _store: "OrderedDict[tuple, TruncatedSeries]" = OrderedDict()
 _store_lock = threading.Lock()
-
-
-def _held(key: Hashable, order: int) -> Optional[TruncatedSeries]:
-    """The series under key cut to the given order, or None if none that long is held.
-
-    It builds and stores nothing; a hit counts as a use for the LRU order.
-    """
-    with _store_lock:
-        series = _store.get(key)
-        if series is None or series.order < order:
-            return None
-        _store.move_to_end(key)
-    return series if series.order == order else series.truncate(order)
 
 
 def _stored(
@@ -167,22 +152,25 @@ def _stored(
 ) -> TruncatedSeries:
     """The series under key to exactly the given order; build(order) makes it.
 
-    A shorter series is cut from the stored one as a view (``_held``); a
-    longer one is built and replaces it.  The least recently used keys
-    beyond _STORE_SIZE go.  The lock guards the store only, never a build:
+    A shorter series is cut from the stored one as a view; a longer one is
+    built and replaces it.  The least recently used keys beyond
+    _STORE_SIZE go.  The lock guards the store only, never a build:
     callers on several threads get correct series but may build one key
     twice.
     """
-    series = _held(key, order)
-    if series is None:
-        series = build(order)
-        with _store_lock:
-            held = _store.get(key)
-            if held is None or held.order < order:
-                _store[key] = series
+    with _store_lock:
+        series = _store.get(key)
+        if series is not None and series.order >= order:
             _store.move_to_end(key)
-            while len(_store) > _STORE_SIZE:
-                _store.popitem(last=False)
+            return series if series.order == order else series.truncate(order)
+    series = build(order)
+    with _store_lock:
+        held = _store.get(key)
+        if held is None or held.order < order:
+            _store[key] = series
+        _store.move_to_end(key)
+        while len(_store) > _STORE_SIZE:
+            _store.popitem(last=False)
     return series
 
 
@@ -310,9 +298,8 @@ def euler_quotient(
     expanded by ``pow`` at order ceil(order / delta) and then q -> q^delta
     (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
     raised to |r|.  It comes from the one bounded series store that also
-    holds the families' series and their colour steps (``_stored``; three
-    kinds of key, one LRU bound): under
-    ("f1-inverse", ring) it is built once per ring, by
+    holds the families' series (``_stored``; two kinds of key, one LRU
+    bound): under ("f1-inverse", ring) it is built once per ring, by
     ``inverse``, at the longest order any negative factor of the map
     needs, and every shorter request is a read-only cut of it.  This is
     exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to
@@ -330,7 +317,7 @@ def euler_quotient(
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
     _check_order(order, ring)
     p = ring.modulus
-    if p is not None and (p == 2 or is_odd_prime(p)):
+    if p is not None and _is_prime(p):
         exponents = _frobenius_reduced(exponents, p)
     exponents = {d: r for d, r in exponents.items() if d < order}
     steps = set()  # on object storage, the deltas whose factors are taken as sparse steps
@@ -476,7 +463,7 @@ def _core_class(
     """
     _check_order(order, ring)
     p = ring.modulus
-    if not _int64_storage(ring) or not (p == 2 or is_odd_prime(p)):
+    if not _int64_storage(ring) or not _is_prime(p):
         return None
     core = _theta_core(exponents, p)
     if core is None:

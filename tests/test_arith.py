@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cubicpart import arith
 from cubicpart.arith import (
     admissible_residues,
     is_odd_prime,
@@ -64,6 +65,29 @@ def test_admissible_rejects_bad_input():
         admissible_residues(9, "cubic")
     with pytest.raises(ValueError):
         admissible_residues(5, "hexagonal")
+
+
+def test_admissible_residues_test_p_once(monkeypatch):
+    tested = []
+    is_prime = arith._is_prime
+    monkeypatch.setattr(arith, "_is_prime", lambda n: tested.append(n) or is_prime(n))
+    report = admissible_residues(101, "cubic")
+    assert tested == [101]
+    assert report.justification == {r: legendre(8 * r + 1, 101) for r in range(1, 101)}
+
+
+def test_symbols_scan_up_from_start():
+    for p in (3, 5, 7, 13, 101):
+        for family in ("cubic", "overcubic"):
+            report = admissible_residues(p, family)
+            for start in range(-1, p + 2):
+                expected = [(r, sym) for r, sym in report.justification.items() if r >= start]
+                assert list(arith._symbols(p, family, start)) == expected
+    # p and the family are checked even where no residue is left to scan
+    with pytest.raises(ValueError, match="9 is not an odd prime"):
+        list(arith._symbols(9, "cubic", 20))
+    with pytest.raises(ValueError, match="unknown family"):
+        list(arith._symbols(5, "hexagonal", 20))
 
 
 def test_kronecker_unit_denominator():

@@ -180,6 +180,33 @@ def test_theorem_k_on_an_id_without_k_exits_2(capsys):
     assert "takes no k" in err
 
 
+# the messages of the earlier path, which computed all p - 1 residue symbols
+# (some 3 s at p = 100003, minutes at 10^9 + 7) and then verified the claims by
+# rising residue, refusing the first order above the ceiling or residue above n_max
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--id 1.2 --p 13 --nmax 5", "n_max 5 does not reach the first progression value 7"),
+        ("--id 4.1 --p 13 --nmax 4", "n_max 4 does not reach the first progression value 5"),
+        ("--id 1.2 --p 100003 --nmax 100", "n_max 100 does not reach the first progression value 101"),
+        ("--id 4.1 --p 100003 --nmax 1000", "n_max 1000 does not reach the first progression value 1002"),
+        (
+            "--id 1.2 --p 1000000007 --nmax 20000000",
+            "series order 20000001 is above the ceiling 10000000 over ZZ/1000000007",
+        ),
+        ("--id 1.2 --p 1000000008 --nmax 100", "1000000008 is not an odd prime"),
+        ("--id 1.2 --p 1000000007 --k 2 --nmax 100", "theorem 1.2 takes no k, got k = 2"),
+        # r = 101 is the least above 100 with 8 r + 1 a nonresidue mod 10^9 + 7
+        ("--id 1.2 --p 1000000007 --nmax 100", "n_max 100 does not reach the first progression value 101"),
+    ],
+)
+def test_theorem_refuses_the_least_residue_above_n_max_first(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "theorem", *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_prove_writes_certificate(tmp_path, capsys):
     target = tmp_path / "cert.txt"
     code, out, _ = run(capsys, "prove", "--id", "a5-mod11", "--emit", str(target))

@@ -23,7 +23,7 @@ from cubicpart.engine import (
     verify_claim,
     verify_theorem_family,
 )
-from cubicpart.arith import admissible_residues
+from cubicpart.arith import _is_prime, admissible_residues
 from cubicpart.modform import EtaQuotient
 from cubicpart.partitions import (
     CUBIC,
@@ -326,6 +326,10 @@ def test_scans_match_a_coefficient_loop():
     assert found == expected and expected
 
 
+def claim_key(claim):
+    return claim.family.kind, claim.family.colors, claim.modulus, claim.residue
+
+
 def full_series_scan(c_max, moduli, n_max, prefix):
     """The claims of a scan of every (kind, c, p) series to n_max + 1 terms,
     and the claims whose class has no nonzero value in the first prefix p terms."""
@@ -373,8 +377,12 @@ def test_search_matches_the_full_series_scan(monkeypatch, prefix, c_max, moduli,
 
     monkeypatch.setattr(engine, "verify_claim", recording)
     assert search_congruences(c_max, moduli, n_max, min_conf) == expected
-    # only the classes with no nonzero value in the prefix reach verify_claim
-    assert verified == unrefuted
+    # only the classes with no nonzero value in the prefix reach verify_claim,
+    # and at a prime p only those of c <= p: above it the classes of c - p are copied
+    read = [
+        cl for cl in unrefuted if cl.family.colors <= cl.modulus or not _is_prime(cl.modulus)
+    ]
+    assert sorted(verified, key=claim_key) == sorted(read, key=claim_key)
 
 
 def test_search_validates_bounds():
@@ -521,47 +529,87 @@ def needs_full_series(kind, c, p):
 
 
 def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeypatch):
-    maps = []
-    quotient = partitions.euler_quotient
+    steps, stored, products, verified = [], [], [], []
+    quotient, store, mul, verify = (
+        engine.euler_quotient, engine._stored, TruncatedSeries.__mul__, engine.verify_claim
+    )
 
-    def counting(exponents, order, ring):
-        maps.append((dict(exponents), order, ring.modulus))
-        return quotient(exponents, order, ring)
+    def counting_quotient(exponents, order, ring):
+        steps.append((dict(exponents), order, ring.modulus))
+        step = quotient(exponents, order, ring)
+        built.append(step)
+        return step
 
-    monkeypatch.setattr(partitions, "euler_quotient", counting)
+    def counting_mul(a, b):
+        if any(b is step for step in built):
+            products.append((a.ring.modulus, a.order))
+        return mul(a, b)
+
+    def recording_store(key, order, build):
+        stored.append(order)
+        return store(key, order, build)
+
+    def recording_verify(claim, n):
+        verified.append(claim)
+        return verify(claim, n)
+
+    built = []  # the steps search built
+    monkeypatch.setattr(engine, "euler_quotient", counting_quotient)
+    monkeypatch.setattr(engine, "_stored", recording_store)
+    monkeypatch.setattr(engine, "verify_claim", recording_verify)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     # the benchmark's search grid, then p = 2 and composite moduli
     grids = ((6, [3, 5, 7, 11], 8000, 20), (12, [2, 3, 4, 6, 9], 3000, 56))
     for c_max, moduli, n_max, found in grids:
         qfunctions._store.clear()
-        del counted_builds[:], maps[:]
+        for seen in (counted_builds, steps, stored, products, verified):
+            del seen[:]
         claims = search_congruences(c_max, moduli, n_max)
         assert len(claims) == found
         prefix = {p: min(n_max + 1, engine._PREFIX * p) for p in moduli}
+        # the colours read on a prefix: c <= p at a prime p, every c at a composite one
+        read = {p: min(c_max, p) if _is_prime(p) else c_max for p in moduli}
         triples = [
-            (kind, c, p) for kind in (CUBIC, OVERCUBIC) for c in range(1, c_max + 1) for p in moduli
+            (kind, c, p) for kind in (CUBIC, OVERCUBIC) for p in moduli for c in range(1, read[p] + 1)
         ]
         survivors = {(cl.family.kind, cl.family.colors, cl.modulus) for cl in claims}
         full = [t for t in triples if t in survivors and needs_full_series(*t)]
         assert full  # cubic c = 1 and 5 mod 11 have no core; 4, 6 and 9 are composite
-        # every triple at its prefix order, and the full order only for a
-        # surviving triple whose classes verify_claim cuts from the full series
+        # one F_1 and one step per kind and modulus at the prefix order, and
+        # the full order only for a triple read on its prefix whose surviving
+        # classes verify_claim cuts from the full series
         assert sorted(counted_builds) == sorted(
-            [(*t, prefix[t[2]]) for t in triples] + [(*t, n_max + 1) for t in full]
+            [(kind, 1, p, prefix[p]) for kind in (CUBIC, OVERCUBIC) for p in moduli]
+            + [(*t, n_max + 1) for t in full]
         )
-        # at the prefix order, one c = 1 build and one colour step per kind and modulus
-        assert sorted((sorted(e.items()), p) for e, n, p in maps if n == prefix[p]) == sorted(
-            (sorted(e.items()), p)
+        assert sorted((sorted(e.items()), n, p) for e, n, p in steps) == sorted(
+            (sorted(partitions._COLOUR_STEP[kind].items()), prefix[p], p)
             for kind in (CUBIC, OVERCUBIC)
-            for e in (PartitionFamily(kind, 1).exponents, partitions._COLOUR_STEP[kind])
             for p in moduli
         )
-        # every series built directly from its own map gives the same claims
-        with monkeypatch.context() as direct:
-            direct.setattr(partitions, "_held", lambda key, order: None)
-            qfunctions._store.clear()
-            del maps[:]
-            assert search_congruences(c_max, moduli, n_max) == claims
-            assert len(maps) == len(triples) + len(full)
+        # one prefix product per colour read after the first, none above p at a prime p
+        assert sorted(products) == sorted(
+            (p, prefix[p]) for kind, c, p in triples if c > 1
+        )
+        assert {(cl.family.kind, cl.family.colors, cl.modulus) for cl in verified} <= set(triples)
+        # the store holds the full series verify_claim cuts from, never a prefix
+        assert set(stored) == {n_max + 1}
+
+
+def test_search_reads_a_class_by_its_colour_mod_p():
+    """Mod a prime p, F_c == F_{c-p}(q) H(q^p) with H(0) = 1: the class r of
+    colour c has the verdict and first witness of colour c - p."""
+    for kind in (CUBIC, OVERCUBIC):
+        for p in (2, 3, 5, 7, 11, 13):
+            for c in range(p + 1, 2 * p + 2):
+                for r in range(p):
+                    claim = CongruenceClaim(PartitionFamily(kind, c), p, p, r)
+                    got = verify_claim(claim, 600)
+                    assert (got.verdict, got.witness) == generic_scan(claim, 600), claim
+                    lower = verify_claim(
+                        CongruenceClaim(PartitionFamily(kind, c - p), p, p, r), 600
+                    )
+                    assert (got.verdict, got.witness) == (lower.verdict, lower.witness), claim
 
 
 # -- class-first scans through a theta core ----------------------------------

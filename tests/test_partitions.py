@@ -1,12 +1,9 @@
 """Counting families: series vs DP oracle, identities, functional equation."""
 
 import functools
-from collections import OrderedDict
 
 import pytest
 
-from cubicpart import engine, partitions, qfunctions
-from cubicpart import series as series_module
 from cubicpart.partitions import (
     _COLOUR_STEP,
     CUBIC,
@@ -169,7 +166,7 @@ def test_check_report_mismatch_description():
     assert bool(report) and report.first_mismatch is None
 
 
-# -- the colour ladder: F_c = F_{c-1} * step ----------------------------------
+# -- the colour step: F_c = F_{c-1} * step -----------------------------------
 
 
 def test_colour_step_is_the_difference_of_consecutive_maps():
@@ -180,20 +177,6 @@ def test_colour_step_is_the_difference_of_consecutive_maps():
             nxt = PartitionFamily(kind, c + 1).exponents
             diff = {d: nxt.get(d, 0) - now.get(d, 0) for d in now.keys() | nxt.keys()}
             assert {d: r for d, r in diff.items() if r} == _COLOUR_STEP[kind], (kind, c)
-
-
-@pytest.fixture
-def expanded_maps(monkeypatch):
-    """An empty series store; the maps generating_series expands are recorded."""
-    maps = []
-
-    def recording(exponents, order, ring):
-        maps.append(dict(exponents))
-        return euler_quotient(exponents, order, ring)
-
-    monkeypatch.setattr(partitions, "euler_quotient", recording)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
-    return maps
 
 
 # 383, 384 and 385 straddle series._FFT_MIN_LEN, where products turn to the FFT
@@ -212,59 +195,12 @@ def direct_over_zz(kind, c):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 12, 13, 65521, 2**61 - 1])
 @pytest.mark.parametrize("kind", [CUBIC, OVERCUBIC])
-def test_colour_ladder_matches_direct_builds(expanded_maps, kind, m):
+def test_colour_ladder_matches_direct_builds(kind, m):
+    # the ladder search climbs on its prefixes: F_1, then F_c = F_{c-1} * step
     ring = zmod(m)
     for order in LADDER_ORDERS:
-        qfunctions._store.clear()
-        engine._series_mod(kind, 1, m, order)
+        step = euler_quotient(_COLOUR_STEP[kind], order, ring)
+        s = generating_series(PartitionFamily(kind, 1), order, ring)
         for c in range(2, 13):
-            del expanded_maps[:]
-            s = engine._series_mod(kind, c, m, order)
+            s = s * step
             assert s == direct_over_zz(kind, c).truncate(order).reduce_mod(m), (order, c)
-            # the step is built once, at c = 2, and never the family's map
-            assert expanded_maps == ([_COLOUR_STEP[kind]] if c == 2 else []), (order, c)
-    # F_11 is held at 1000: F_12 below it is cut from it and takes the ladder
-    del expanded_maps[:]
-    fam = PartitionFamily(kind, 12)
-    assert generating_series(fam, 385, ring) == euler_quotient(fam.exponents, 385, ring)
-    assert expanded_maps == []
-    # held only to 383: F_3 to 1000 is a direct build
-    qfunctions._store.clear()
-    engine._series_mod(kind, 2, m, 383)
-    del expanded_maps[:]
-    fam = PartitionFamily(kind, 3)
-    assert generating_series(fam, 1000, ring) == euler_quotient(fam.exponents, 1000, ring)
-    assert expanded_maps == [fam.exponents]
-
-
-@pytest.mark.parametrize("m", [None, 2**64 + 13])
-def test_object_storage_never_takes_the_colour_ladder(expanded_maps, m):
-    ring = ZZ if m is None else zmod(m)
-    for kind in (CUBIC, OVERCUBIC):
-        for c in (2, 5):
-            prev = PartitionFamily(kind, c - 1)
-            qfunctions._store[(kind, c - 1, m)] = euler_quotient(prev.exponents, 300, ring)
-            del expanded_maps[:]
-            fam = PartitionFamily(kind, c)
-            assert generating_series(fam, 200, ring) == euler_quotient(fam.exponents, 200, ring)
-            assert expanded_maps == [fam.exponents]
-    assert not any(key[0] == "colour-step" for key in qfunctions._store)
-
-
-def test_overcubic_ladder_mod_2_takes_no_product(expanded_maps, monkeypatch):
-    # f_2^2 == f_4 mod 2, so the overcubic step is the series 1 and F_c is F_{c-1}
-    products = []
-    mul_mod = series_module._mul_mod
-
-    def counting(a, b, rl, m):
-        products.append(rl)
-        return mul_mod(a, b, rl, m)
-
-    monkeypatch.setattr(series_module, "_mul_mod", counting)
-    engine._series_mod(OVERCUBIC, 1, 2, 10**4)
-    ladder = [engine._series_mod(OVERCUBIC, c, 2, 10**4) for c in range(2, 13)]
-    assert products == []
-    assert expanded_maps[1:] == [_COLOUR_STEP[OVERCUBIC]]
-    for c, s in enumerate(ladder, 2):
-        fam = PartitionFamily(OVERCUBIC, c)
-        assert s == euler_quotient(fam.exponents, 10**4, zmod(2)), c

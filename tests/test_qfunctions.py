@@ -516,11 +516,14 @@ def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
     monkeypatch.setattr(series_module, "_inverse_newton", counting_newton)
     monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     assert cli.main(["search", "--cmax", "6", "--primes", "3,5,7,11", "--nmax", "8000"]) == 0
-    # one inverse per modulus at the prefix order every search series is
-    # built at; cubic c = 1 and 5 mod 11 survive with no theta core, so
-    # verify_claim builds their full series, and mod 11 one more at 8001
+    # one inverse per modulus at the prefix order, built for F_1 and cut
+    # for its colour step; cubic c = 1 and 5 mod 11 survive with no theta
+    # core, so verify_claim builds their full series, and mod 11 one more at 8001
     prefixes = [(engine._PREFIX * p, p) for p in (3, 5, 7, 11)]
     assert sorted(calls) == sorted(prefixes + [(8001, 11)])
+    # the prefixes are never stored: a family key holds only a full series
+    family_orders = {s.order for key, s in qfunctions._store.items() if key[0] != "f1-inverse"}
+    assert family_orders == {8001}
 
 
 # -- eta expansions ----------------------------------------------------------

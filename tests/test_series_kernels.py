@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubicpart import series
 from cubicpart.qfunctions import euler_product
@@ -113,7 +113,17 @@ def test_fft_error_bound_needs_a_smooth_length_and_grows_with_norms():
 # -- multiply ---------------------------------------------------------------
 
 
+def dense_products_around_fft_min_len(test):
+    """Pin the dense products mod 65521 and 2^61 - 1 on both sides of _FFT_MIN_LEN."""
+    for n in (series._FFT_MIN_LEN - 1, series._FFT_MIN_LEN, series._FFT_MIN_LEN + 1):
+        for m in (65521, 2**61 - 1):
+            for fill in ("max", "random"):
+                test = example(n=n, m=m, fill=fill, seed=n, square=False)(test)
+    return test
+
+
 @KERNEL_SETTINGS
+@dense_products_around_fft_min_len
 @given(
     n=st.sampled_from(LENGTHS),
     m=st.sampled_from(MODULI),
