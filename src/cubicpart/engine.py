@@ -15,16 +15,15 @@ passes only the classes the prefix leaves open to verify_claim; mod a
 prime p a class's verdict depends on c mod p alone, so the colours
 above p copy the claims of c - p.
 
-The engine runs on the calling thread.  Every mod-m expansion goes
-through one bounded store (``qfunctions._stored``) that keeps the
-longest series built so far for each key, so a scan to a lower bound
-after a higher one costs no build: the shorter series is a view of the
-stored one.  The store holds two kinds of key in one LRU bound: a
-family's series under (kind, colors, modulus), and 1 / f_1 under
-("f1-inverse", ring), which every family's expansion cuts from.  Colour
-reuse lives in ``search_congruences`` alone, on prefixes the store never
-holds.  The scans read a progression as a strided view and find its
-nonzero values in one vectorised pass.
+The engine runs on the calling thread.  Two series are held, each the
+last one built: 1 / f_1 (``qfunctions._f1_inverse``), which every
+family's expansion cuts from, and the family's series mod m
+(``_series_mod``), which a scan of another class of the same family to
+no higher a bound cuts as a view.  ``search_congruences`` reads both
+kinds of a modulus in turn, so they share the held 1 / f_1.  Colour
+reuse lives in ``search_congruences`` alone, on local prefixes.  The
+scans read a progression as a strided view and find its nonzero values
+in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .arith import _is_prime, _symbols, admissible_residues
+from .arith import _is_prime, _require_odd_prime, _symbols, admissible_residues
 from .modform import (
     CharacterDescriptor,
     CuspOrderTable,
@@ -50,7 +49,7 @@ from .modform import (
 from .partitions import (
     _COLOUR_STEP, CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
 )
-from .qfunctions import _check_order, _core_class, _stored, eta_expansion, euler_quotient
+from .qfunctions import _check_order, _core_class, eta_expansion, euler_quotient
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -126,14 +125,27 @@ class VerificationResult:
         return base
 
 
+# the last family series that _series_mod built, as ((kind, colors, modulus), series)
+_family_held: Optional[Tuple[Tuple[str, int, int], TruncatedSeries]] = None
+
+
 def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
-    """The family's series mod modulus to exactly the given order, from the store
-    (``qfunctions._stored``): a cut of a longer stored one, or built and stored."""
-    return _stored(
-        (kind, colors, modulus),
-        order,
-        lambda n: generating_series(PartitionFamily(kind, colors), n, zmod(modulus)),
-    )
+    """The family's series mod modulus to exactly the given order; the last one built is held.
+
+    A request for the held (kind, colors, modulus) at no higher an order
+    is a read-only cut of it; any other is built and replaces it.  The
+    holder is read once and replaced by one assignment, so callers on
+    several threads get exact series with no lock.  Only
+    ``verify_claim``'s full scans ask, and the reuse they make is
+    ``search``'s next open class of the same family.
+    """
+    global _family_held
+    key, held = (kind, colors, modulus), _family_held
+    if held is not None and held[0] == key and held[1].order >= order:
+        return held[1] if held[1].order == order else held[1].truncate(order)
+    series = generating_series(PartitionFamily(kind, colors), order, zmod(modulus))
+    _family_held = (key, series)
+    return series
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
@@ -208,7 +220,8 @@ def theorem_claims(
 
 def _admissible_family(theorem: str, p: Optional[int], k: int) -> Optional[PartitionFamily]:
     """The family of 1.2, cor-1.3 or 4.1, None for another theorem; k and p
-    are checked as ``theorem_claims`` states, p's primality aside."""
+    are checked as ``theorem_claims`` states, p for an odd prime before the
+    family is built."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k != 1 and theorem in ("1.1", "1.2", "1.5"):
@@ -217,6 +230,7 @@ def _admissible_family(theorem: str, p: Optional[int], k: int) -> Optional[Parti
         return None
     if p is None:
         raise ValueError(f"theorem {theorem} needs an odd prime p")
+    _require_odd_prime(p)
     return PartitionFamily(OVERCUBIC if theorem == "4.1" else CUBIC, k * p - 1)
 
 
@@ -470,8 +484,8 @@ def search_congruences(
         _check_order(n_max + 1, zmod(p))
 
     results: List[CongruenceClaim] = []
-    for kind in (CUBIC, OVERCUBIC):
-        for p in ps:
+    for p in ps:  # both kinds of a modulus in turn, so they share the held 1 / f_1
+        for kind in (CUBIC, OVERCUBIC):
             n, ring, prime = min(n_max + 1, _PREFIX * p), zmod(p), _is_prime(p)
             prefix = generating_series(PartitionFamily(kind, 1), n, ring)
             # after F_1, whose 1 / f_1 is at least as long: the step's is a cut of it

@@ -173,6 +173,14 @@ def test_theorem_41_without_p_exits_2(capsys):
     assert "theorem 4.1 needs an odd prime p" in err
 
 
+# p is checked before the family c = kp - 1 is built, which refuses c < 1
+@pytest.mark.parametrize("p", ["1", "0", "-3", "2", "9"])
+@pytest.mark.parametrize("theorem", ["1.2", "cor1.3", "4.1"])
+def test_theorem_with_a_p_that_is_no_odd_prime_exits_2(capsys, theorem, p):
+    code, out, err = run(capsys, "theorem", "--id", theorem, "--p", p, "--nmax", "100")
+    assert (code, out, err) == (2, "", f"error: {p} is not an odd prime\n")
+
+
 def test_theorem_k_on_an_id_without_k_exits_2(capsys):
     code, out, err = run(capsys, "--json", "theorem", "--id", "1.5", "--k", "4")
     assert code == 2

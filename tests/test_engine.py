@@ -1,10 +1,10 @@
 """Claims, theorem families, certificates, and the empirical search."""
 
 import dataclasses
+import gc
 import sys
 import threading
 import time
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -364,9 +364,7 @@ def full_series_scan(c_max, moduli, n_max, prefix):
     ids=["composite-moduli", "cmax-30", "n_max-9K-1", "one-confirmation", "late-witnesses"],
 )
 def test_search_matches_the_full_series_scan(monkeypatch, prefix, c_max, moduli, n_max, min_conf):
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     expected, unrefuted = full_series_scan(c_max, moduli, n_max, prefix)
-    qfunctions._store.clear()
     monkeypatch.setattr(engine, "_PREFIX", prefix)
     verified = []
     verify = engine.verify_claim
@@ -415,7 +413,7 @@ def test_search_needs_n_max_of_p_k_minus_1():
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """An empty series store whose builds are recorded as (kind, colors, modulus, order)."""
+    """No held family series; the builds are recorded as (kind, colors, modulus, order)."""
     builds = []
     build = engine.generating_series
 
@@ -424,7 +422,7 @@ def counted_builds(monkeypatch):
         return build(fam, order, ring)
 
     monkeypatch.setattr(engine, "generating_series", counting_build)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(engine, "_family_held", None)
     return builds
 
 
@@ -455,14 +453,16 @@ def test_store_builds_a_longer_series_once(counted_builds):
     assert longer.order == 300
 
 
-def test_store_holds_at_most_64_keys(counted_builds):
-    for c in range(1, 71):
-        engine._series_mod(CUBIC, c, 3, 4)
-        assert len(qfunctions._store) <= 64
-    assert len(qfunctions._store) == 64
-    engine._series_mod(CUBIC, 70, 3, 4)  # the most recent key is kept
-    engine._series_mod(CUBIC, 1, 3, 4)  # the oldest was evicted
-    assert len(counted_builds) == 71
+def test_one_family_series_is_held(counted_builds):
+    first = engine._series_mod(CUBIC, 3, 7, 300)
+    engine._series_mod(CUBIC, 4, 7, 300)  # another family replaces it
+    assert engine._family_held[0] == (CUBIC, 4, 7)
+    again = engine._series_mod(CUBIC, 3, 7, 200)  # so the first is built again
+    assert again == first.truncate(200) and again.order == 200
+    engine._series_mod(CUBIC, 3, 11, 200)  # as is another modulus
+    assert [b[:3] for b in counted_builds] == [
+        (CUBIC, 3, 7), (CUBIC, 4, 7), (CUBIC, 3, 7), (CUBIC, 3, 11)
+    ]
 
 
 def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
@@ -471,7 +471,7 @@ def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
         return TruncatedSeries(ring, [fam.colors + i for i in range(order)], 0, order)
 
     monkeypatch.setattr(engine, "generating_series", slow_build)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(engine, "_family_held", None)
     workers = 8  # more threads than cores
     start = threading.Barrier(workers, timeout=10)
     wrong = []
@@ -496,30 +496,21 @@ def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(qfunctions._store) == 3
-    assert all(s.order == 50 for s in qfunctions._store.values())
+    key, held = engine._family_held
+    assert key in {(CUBIC, c, 101) for c in (1, 2, 3)} and held.order <= 50
 
 
-def test_store_keeps_the_longer_of_two_racing_builds(monkeypatch):
-    short_building = threading.Event()
-    long_stored = threading.Event()
-
-    def build(fam, order, ring):
-        if order == 10:
-            short_building.set()
-            long_stored.wait(timeout=10)  # finish after the longer build was stored
-        return TruncatedSeries(ring, range(order), 0, order)
-
-    monkeypatch.setattr(engine, "generating_series", build)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
-    short = threading.Thread(target=engine._series_mod, args=(CUBIC, 1, 101, 10))
-    short.start()
-    assert short_building.wait(timeout=10)
-    long = engine._series_mod(CUBIC, 1, 101, 50)
-    long_stored.set()
-    short.join(timeout=10)
-    assert not short.is_alive()
-    assert qfunctions._store[(CUBIC, 1, 101)] is long
+def test_composite_grid_search_holds_one_family_series_and_one_f1_inverse(monkeypatch):
+    """A composite modulus has no colour period, so search verifies the open
+    classes of every colour from full series; one of each kind stays held."""
+    monkeypatch.setattr(engine, "_family_held", None, raising=False)
+    monkeypatch.setattr(qfunctions, "_f1_held", None, raising=False)
+    rings = {zmod(m) for m in (4, 6, 9)}
+    assert len(search_congruences(12, [4, 6, 9], 3000)) == 36
+    gc.collect()
+    live = [s for s in gc.get_objects() if isinstance(s, TruncatedSeries) and s.ring in rings]
+    assert len(live) <= 2
+    assert [s.order for s in live if s is engine._family_held[1]] == [3001]
 
 
 def needs_full_series(kind, c, p):
@@ -529,9 +520,9 @@ def needs_full_series(kind, c, p):
 
 
 def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeypatch):
-    steps, stored, products, verified = [], [], [], []
-    quotient, store, mul, verify = (
-        engine.euler_quotient, engine._stored, TruncatedSeries.__mul__, engine.verify_claim
+    steps, requested, products, verified = [], [], [], []
+    quotient, series_mod, mul, verify = (
+        engine.euler_quotient, engine._series_mod, TruncatedSeries.__mul__, engine.verify_claim
     )
 
     def counting_quotient(exponents, order, ring):
@@ -545,9 +536,9 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
             products.append((a.ring.modulus, a.order))
         return mul(a, b)
 
-    def recording_store(key, order, build):
-        stored.append(order)
-        return store(key, order, build)
+    def recording_series_mod(kind, colors, modulus, order):
+        requested.append(order)
+        return series_mod(kind, colors, modulus, order)
 
     def recording_verify(claim, n):
         verified.append(claim)
@@ -555,14 +546,14 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
 
     built = []  # the steps search built
     monkeypatch.setattr(engine, "euler_quotient", counting_quotient)
-    monkeypatch.setattr(engine, "_stored", recording_store)
+    monkeypatch.setattr(engine, "_series_mod", recording_series_mod)
     monkeypatch.setattr(engine, "verify_claim", recording_verify)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     # the benchmark's search grid, then p = 2 and composite moduli
     grids = ((6, [3, 5, 7, 11], 8000, 20), (12, [2, 3, 4, 6, 9], 3000, 56))
     for c_max, moduli, n_max, found in grids:
-        qfunctions._store.clear()
-        for seen in (counted_builds, steps, stored, products, verified):
+        engine._family_held = None
+        for seen in (counted_builds, steps, requested, products, verified):
             del seen[:]
         claims = search_congruences(c_max, moduli, n_max)
         assert len(claims) == found
@@ -592,8 +583,8 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
             (p, prefix[p]) for kind, c, p in triples if c > 1
         )
         assert {(cl.family.kind, cl.family.colors, cl.modulus) for cl in verified} <= set(triples)
-        # the store holds the full series verify_claim cuts from, never a prefix
-        assert set(stored) == {n_max + 1}
+        # only verify_claim asks for a family series, at the full order, never a prefix
+        assert set(requested) == {n_max + 1}
 
 
 def test_search_reads_a_class_by_its_colour_mod_p():
@@ -617,7 +608,7 @@ def test_search_reads_a_class_by_its_colour_mod_p():
 
 @pytest.fixture
 def series_requests(monkeypatch):
-    """An empty series store; the keys _series_mod is asked for are recorded."""
+    """No held family series; the keys _series_mod is asked for are recorded."""
     requests = []
     series_mod = engine._series_mod
 
@@ -626,7 +617,7 @@ def series_requests(monkeypatch):
         return series_mod(kind, colors, modulus, order)
 
     monkeypatch.setattr(engine, "_series_mod", recording)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(engine, "_family_held", None)
     return requests
 
 
@@ -751,7 +742,7 @@ def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
                 assert results and all(r.holds for r in results), (theorem, p, k)
     # a_3(7n+4) mod 7: psi(q) f_2^3 has no term in the class
     assert verify_claim(CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4), 10**6).holds
-    assert series_requests == [] and not qfunctions._store
+    assert series_requests == [] and engine._family_held is None
 
 
 def core_claims():
@@ -774,19 +765,19 @@ def test_class_first_claims_build_no_series(monkeypatch):
     def no_call(*args):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(engine, "_family_held", None)
+    monkeypatch.setattr(qfunctions, "_f1_held", None)
     for module, name in [
         (qfunctions, "euler_quotient"),
         (partitions, "euler_quotient"),
-        (qfunctions, "_stored"),
-        (engine, "_stored"),
+        (qfunctions, "_f1_inverse"),
         (engine, "_series_mod"),
     ]:
         monkeypatch.setattr(module, name, no_call)
     # holding and refuted classes alike: a refuted one has its witness from [C]_r
     results = [verify_claim(claim, 996) for claim in claims]
     assert [(r.verdict, r.witness) for r in results] == want
-    assert not qfunctions._store
+    assert engine._family_held is None and qfunctions._f1_held is None
 
 
 @pytest.mark.parametrize("claim", [

@@ -1,7 +1,6 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
 import functools
-from collections import Counter, OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cubicpart import cli, engine, qfunctions
 from cubicpart import series as series_module
-from cubicpart.arith import is_odd_prime
 from cubicpart.modform import EtaQuotient
 from cubicpart.partitions import (
     CUBIC,
@@ -241,11 +239,10 @@ def test_split_and_stride_match_dense_powers_mod_m(m, data):
 def counted_steps(monkeypatch):
     """Calls of pow, as ("pow", e), and of divide, as ("divide", delta of the divisor).
 
-    The series store starts empty, so 1 / f_1 is built, not cut from an
-    earlier test's.
+    No 1 / f_1 is held, so it is built, not cut from an earlier test's.
     """
     calls = []
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_f1_held", None)
     real_pow, real_divide = TruncatedSeries.pow, TruncatedSeries.divide
 
     def counting_pow(self, e):
@@ -384,8 +381,8 @@ def test_strided_and_cube_steps_match_dense_powers(ring, data):
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
     euler_quotient({2: -9999, 1: -1}, 60, ZZ)
     # f2 by pow (3333 steps by f^3, 8 terms at order 30, cost 30 * 3333 * 8
-    # products against 14 * 30^2), strided: 1 / f1 at order 30 from the
-    # store, built by one division by f1, to the power 9999; then f1 by
+    # products against 14 * 30^2), strided: 1 / f1 at order 30 from
+    # _f1_inverse, built by one division by f1, to the power 9999; then f1 by
     # one step (60 * 13 against 60^2 + 30 * 60)
     assert counted_steps == [("divide", 1), ("pow", 9999), ("divide", 1)]
 
@@ -393,7 +390,7 @@ def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
 def test_euler_quotient_mod_m_always_powers(monkeypatch):
     calls = []
     real_pow, real_sub = TruncatedSeries.pow, TruncatedSeries.substitute_power
-    real_inverse, real_stored = TruncatedSeries.inverse, qfunctions._stored
+    real_inverse, real_f1_inverse = TruncatedSeries.inverse, qfunctions._f1_inverse
 
     def counting_pow(self, e):
         calls.append(("pow", e, self.order))
@@ -407,9 +404,9 @@ def test_euler_quotient_mod_m_always_powers(monkeypatch):
         calls.append(("inverse", self.order))
         return real_inverse(self)
 
-    def counting_stored(key, order, build):
-        calls.append(("store", key[0], order))
-        return real_stored(key, order, build)
+    def counting_f1_inverse(order, ring):
+        calls.append(("f1-inverse", order))
+        return real_f1_inverse(order, ring)
 
     def no_divide(self, f):
         raise AssertionError("no mod-m factor is applied by division")
@@ -418,11 +415,11 @@ def test_euler_quotient_mod_m_always_powers(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "substitute_power", counting_sub)
     monkeypatch.setattr(TruncatedSeries, "inverse", counting_inverse)
     monkeypatch.setattr(TruncatedSeries, "divide", no_divide)
-    monkeypatch.setattr(qfunctions, "_stored", counting_stored)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_f1_inverse", counting_f1_inverse)
+    monkeypatch.setattr(qfunctions, "_f1_held", None)
     s = euler_quotient({2: -4, 1: -1}, 4001, zmod(7))
     # -4 = 7 (-1) + 3, so f2^-4 == f2^3 f14^-1 (mod 7).  1 / f1 is asked of
-    # the store once, at 4001, the longest order a negative factor needs,
+    # _f1_inverse once, at 4001, the longest order a negative factor needs,
     # and built by one inverse (Newton).  In descending delta each factor
     # is f1^r at order ceil(4001 / delta): f14^-1 is the cut of 1 / f1 at
     # 286 to the power 1, not a pow(-1); the product of f14^-1 and f2^3 is
@@ -433,15 +430,15 @@ def test_euler_quotient_mod_m_always_powers(monkeypatch):
         ("pow", 1, 4001), ("substitute", 2), ("substitute", 1),
         ("substitute", 1),
     ]
-    assert calls == [("store", "f1-inverse", 4001), ("inverse", 4001)] + factors
-    # warm, the same map makes the same request and the store answers it
+    assert calls == [("f1-inverse", 4001), ("inverse", 4001)] + factors
+    # warm, the same map makes the same request and the held inverse answers it
     calls.clear()
     assert euler_quotient({2: -4, 1: -1}, 4001, zmod(7)) == s
-    assert calls == [("store", "f1-inverse", 4001)] + factors
-    # a shorter quotient is cut from the stored inverse: no inverse runs
+    assert calls == [("f1-inverse", 4001)] + factors
+    # a shorter quotient is cut from the held inverse: no inverse runs
     calls.clear()
     euler_quotient({1: -1}, 1000, zmod(7))
-    assert calls == [("store", "f1-inverse", 1000), ("pow", 1, 1000), ("substitute", 1)]
+    assert calls == [("f1-inverse", 1000), ("pow", 1, 1000), ("substitute", 1)]
     monkeypatch.undo()
     assert s == dense_quotient({2: -4, 1: -1}, 4001, zmod(7))
 
@@ -455,27 +452,26 @@ def test_cold_and_warm_store_give_equal_quotients(monkeypatch, ring):
 
     Over ZZ the cubic c = 200 map takes f2 by pow (at 200 its 66 steps by
     f^3 and one by f cost 100 * (66 * 14 + 16) products against
-    8 * 100^2), so its f2^-199 reads 1 / f1 from the store too.
+    8 * 100^2), so its f2^-199 reads the held 1 / f1 too.
     """
     maps = [{1: -1, 2: -199}, {1: -2, 2: 3, 4: -1}, {1: -1}, {3: -2, 1: 1}]
     orders = (200, 57, 1)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
     cold = {}
     for exps in maps:
         for order in orders:
-            qfunctions._store.clear()
+            monkeypatch.setattr(qfunctions, "_f1_held", None)
             cold[str(exps), order] = euler_quotient(exps, order, ring)
-    qfunctions._store.clear()
+    monkeypatch.setattr(qfunctions, "_f1_held", None)
     held = qfunctions._f1_inverse(200, ring)  # the longest inverse any map needs
     for exps in maps:
         for order in orders:
             assert euler_quotient(exps, order, ring) == cold[str(exps), order]
-            assert qfunctions._store[("f1-inverse", ring)] is held
+            assert qfunctions._f1_held[0] == ring and qfunctions._f1_held[1] is held
     assert cold[str(maps[0]), 57] == dense_quotient(maps[0], 57, ring)
 
 
 def test_store_serves_a_shorter_f1_inverse_as_a_read_only_view(monkeypatch):
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_f1_held", None)
     ring = zmod(13)
     long = qfunctions._f1_inverse(3000, ring)
     short = qfunctions._f1_inverse(700, ring)
@@ -483,26 +479,20 @@ def test_store_serves_a_shorter_f1_inverse_as_a_read_only_view(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         short.coeffs[0] = 2
     assert short == one(ring, 700).divide(euler_product(1, 700, ring))
-    assert qfunctions._store[("f1-inverse", ring)] is long
-    # a longer request is built and replaces the held entry
+    assert qfunctions._f1_held[1] is long
+    # a longer request is built and replaces the held inverse
     longer = qfunctions._f1_inverse(5000, ring)
-    assert qfunctions._store[("f1-inverse", ring)] is longer
+    assert qfunctions._f1_held[1] is longer
     assert longer.order == 5000 and longer.truncate(3000) == long
-
-
-def test_family_and_f1_inverse_keys_share_the_64_key_bound(monkeypatch):
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
-    moduli = [m for m in range(3, 400) if is_odd_prime(m)][:40]
-    for m in moduli:
-        engine._series_mod(CUBIC, 2, m, 20)  # a family key and ("f1-inverse", ZZ/m)
-        assert len(qfunctions._store) <= 64
-    assert len(qfunctions._store) == 64
-    kinds = Counter(key[0] == "f1-inverse" for key in qfunctions._store)
-    assert kinds == {True: 32, False: 32}
-    # the least recently used keys went, the family key and inverse of each modulus
-    assert (CUBIC, 2, moduli[7]) not in qfunctions._store
-    assert ("f1-inverse", zmod(moduli[7])) not in qfunctions._store
-    assert ("f1-inverse", zmod(moduli[8])) in qfunctions._store
+    # so does a request over another ring, at any order
+    other = qfunctions._f1_inverse(10, zmod(7))
+    assert qfunctions._f1_held[0] == zmod(7) and qfunctions._f1_held[1] is other
+    assert not np.shares_memory(qfunctions._f1_inverse(5000, ring).coeffs, longer.coeffs)
+    # alternating rings, every inverse equals a cold build
+    for m, order in [(7, 900), (11, 900), (7, 400), (11, 1200), (7, 900)]:
+        got = qfunctions._f1_inverse(order, zmod(m))
+        assert got == one(zmod(m), order).divide(euler_product(1, order, zmod(m)))
+        assert got.order == order and qfunctions._f1_held[0] == zmod(m)
 
 
 def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
@@ -514,16 +504,17 @@ def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
         return real(f, order, m, inv0)
 
     monkeypatch.setattr(series_module, "_inverse_newton", counting_newton)
-    monkeypatch.setattr(qfunctions, "_store", OrderedDict())
+    monkeypatch.setattr(qfunctions, "_f1_held", None)
+    monkeypatch.setattr(engine, "_family_held", None)
     assert cli.main(["search", "--cmax", "6", "--primes", "3,5,7,11", "--nmax", "8000"]) == 0
-    # one inverse per modulus at the prefix order, built for F_1 and cut
-    # for its colour step; cubic c = 1 and 5 mod 11 survive with no theta
-    # core, so verify_claim builds their full series, and mod 11 one more at 8001
+    # one inverse per modulus at the prefix order, built for the cubic F_1
+    # and cut for its colour step and both overcubic ones; cubic c = 1 and 5
+    # mod 11 survive with no theta core, so verify_claim builds their full
+    # series, and mod 11 one more at 8001, held for c = 5 and the overcubic prefix
     prefixes = [(engine._PREFIX * p, p) for p in (3, 5, 7, 11)]
-    assert sorted(calls) == sorted(prefixes + [(8001, 11)])
-    # the prefixes are never stored: a family key holds only a full series
-    family_orders = {s.order for key, s in qfunctions._store.items() if key[0] != "f1-inverse"}
-    assert family_orders == {8001}
+    assert calls == prefixes + [(8001, 11)]
+    # the prefixes are never held: the held family series is a full one
+    assert engine._family_held[0] == (CUBIC, 5, 11) and engine._family_held[1].order == 8001
 
 
 # -- eta expansions ----------------------------------------------------------
