@@ -49,7 +49,7 @@ from .modform import (
 from .partitions import (
     _COLOUR_STEP, CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
 )
-from .qfunctions import _check_order, _core_class, eta_expansion, euler_quotient
+from .qfunctions import _MAX_COLOURS, _check_order, _core_class, eta_expansion, euler_quotient
 from .series import TruncatedSeries, zmod
 
 __all__ = [
@@ -469,6 +469,8 @@ def search_congruences(
     ps = sorted(set(primes))
     if c_max < 1:
         raise ValueError(f"c_max must be >= 1, got {c_max}")
+    if c_max > _MAX_COLOURS:
+        raise ValueError(f"c_max {c_max} is above the ceiling {_MAX_COLOURS}")
     if min_confirmations < 1:
         raise ValueError(f"min_confirmations must be >= 1, got {min_confirmations}")
     for p in ps:

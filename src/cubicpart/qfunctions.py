@@ -10,7 +10,8 @@ builds its series in q^k, and ``euler_product``, ``jacobi_cube`` and
 ``psi`` are that builder.  Then the Frobenius split of an exponent map
 modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
-step-or-pow rule counts terms from ``_terms``, the class-first read of
+exact-integer steps are planned over every table entry and priced from
+the entries' term counts (``_step_plan``), the class-first read of
 one residue class mod a prime through a theta core congruent to the map
 (``_core_class``), and eta-quotient q-expansions with the leading
 power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
@@ -24,6 +25,7 @@ exactly in int64 under the bound that ``_class_read`` states.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, count, takewhile
 from math import gcd
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -136,6 +138,11 @@ def _frobenius_reduced(exponents: Mapping[int, int], p: int) -> Dict[int, int]:
 # set them are in its docstring.
 _MAX_ORDER_MOD = 10**7
 _MAX_ORDER_ZZ = 10**6
+# The most (map, g) states ``_step_plan`` prices for one map.
+_PLAN_STATES = 256
+# The largest c_max ``search`` reads: its claims and their text grow
+# linearly in c_max, 8.7 s and 576 MB at 10^6 (mod 5, n_max 100).
+_MAX_COLOURS = 10**6
 
 # the last 1 / f_1 that _f1_inverse built, as (ring, series)
 _f1_held: Optional[Tuple[Ring, TruncatedSeries]] = None
@@ -167,41 +174,131 @@ def _expand(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
     return s.substitute_power(k).truncate(order)
 
 
-def _sparse_steps(prod: TruncatedSeries, k: int, r: int) -> TruncatedSeries:
-    """prod * f_k^r at prod's order by |r| sparse steps, three at a time by f_k^3.
+# A step plan item (name, k, n): the closed form ``name`` in q^k applied n
+# times, multiplied in for n > 0 and divided out for n < 0; name None is
+# f_k^n by pow, strided.
+_Step = Tuple[Optional[str], int, int]
 
-    A step multiplies by its factor (r > 0) or divides by it (r < 0):
-    floor(|r| / 3) steps by ``jacobi_cube`` and then |r| mod 3 by
-    ``euler_product``.
+
+@lru_cache(maxsize=256)
+def _term_count(name: str, n: int) -> int:
+    """How many terms of the closed form lie below n (``_terms``), counted once per (name, n)."""
+    return len(_terms(name, n))
+
+
+def _sparse_steps(prod: TruncatedSeries, name: str, k: int, n: int) -> TruncatedSeries:
+    """prod times the closed form in q^k to the power n, at prod's order, by |n| sparse steps.
+
+    A step multiplies by the entry (n > 0; the schoolbook product skips
+    the zero coefficients of its left operand) or divides by it (n < 0).
     """
-    n, ring = prod.order, prod.ring
-    cubes, rest = divmod(abs(r), 3)
-    for times, build in ((cubes, jacobi_cube), (rest, euler_product)):
-        if times:
-            f = build(k, n, ring)
-            for _ in range(times):
-                prod = f * prod if r > 0 else prod.divide(f)
+    f = _closed_form(name, k, prod.order, prod.ring)
+    for _ in range(abs(n)):
+        prod = f * prod if n > 0 else prod.divide(f)
     return prod
 
 
-def _takes_steps(r: int, delta: int, g: int, order: int) -> bool:
-    """Whether f_delta^r costs no more coefficient products as sparse steps than by pow.
+def _price(plan: List[_Step], g: int, order: int) -> int:
+    """Coefficient products of the plan's items, applied in turn on the product in q^g.
 
-    The product so far is a series in q^g (g = 0 before the first factor),
-    and the factor moves it to q^h, h = gcd(g, delta), at n = ceil(order / h)
-    terms.  The steps cost n products per nonzero term of their factor at
-    m = ceil(order / delta): floor(|r| / 3) steps by f^3 and |r| mod 3 by f,
-    whose terms ``_terms`` counts without building a series.  pow costs
-    bit_length(|r|) dense products of m^2, and after the first factor one
-    product of the power with the product so far, which skips the zeros of
-    that product's ceil(order / g) terms: n ceil(order / g).
+    g = 0 before the first item.  An item at k moves the product to q^h,
+    h = gcd(g, k), at ceil(order / h) terms.  A step costs that many
+    products per nonzero term of its entry at m = ceil(order / k),
+    counted from the table with no series built.  f_k^r by pow costs
+    bit_length(|r|) dense products of m^2 and, after the first item, one
+    product of the power with the product so far, which skips the zeros
+    of that product's ceil(order / g) terms: ceil(order / h) ceil(order / g).
     """
-    h, m = gcd(g, delta), -(-order // delta)
-    n = -(-order // h)
+    total = 0
+    for name, k, times in plan:
+        h, m = gcd(g, k), -(-order // k)
+        if name is None:
+            total += abs(times).bit_length() * m * m + (-(-order // h) * -(-order // g) if g else 0)
+        else:
+            total += abs(times) * -(-order // h) * _term_count(name, m)
+        g = h
+    return total
+
+
+def _f_steps(r: int, delta: int) -> List[_Step]:
+    """f_delta^r as sparse steps: floor(|r| / 3) by f^3, then |r| mod 3 by f."""
     cubes, rest = divmod(abs(r), 3)
-    steps = n * (cubes * len(_terms("jacobi_cube", m)) + rest * len(_terms("euler_product", m)))
-    power = abs(r).bit_length() * m * m + (n * -(-order // g) if g else 0)
-    return steps <= power
+    sign = 1 if r > 0 else -1
+    return [(name, delta, sign * t) for name, t in (("jacobi_cube", cubes), ("euler_product", rest)) if t]
+
+
+def _takes_steps(r: int, delta: int, g: int, order: int) -> bool:
+    """Whether f_delta^r costs no more coefficient products (``_price``) as sparse steps than by pow."""
+    return _price(_f_steps(r, delta), g, order) <= _price([(None, delta, r)], g, order)
+
+
+def _f_plan(r: int, delta: int, g: int, order: int) -> List[_Step]:
+    """f_delta^r on the product in q^g: sparse steps where ``_takes_steps`` holds, else pow."""
+    return _f_steps(r, delta) if _takes_steps(r, delta, g, order) else [(None, delta, r)]
+
+
+def _f_factor_plan(exponents: Mapping[int, int], g: int, order: int) -> List[_Step]:
+    """Each f_delta^r of the map by ``_f_plan``, in descending delta, on the product in q^g."""
+    plan: List[_Step] = []
+    for delta in sorted(exponents, reverse=True):
+        plan += _f_plan(exponents[delta], delta, g, order)
+        g = gcd(g, delta)
+    return plan
+
+
+def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
+    """The cheapest step plan for the map on object storage, by ``_price``.
+
+    The map is walked from its top delta d down.  At each d, r_d is
+    zeroed either by f_d^r (``_f_plan``) or by a theta entry whose top
+    delta, in q^k, is d, taken n times with n r_top = r_d; the entry's
+    lower exponents, times n, come off the map below d.  Every choice is
+    priced, and on a tie the earlier choice stays, f_d^r first, so a map
+    that no entry makes cheaper keeps its f factors (``_f_factor_plan``).
+    The search expands at most _PLAN_STATES distinct (map, g) states;
+    past them no other choice is tried and a map not yet expanded keeps
+    its f factors.  So a map with many even deltas, whose states grow
+    exponentially with them, is planned in time linear in its size past
+    the bound, and the recursion is no deeper than the bound.
+    The overcubic map {1: -2, 2: 3 - 2c, 4: c - 1} is
+    1 / (phi(-q) phi(-q^2)^(c-1)).
+    """
+    thetas = [(name, max(e), e) for name, (e, _) in _CLOSED_FORMS.items() if max(e) > 1]
+    memo: Dict[Tuple[Tuple[Tuple[int, int], ...], int], Tuple[int, List[_Step]]] = {}
+    expanded = 0
+
+    def best(rest: Dict[int, int], g: int) -> Tuple[int, List[_Step]]:
+        """The price and plan of the map rest on the product in q^g."""
+        nonlocal expanded
+        key = (tuple(sorted(rest.items())), g)
+        if key in memo:
+            return memo[key]
+        if not rest or expanded >= _PLAN_STATES:
+            plan = _f_factor_plan(rest, g, order)
+            return _price(plan, g, order), plan
+        expanded += 1
+        d = max(rest)
+        r = rest[d]
+        below = {e: x for e, x in rest.items() if e != d}
+        options = [(_f_plan(r, d, g, order), below)]
+        for name, top, entry in thetas:
+            if d % top == 0 and r % entry[top] == 0:
+                k, n = d // top, r // entry[top]
+                left = dict(below)
+                for e, x in entry.items():
+                    if e != top:
+                        left[k * e] = left.get(k * e, 0) - n * x
+                options.append(([(name, k, n)], {e: x for e, x in left.items() if x}))
+        for items, left in options:
+            if key in memo and expanded >= _PLAN_STATES:
+                break
+            price, plan = best(left, gcd(g, *(k for _, k, _ in items)))
+            price += _price(items, g, order)
+            if key not in memo or price < memo[key][0]:
+                memo[key] = (price, items + plan)
+        return memo[key]
+
+    return best(dict(exponents), 0)[1]
 
 
 def _check_order(order: int, ring: Ring) -> None:
@@ -245,38 +342,50 @@ def euler_quotient(
     f_delta = 1 + O(q^delta), so factors at delta >= order are dropped; at
     order 0 none is built and the result is the empty series.
 
-    The factors are applied in descending delta, and the running product
-    is kept as a series in q^g, g the gcd of the deltas applied so far, at
-    order ceil(order / g); the final q -> q^g and cut give the order.  A
-    factor at delta first moves the product to q^h, h = gcd(g, delta),
-    at order ceil(order / h); the first factor has h = delta.
+    The map is applied as a plan, a list of items (name, k, n): the
+    closed form ``name`` in q^k applied n times, or f_k^n by pow when
+    name is None.  On int64 storage the plan is every f_delta^r by pow,
+    in descending delta.  The running product is kept as a series in
+    q^g, g the gcd of the k applied so far, at order ceil(order / g);
+    the final q -> q^g and cut give the order.  An item at k first moves
+    the product to q^h, h = gcd(g, k), at order ceil(order / h); the
+    first item has h = k.
 
     On object storage (``_int64_storage`` false: ZZ, and ZZ/m for
-    m > 2^63) a factor may be applied as |r| sparse steps on the product
-    in q^h (``_sparse_steps``): f_delta is f_{delta/h} there, and a step
-    multiplies by it for r > 0 (the schoolbook product skips the zero
-    coefficients of its left operand) or divides by it (``divide``) for
-    r < 0.  The first such factor starts from 1 at ceil(order / delta).
-    Three steps at a time go by Jacobi's f^3 (``jacobi_cube``), and the
-    |r| mod 3 left by f.  ``_takes_steps`` counts coefficient products
-    from the closed forms' terms: each step costs ceil(order / h) per
-    nonzero term of its factor at ceil(order / delta), about
-    sqrt(2 order / delta) for f^3 and 1.6 sqrt(order / delta) for f, and
-    pow costs bit_length(|r|) dense products of ceil(order / delta)^2
-    plus its product with the product so far.  The steps are taken iff
-    they cost no more.  So steps win at small |r| and large order, and
-    pow at colour counts large against the order: cubic c = 5,
-    {2: -4, 1: -1} at 4001, is one division by f^3 and one by f at 2001
-    terms, then one by f at 4001; cubic c = 251 at 4001 takes 83
-    divisions by f^3 and one by f for f_2^-250, and c = 1001 takes pow.
+    m > 2^63) the plan is ``_step_plan``'s, and an item with a name is
+    |n| sparse steps on the product in q^h (``_sparse_steps``): the
+    entry in q^k is the entry in q^{k/h} there, and a step multiplies by
+    it for n > 0 (the schoolbook product skips the zero coefficients of
+    its left operand) or divides by it (``divide``) for n < 0.  The
+    first item starts from 1 at ceil(order / k).  The plan walks the map
+    from its top delta d down and zeroes r_d either as f_d^r or by the
+    theta entry whose top delta, in q^k, is d, which moves the entry's
+    lower exponents onto the map below d.  f_d^r is pow or steps, three
+    at a time by Jacobi's f^3 (``jacobi_cube``) and the |r| mod 3 left
+    by f, whichever ``_takes_steps`` finds no dearer.  The prices count
+    coefficient products from the closed forms' terms: a step costs
+    ceil(order / h) per nonzero term of its entry at ceil(order / k),
+    about sqrt(order / k) for phi(-q), sqrt(2 order / k) for f^3 and
+    1.6 sqrt(order / k) for f, and pow costs bit_length(|r|) dense
+    products of ceil(order / k)^2 plus its product with the product so
+    far.  The cheapest plan is taken, and on a tie the plan of f
+    factors.  So f steps win at small |r| and large order, and pow at
+    colour counts large against the order: cubic c = 5, {2: -4, 1: -1}
+    at 4001, is one division by f^3 and one by f at 2001 terms, then one
+    by f at 4001; cubic c = 251 at 4001 takes 83 divisions by f^3 and
+    one by f for f_2^-250, and c = 1001 takes pow.  The overcubic map
+    {1: -2, 2: 3 - 2c, 4: c - 1} is 1 / (phi(-q) phi(-q^2)^(c-1)), with
+    phi(-q) = f_1^2 / f_2: from a few hundred terms on it is c - 1
+    divisions by phi(-q) in q^2 at ceil(order / 2) terms and one at
+    order, where the f factors would divide twice by f at full length.
+    Every cubic map and both named identities keep the f factors.
 
-    Every other factor, and every factor on int64 storage, is taken by
-    stride: f_delta^r is zero off multiples of delta, so f_1^r is
-    expanded by ``pow`` at order ceil(order / delta) and then q -> q^delta
-    (``substitute_power``) with a cut.  For r < 0 the base is 1 / f_1,
-    raised to |r|.  It is asked of ``_f1_inverse`` once, at the longest
-    order any negative factor of the map needs, and cut for every
-    shorter one; ``_f1_inverse`` holds the last inverse it built, so a
+    A pow item f_delta^r is taken by stride: it is zero off multiples of
+    delta, so f_1^r is expanded by ``pow`` at order ceil(order / delta)
+    and then q -> q^delta (``substitute_power``) with a cut.  For r < 0
+    the base is 1 / f_1, raised to |r|.  It is asked of ``_f1_inverse``
+    once, at the longest order any negative pow item needs, and cut for
+    every shorter one; ``_f1_inverse`` holds the last inverse it built, so a
     map over the same ring at no higher an order builds none.  This is
     exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to
     any longer order.  The power is multiplied with the product in q^h
@@ -296,32 +405,28 @@ def euler_quotient(
     if p is not None and _is_prime(p):
         exponents = _frobenius_reduced(exponents, p)
     exponents = {d: r for d, r in exponents.items() if d < order}
-    steps = set()  # on object storage, the deltas whose factors are taken as sparse steps
-    if not _int64_storage(ring):
-        g = 0
-        for delta in sorted(exponents, reverse=True):
-            if _takes_steps(exponents[delta], delta, g, order):
-                steps.add(delta)
-            g = gcd(g, delta)
-    # 1 / f_1 once, at the longest order a negative pow-branch factor needs
-    inverse_orders = [-(-order // d) for d, r in exponents.items() if r < 0 and d not in steps]
+    if _int64_storage(ring):
+        plan = [(None, d, exponents[d]) for d in sorted(exponents, reverse=True)]
+    else:
+        plan = _step_plan(exponents, order)
+    # 1 / f_1 once, at the longest order a negative pow factor needs
+    inverse_orders = [-(-order // k) for name, k, n in plan if name is None and n < 0]
     f1_inverse = _f1_inverse(max(inverse_orders), ring) if inverse_orders else None
     prod, g = None, 0  # the product so far, as a series in q^g
-    for delta in sorted(exponents, reverse=True):
-        r = exponents[delta]
-        h = gcd(g, delta)  # delta itself for the first factor, as gcd(0, delta)
-        n = -(-order // h)
-        if delta in steps:
-            prod = one(ring, n) if prod is None else _expand(prod, g // h, n)
-            prod = _sparse_steps(prod, delta // h, r)
+    for name, k, n in plan:
+        h = gcd(g, k)  # k itself for the first item, as gcd(0, k)
+        m = -(-order // h)
+        if name is not None:
+            prod = one(ring, m) if prod is None else _expand(prod, g // h, m)
+            prod = _sparse_steps(prod, name, k // h, n)
         else:
-            nd = -(-order // delta)
-            base = euler_product(1, nd, ring) if r > 0 else f1_inverse.truncate(nd)
-            factor = base.pow(abs(r))  # f_delta^r in q^delta
+            mk = -(-order // k)
+            base = euler_product(1, mk, ring) if n > 0 else f1_inverse.truncate(mk)
+            factor = base.pow(abs(n))  # f_k^n in q^k
             if prod is None:
                 prod = factor
             else:
-                prod = _expand(prod, g // h, n) * _expand(factor, delta // h, n)
+                prod = _expand(prod, g // h, m) * _expand(factor, k // h, m)
         g = h
     return one(ring, order) if prod is None else _expand(prod, g, order)
 

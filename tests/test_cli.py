@@ -289,6 +289,14 @@ def test_search_bad_primes(capsys):
     assert code == 2 and "comma-separated" in err
 
 
+def test_search_cmax_above_the_ceiling_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--cmax", "1000001", "--primes", "5", "--nmax", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "c_max 1000001 is above the ceiling 1000000" in err
+
+
 def test_identity_exit_codes(capsys):
     code, out, _ = run(capsys, "identity", "--id", "ramanujan-p5n4", "--order", "60")
     assert code == 0 and "equal" in out

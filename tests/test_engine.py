@@ -398,6 +398,22 @@ def test_search_validates_bounds():
         search_congruences(1, {5, 3}, 10**11)
 
 
+def test_search_refuses_c_max_above_the_ceiling_before_any_build(monkeypatch):
+    # the ceiling itself is accepted: at a lowered ceiling, c_max equal to it runs
+    monkeypatch.setattr(engine, "_MAX_COLOURS", 3)
+    assert CongruenceClaim(A2, 3, 3, 2) in search_congruences(3, {3}, 29)
+
+    def no_build(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(engine, "generating_series", no_build)
+    with pytest.raises(ValueError, match=r"^c_max 4 is above the ceiling 3$"):
+        search_congruences(4, {3}, 29)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^c_max 1000001 is above the ceiling 1000000$"):
+        search_congruences(10**6 + 1, {5}, 100)
+
+
 def test_search_needs_n_max_of_p_k_minus_1():
     # n_max = 29 gives each class mod 3 exactly 10 values: 0..27, 1..28, 2..29
     assert CongruenceClaim(A2, 3, 3, 2) in search_congruences(2, {3}, 29)

@@ -1,6 +1,7 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
 import functools
+import time
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from cubicpart.partitions import (
     CUBIC,
     OVERCUBIC,
     PartitionFamily,
+    _IDENTITIES,
     count_direct,
     generating_series,
 )
@@ -263,16 +265,18 @@ def step_factors(monkeypatch):
     """The sparse steps taken, as (op, power, k, order) for a factor f_k^power.
 
     op is "mul" or "divide"; power is 3 for ``jacobi_cube``, 1 for
-    ``euler_product``.  pow and inverse may not run.
+    ``euler_product``, and the table's name for any other closed form in
+    q^k.  pow and inverse may not run.
     """
     calls = []
     real_mul, real_divide = TruncatedSeries.__mul__, TruncatedSeries.divide
+    powers = {"jacobi_cube": 3, "euler_product": 1}
 
     def factor(f):
         k = next(i for i, c in enumerate(f.coeffs) if i and c)
-        for power, build in ((3, jacobi_cube), (1, euler_product)):
-            if f == build(k, f.order, f.ring):
-                return power, k, f.order
+        for name in qfunctions._CLOSED_FORMS:
+            if f == qfunctions._closed_form(name, k, f.order, f.ring):
+                return powers.get(name, name), k, f.order
         raise AssertionError(f"{f!r} is no step factor")
 
     def counting_mul(self, other):
@@ -305,15 +309,16 @@ def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
     assert step_factors == CUBIC_5_STEPS
     fam = PartitionFamily(CUBIC, 5)
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
-    # overcubic c = 3, {4: 2, 2: -3, 1: -2} at 3000: f4^2 is two products
-    # by f1 in q^4 at 750 terms, f2^-3 one division by f1^3 in q^2 at 1500
-    # and f1^-2 two divisions by f1 at 3000
+    # overcubic c = 3, {4: 2, 2: -3, 1: -2} at 3000, is
+    # 1 / (phi(-q) phi(-q^2)^2), phi(-q) = f1^2 / f2: two divisions by
+    # phi(-q) in q^2 at 1500 terms, the product starting from 1, then one
+    # at 3000 after q^2 -> q; f4^2, f2^-3 and f1^-2 as f steps would cost
+    # two products by f at 750, a division by f^3 at 1500 and two by f at 3000
     step_factors.clear()
     s = euler_quotient(PartitionFamily(OVERCUBIC, 3).exponents, 3000, ZZ)
     assert step_factors == [
-        ("mul", 1, 1, 750), ("mul", 1, 1, 750),
-        ("divide", 3, 1, 1500),
-        ("divide", 1, 1, 3000), ("divide", 1, 1, 3000),
+        ("divide", "phi(-q)", 1, 1500), ("divide", "phi(-q)", 1, 1500),
+        ("divide", "phi(-q)", 1, 3000),
     ]
     fam = PartitionFamily(OVERCUBIC, 3)
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
@@ -376,6 +381,72 @@ def test_strided_and_cube_steps_match_dense_powers(ring, data):
     ):
         fast = euler_quotient(exps, order, ring)
     assert fast == dense_quotient(exps, order, ring)
+
+
+@pytest.mark.parametrize("ring", [ZZ, zmod(2**64 + 13)], ids=["ZZ", "mod 2^64+13"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    exps=st.dictionaries(
+        st.integers(1, 12), st.integers(-7, 7).filter(bool), min_size=1, max_size=4
+    ),
+    order=st.integers(1, 200),
+)
+@example(exps={4: 2, 2: -3, 1: -2}, order=200)  # overcubic c = 3, by phi(-q) steps
+@example(exps={8: 3, 4: -5, 2: -2}, order=150)  # overcubic c = 4 in q^2
+@example(exps={12: 4, 6: -1, 3: 2, 1: -7}, order=180)
+def test_planned_steps_match_dense_powers(ring, exps, order):
+    """Object storage: whatever plan ``_step_plan`` picks gives the quotient."""
+    assert euler_quotient(exps, order, ring) == dense_quotient(exps, order, ring)
+
+
+OVERCUBIC_ORDERS = [0, 1, 2, 3, 4, 5, 383, 1000]
+
+
+@pytest.mark.parametrize("order", OVERCUBIC_ORDERS)
+def test_overcubic_series_by_phi_steps_match_the_oracle(order):
+    """Overcubic c = 1..40 over ZZ, against ``count_direct`` and the int64 ring.
+
+    From 383 terms on, each map {1: -2, 2: 3 - 2c, 4: c - 1} is planned
+    as 1 / (phi(-q) phi(-q^2)^(c-1)), at c = 1 one division by phi(-q).
+    The int64 ring builds by strided pow, mod 65521 with no Frobenius
+    split and mod 7 with one.
+    """
+    checked = [n for n in range(0, 61, 6) if n < order] + list(range(min(order, 6)))
+    for c in range(1, 41):
+        fam = PartitionFamily(OVERCUBIC, c)
+        exact = euler_quotient(fam.exponents, order, ZZ)
+        assert exact.order == order
+        for n in checked:
+            assert exact.coefficient(n) == count_direct(fam, n), (c, n)
+        for m in (65521, 7):
+            assert exact.reduce_mod(m) == euler_quotient(fam.exponents, order, zmod(m))
+        if order >= 383:
+            plan = [("phi(-q)", 2, 1 - c)] * (c > 1) + [("phi(-q)", 1, -1)]
+            assert qfunctions._step_plan(fam.exponents, order) == plan
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 60, 383, 1000, 4001, 10**5])
+def test_cubic_and_identity_maps_keep_the_f_factor_plan(order):
+    # no theta entry prices below f steps or pow for these maps
+    maps = [PartitionFamily(CUBIC, c).exponents for c in (*range(1, 60), 251, 1001, 10**5)]
+    maps += [entry[4] for entry in _IDENTITIES.values()]
+    for exps in maps:
+        exps = {d: r for d, r in exps.items() if d < order}
+        assert qfunctions._step_plan(exps, order) == qfunctions._f_factor_plan(exps, 0, order), exps
+
+
+def test_step_plan_search_stops_at_its_state_bound(monkeypatch):
+    # 60 deltas, 30 of them even: the states of a full search grow
+    # exponentially, and past the bound every map keeps its f factors
+    exps = {d: 2 * (-1) ** d for d in range(1, 61)}
+    start = time.perf_counter()
+    s = euler_quotient(exps, 200, ZZ)
+    assert time.perf_counter() - start < 5.0
+    assert s.reduce_mod(2**61 - 1) == euler_quotient(exps, 200, zmod(2**61 - 1))
+    # with one state the top delta's f factor is tried alone
+    overcubic = PartitionFamily(OVERCUBIC, 3).exponents
+    monkeypatch.setattr(qfunctions, "_PLAN_STATES", 1)
+    assert qfunctions._step_plan(overcubic, 3000) == qfunctions._f_factor_plan(overcubic, 0, 3000)
 
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
