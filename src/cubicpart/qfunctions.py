@@ -11,7 +11,8 @@ builds its series in q^k, and ``euler_product``, ``jacobi_cube`` and
 modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
 exact-integer steps are planned over every table entry and priced from
-the entries' term counts (``_step_plan``), the class-first read of
+the entries' term counts (``_step_plan``; cubic c >= 2 is mostly
+psi(q) / f_2^(c+1), one product by psi), the class-first read of
 one residue class mod a prime through a theta core congruent to the map
 (``_core_class``), and eta-quotient q-expansions with the leading
 power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
@@ -189,8 +190,8 @@ def _term_count(name: str, n: int) -> int:
 def _sparse_steps(prod: TruncatedSeries, name: str, k: int, n: int) -> TruncatedSeries:
     """prod times the closed form in q^k to the power n, at prod's order, by |n| sparse steps.
 
-    A step multiplies by the entry (n > 0; the schoolbook product skips
-    the zero coefficients of its left operand) or divides by it (n < 0).
+    A step multiplies by the entry (n > 0; one row of the schoolbook
+    kernel per nonzero term of the entry) or divides by it (n < 0).
     """
     f = _closed_form(name, k, prod.order, prod.ring)
     for _ in range(abs(n)):
@@ -252,16 +253,21 @@ def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
     The map is walked from its top delta d down.  At each d, r_d is
     zeroed either by f_d^r (``_f_plan``) or by a theta entry whose top
     delta, in q^k, is d, taken n times with n r_top = r_d; the entry's
-    lower exponents, times n, come off the map below d.  Every choice is
-    priced, and on a tie the earlier choice stays, f_d^r first, so a map
-    that no entry makes cheaper keeps its f factors (``_f_factor_plan``).
+    lower exponents, times n, come off the map below d.  Or the bottom
+    delta b is zeroed by a theta entry whose bottom delta, in q^k, is b,
+    n r_bottom = r_b, when the entry's other deltas are all in the map:
+    that item removes a delta and adds none, and goes after the rest of
+    the plan, priced at the gcd the rest leaves.  Every choice is priced,
+    unless its own items cost no less than the best plan so far, and on a
+    tie the earlier choice stays, f_d^r first, so a map that no entry
+    makes cheaper keeps its f factors (``_f_factor_plan``).
     The search expands at most _PLAN_STATES distinct (map, g) states;
     past them no other choice is tried and a map not yet expanded keeps
     its f factors.  So a map with many even deltas, whose states grow
     exponentially with them, is planned in time linear in its size past
     the bound, and the recursion is no deeper than the bound.
     The overcubic map {1: -2, 2: 3 - 2c, 4: c - 1} is
-    1 / (phi(-q) phi(-q^2)^(c-1)).
+    1 / (phi(-q) phi(-q^2)^(c-1)), cubic {1: -1, 2: 1 - c} psi / f_2^(c+1).
     """
     thetas = [(name, max(e), e) for name, (e, _) in _CLOSED_FORMS.items() if max(e) > 1]
     memo: Dict[Tuple[Tuple[Tuple[int, int], ...], int], Tuple[int, List[_Step]]] = {}
@@ -280,22 +286,37 @@ def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
         d = max(rest)
         r = rest[d]
         below = {e: x for e, x in rest.items() if e != d}
-        options = [(_f_plan(r, d, g, order), below)]
+        options = [(_f_plan(r, d, g, order), below, False)]
+
+        def take(name: str, entry: Dict[int, int], k: int, n: int, last: bool) -> None:
+            left = dict(rest)
+            for e, x in entry.items():
+                left[k * e] = left.get(k * e, 0) - n * x
+            options.append(([(name, k, n)], {e: x for e, x in left.items() if x}, last))
+
+        b = min(rest)
         for name, top, entry in thetas:
             if d % top == 0 and r % entry[top] == 0:
-                k, n = d // top, r // entry[top]
-                left = dict(below)
-                for e, x in entry.items():
-                    if e != top:
-                        left[k * e] = left.get(k * e, 0) - n * x
-                options.append(([(name, k, n)], {e: x for e, x in left.items() if x}))
-        for items, left in options:
+                take(name, entry, d // top, r // entry[top], False)
+            low = min(entry)
+            k = b // low
+            if b % low == 0 and rest[b] % entry[low] == 0 and all(k * e in rest for e in entry):
+                take(name, entry, k, rest[b] // entry[low], True)
+        for items, left, last in options:
             if key in memo and expanded >= _PLAN_STATES:
                 break
-            price, plan = best(left, gcd(g, *(k for _, k, _ in items)))
-            price += _price(items, g, order)
+            if key in memo and _price(items, g, order) >= memo[key][0]:
+                continue
+            if last:  # the items go after the rest, at the gcd that it leaves
+                price, plan = best(left, g)
+                price += _price(items, gcd(g, *(k for _, k, _ in plan)), order)
+                plan = plan + items
+            else:
+                price, plan = best(left, gcd(g, *(k for _, k, _ in items)))
+                price += _price(items, g, order)
+                plan = items + plan
             if key not in memo or price < memo[key][0]:
-                memo[key] = (price, items + plan)
+                memo[key] = (price, plan)
         return memo[key]
 
     return best(dict(exponents), 0)[1]
@@ -325,10 +346,10 @@ def euler_quotient(
     array in slices (linear from 10^6 to 4*10^6), so about 0.9 GB at the
     ceiling.  On object storage, over ZZ and mod m > 2^63, it is
     _MAX_ORDER_ZZ = 10^6, set by time: ``count`` for cubic c = 2 took
-    6.1-7.3 s at 10^5 and 22-26 s at 2*10^5 on a 2-vCPU VM (two runs
-    each), growing about as order^1.8, so some 7 minutes at the ceiling
-    by extrapolation.  Mod m > 2^63 the sparse steps below give the costs
-    of ZZ: ``verify`` of a_3(7n+4) takes about 1.1 s at n_max = 2*10^4.
+    5.5-5.9 s at 10^5 (two runs) and 17 s at 2*10^5 on a 2-vCPU VM,
+    growing about as order^1.6, so some 4 minutes at the ceiling by
+    extrapolation.  Mod m > 2^63 the sparse steps below give the costs
+    of ZZ: ``verify`` of a_3(7n+4) takes about 0.7 s at n_max = 2*10^4.
 
     When the ring's modulus p is prime (2 included), the map is first
     rewritten by ``frobenius_split``: f_delta^{r_delta} becomes
@@ -355,12 +376,14 @@ def euler_quotient(
     m > 2^63) the plan is ``_step_plan``'s, and an item with a name is
     |n| sparse steps on the product in q^h (``_sparse_steps``): the
     entry in q^k is the entry in q^{k/h} there, and a step multiplies by
-    it for n > 0 (the schoolbook product skips the zero coefficients of
-    its left operand) or divides by it (``divide``) for n < 0.  The
+    it for n > 0 (the schoolbook kernel adds one row per nonzero term of
+    the entry) or divides by it (``divide``) for n < 0.  The
     first item starts from 1 at ceil(order / k).  The plan walks the map
     from its top delta d down and zeroes r_d either as f_d^r or by the
     theta entry whose top delta, in q^k, is d, which moves the entry's
-    lower exponents onto the map below d.  f_d^r is pow or steps, three
+    lower exponents onto the map below d, or zeroes the bottom delta by
+    an entry whose other deltas are in the map, applied last (``_step_plan``).
+    f_d^r is pow or steps, three
     at a time by Jacobi's f^3 (``jacobi_cube``) and the |r| mod 3 left
     by f, whichever ``_takes_steps`` finds no dearer.  The prices count
     coefficient products from the closed forms' terms: a step costs
@@ -370,15 +393,18 @@ def euler_quotient(
     products of ceil(order / k)^2 plus its product with the product so
     far.  The cheapest plan is taken, and on a tie the plan of f
     factors.  So f steps win at small |r| and large order, and pow at
-    colour counts large against the order: cubic c = 5, {2: -4, 1: -1}
-    at 4001, is one division by f^3 and one by f at 2001 terms, then one
-    by f at 4001; cubic c = 251 at 4001 takes 83 divisions by f^3 and
-    one by f for f_2^-250, and c = 1001 takes pow.  The overcubic map
+    colour counts large against the order.  Cubic c = 5, {2: -4, 1: -1}
+    at 4001, is psi(q) / f_2^6, psi = f_2^2 / f_1: two divisions by f^3
+    at 2001 terms, then one product by psi at 4001, where the f factors
+    divide by f at full length; c = 251 takes 84 divisions by f^3 for
+    f_2^-252, and c = 1001 pow.  Where c - 1 is a multiple of 3 and
+    f_2^(1-c) goes by steps, the f factors stay.  The overcubic map
     {1: -2, 2: 3 - 2c, 4: c - 1} is 1 / (phi(-q) phi(-q^2)^(c-1)), with
     phi(-q) = f_1^2 / f_2: from a few hundred terms on it is c - 1
     divisions by phi(-q) in q^2 at ceil(order / 2) terms and one at
     order, where the f factors would divide twice by f at full length.
-    Every cubic map and both named identities keep the f factors.
+    Chan's product side takes phi(-q)^-2 f_2^-6 for f_1^-4 f_2^-4; cubic
+    c = 1 and Ramanujan's keep their f factors.
 
     A pow item f_delta^r is taken by stride: it is zero off multiples of
     delta, so f_1^r is expanded by ``pow`` at order ceil(order / delta)

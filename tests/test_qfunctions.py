@@ -297,10 +297,11 @@ def step_factors(monkeypatch):
     return calls
 
 
-# cubic c = 5, {2: -4, 1: -1} at 4001: f2^-4 is one step by f1^3 and one by
-# f1, in q^2 at 2001 terms, the product starting from 1 at 2001; then f1^-1
-# by one step at 4001, after q^2 -> q
-CUBIC_5_STEPS = [("divide", 3, 1, 2001), ("divide", 1, 1, 2001), ("divide", 1, 1, 4001)]
+# cubic c = 5, {2: -4, 1: -1} at 4001, is psi(q) / f2^6 with psi = f2^2 / f1:
+# f2^-6 is two steps by f1^3 in q^2 at 2001 terms, the product starting
+# from 1 at 2001; then one product by psi at 4001, after q^2 -> q, where
+# the f factors would divide by f1 at 4001
+CUBIC_5_STEPS = [("divide", 3, 1, 2001), ("divide", 3, 1, 2001), ("mul", "psi", 1, 4001)]
 
 
 def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
@@ -335,13 +336,11 @@ def test_euler_quotient_takes_sparse_steps_mod_m_above_2_63(step_factors):
 
 
 def test_step_rule_takes_steps_where_they_cost_less(step_factors, monkeypatch):
-    # cubic c = 251, {2: -250, 1: -1} at 1001: 83 steps by f^3 and one by
-    # f, each 501 products per nonzero term (32 of f^3, 37 of f), cost
-    # less than bit_length(250) = 8 products of 501^2; then f1^-1 by one step
+    # cubic c = 251, {2: -250, 1: -1} at 1001, is psi(q) / f2^252: 84 steps
+    # by f^3, each 501 products per nonzero term (32 of f^3), cost less
+    # than bit_length(252) = 8 products of 501^2; then one product by psi
     s = euler_quotient({2: -250, 1: -1}, 1001, ZZ)
-    assert step_factors == (
-        [("divide", 3, 1, 501)] * 83 + [("divide", 1, 1, 501), ("divide", 1, 1, 1001)]
-    )
+    assert step_factors == [("divide", 3, 1, 501)] * 84 + [("mul", "psi", 1, 1001)]
     # {6: 1, 5: 1} at 80: after f6 in q^6 at 14 terms, f5 moves the product
     # to q at 80 terms; its step, 80 * 7 products, costs less than pow's
     # 16^2 and the product of the power with the 14 terms of f6, 80 * 14
@@ -425,14 +424,129 @@ def test_overcubic_series_by_phi_steps_match_the_oracle(order):
             assert qfunctions._step_plan(fam.exponents, order) == plan
 
 
+CUBIC_ORDERS = [0, 1, 2, 3, 4, 5, 383, 1000, 4001]
+ABOVE_2_63 = 2**64 + 13
+
+
+@pytest.mark.parametrize("order", CUBIC_ORDERS)
+def test_cubic_series_by_psi_products_match_the_oracle(order):
+    """Cubic c = 1..60 over ZZ and mod 2^64 + 13, against ``count_direct`` and the int64 ring.
+
+    From 60 terms on most maps {1: -1, 2: 1 - c} are planned as
+    psi(q) / f_2^(c+1), a product by psi applied last.  The int64 ring
+    builds by strided pow, mod 65521 with no Frobenius split and mod 7
+    with one.
+    """
+    checked = [n for n in range(0, 61, 6) if n < order] + list(range(min(order, 6)))
+    for c in range(1, 61):
+        fam = PartitionFamily(CUBIC, c)
+        exact = euler_quotient(fam.exponents, order, ZZ)
+        assert exact.order == order
+        for n in checked:
+            assert exact.coefficient(n) == count_direct(fam, n), (c, n)
+        for m in (65521, 7):
+            assert exact.reduce_mod(m) == euler_quotient(fam.exponents, order, zmod(m))
+        assert exact.reduce_mod(ABOVE_2_63) == euler_quotient(fam.exponents, order, zmod(ABOVE_2_63))
+
+
+# theta entries whose deltas in q^k all lie in {1, 2, 4, 8}, as (name, k)
+BOTTOM_ENTRIES = [
+    (name, k)
+    for name, (entry, _) in qfunctions._CLOSED_FORMS.items()
+    if len(entry) > 1
+    for k in (1, 2, 4)
+    if k * max(entry) <= 8
+]
+
+
+@st.composite
+def bottom_option_maps(draw):
+    """A map on deltas in {1, 2, 4, 8}, |r| <= 7, that a theta entry's bottom option fits.
+
+    The entry in q^k has its bottom delta at the map's bottom delta k, with
+    r_k a multiple of the entry's exponent there, and every other delta of
+    the entry is in the map.
+    """
+    name, k = draw(st.sampled_from(BOTTOM_ENTRIES))
+    entry = qfunctions._CLOSED_FORMS[name][0]
+    exps = {k: draw(st.sampled_from([r for r in range(-7, 8) if r and r % entry[1] == 0]))}
+    for d in (2 * k, 4 * k, 8 * k):
+        if d <= 8 and (d // k in entry or draw(st.booleans())):
+            exps[d] = draw(st.integers(-7, 7).filter(bool))
+    return exps
+
+
+@pytest.mark.parametrize("ring", [ZZ, zmod(ABOVE_2_63)], ids=["ZZ", "mod 2^64+13"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exps=bottom_option_maps(), order=st.integers(1, 300))
+@example(exps={1: -1, 2: -4}, order=300)  # cubic c = 5: psi(q) / f_2^6
+@example(exps={1: -4, 2: -4}, order=300)  # chan's f_1^-4 f_2^-4: phi(-q)^-2 f_2^-6
+@example(exps={2: -2, 4: 5, 8: -2}, order=240)  # phi in q^2, taken whole
+def test_bottom_option_plans_match_dense_powers(ring, exps, order):
+    """Object storage: maps where a theta entry can zero the bottom delta, last."""
+    assert euler_quotient(exps, order, ring) == dense_quotient(exps, order, ring)
+
+
+@pytest.mark.parametrize("order", [383, 1000, 4001, 10**5])
+def test_cubic_one_every_overcubic_and_ramanujan_keep_their_plans(order):
+    """No bottom option pays for these maps, so they keep the plans they had without one.
+
+    Cubic c = 1 is one division by f at full length, overcubic c = 1..60
+    is c - 1 divisions by phi(-q) in q^2 and one at full length, and
+    Ramanujan's product side {5: 5, 1: -6} is f_5^5 by one step by f^3
+    and two by f, then f_1^-6 by two divisions by f^3.
+    """
+    assert qfunctions._step_plan({1: -1}, order) == [("euler_product", 1, -1)]
+    for c in range(1, 61):
+        plan = [("phi(-q)", 2, 1 - c)] * (c > 1) + [("phi(-q)", 1, -1)]
+        assert qfunctions._step_plan(PartitionFamily(OVERCUBIC, c).exponents, order) == plan, c
+    assert qfunctions._step_plan(_IDENTITIES["ramanujan-p5n4"][4], order) == [
+        ("jacobi_cube", 5, 1), ("euler_product", 5, 2), ("jacobi_cube", 1, -2),
+    ]
+
+
+def f_factors_then(exps, order, name, k, n):
+    """The f-factor plan of the map less n times the entry in q^k, then that entry."""
+    rest = dict(exps)
+    for d, r in qfunctions._CLOSED_FORMS[name][0].items():
+        rest[k * d] -= n * r
+    rest = {d: r for d, r in rest.items() if r}
+    return qfunctions._f_factor_plan(rest, 0, order) + [(name, k, n)]
+
+
 @pytest.mark.parametrize("order", [1, 2, 5, 60, 383, 1000, 4001, 10**5])
 def test_cubic_and_identity_maps_keep_the_f_factor_plan(order):
-    # no theta entry prices below f steps or pow for these maps
-    maps = [PartitionFamily(CUBIC, c).exponents for c in (*range(1, 60), 251, 1001, 10**5)]
-    maps += [entry[4] for entry in _IDENTITIES.values()]
-    for exps in maps:
-        exps = {d: r for d, r in exps.items() if d < order}
-        assert qfunctions._step_plan(exps, order) == qfunctions._f_factor_plan(exps, 0, order), exps
+    """Past a bottom theta entry, applied last, every map keeps its f factors.
+
+    Cubic c >= 2, {1: -1, 2: 1 - c}, is psi(q) / f_2^(c+1) from 60 terms on,
+    except where c - 1 is a multiple of 3 and f_2^(1-c) goes by steps:
+    those are whole steps by f^3, and one division by f at full length is
+    priced below the two more steps by f that psi's f_2^2 adds.  Chan's product side
+    {3: 3, 6: 3, 1: -4, 2: -4} is f_3^3 f_6^3 / (phi(-q)^2 f_2^6).  Cubic
+    c = 1 and Ramanujan's {5: 5, 1: -6} have no bottom option that pays.
+    """
+    for c in (*range(1, 60), 251, 1001, 10**5):
+        exps = {d: r for d, r in PartitionFamily(CUBIC, c).exponents.items() if d < order}
+        f_plan = qfunctions._f_factor_plan(exps, 0, order)
+        plan = qfunctions._step_plan(exps, order)
+        if c == 1 or order < 3:
+            assert plan == f_plan
+        elif order < 60:  # a few terms, where pow and steps trade places: either plan
+            assert plan in (f_plan, f_factors_then(exps, order, "psi", 1, 1)), c
+        elif c % 3 == 1 and qfunctions._takes_steps(1 - c, 2, 0, order):
+            assert plan == f_plan, c
+        else:
+            assert plan == f_factors_then(exps, order, "psi", 1, 1), c
+    ramanujan, chan = (
+        {d: r for d, r in _IDENTITIES[i][4].items() if d < order}
+        for i in ("ramanujan-p5n4", "chan-a2-3n2")
+    )
+    assert qfunctions._step_plan(ramanujan, order) == qfunctions._f_factor_plan(ramanujan, 0, order)
+    if order < 5:
+        expected = qfunctions._f_factor_plan(chan, 0, order)
+    else:
+        expected = f_factors_then(chan, order, "phi(-q)", 1, -2)
+    assert qfunctions._step_plan(chan, order) == expected
 
 
 def test_step_plan_search_stops_at_its_state_bound(monkeypatch):
@@ -450,12 +564,13 @@ def test_step_plan_search_stops_at_its_state_bound(monkeypatch):
 
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
-    euler_quotient({2: -9999, 1: -1}, 60, ZZ)
-    # f2 by pow (3333 steps by f^3, 8 terms at order 30, cost 30 * 3333 * 8
-    # products against 14 * 30^2), strided: 1 / f1 at order 30 from
-    # _f1_inverse, built by one division by f1, to the power 9999; then f1 by
-    # one step (60 * 13 against 60^2 + 30 * 60)
-    assert counted_steps == [("divide", 1), ("pow", 9999), ("divide", 1)]
+    s = euler_quotient({2: -9999, 1: -1}, 60, ZZ)
+    # psi(q) / f2^10001: f2 by pow (3333 steps by f^3, 8 terms at order 30,
+    # cost 30 * 3333 * 8 products against 14 * 30^2), strided: 1 / f1 at
+    # order 30 from _f1_inverse, built by one division by f1, to the power
+    # 10001; then one product by psi at 60, no division
+    assert counted_steps == [("divide", 1), ("pow", 10001)]
+    assert s == dense_quotient({2: -9999, 1: -1}, 60, ZZ)
 
 
 def test_euler_quotient_mod_m_always_powers(monkeypatch):

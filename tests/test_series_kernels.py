@@ -1,9 +1,10 @@
 """Differential tests of the mod-m multiply and inverse kernels.
 
-Every fast path is compared against the exact-integer schoolbook product
-followed by reduce_mod, on adversarial inputs: all coefficients m - 1,
-lengths around powers of two and around the steps of the transform
-length, and moduli on both sides of each path's guard.
+Every path, the schoolbook row kernel included, is compared against a
+plain nested loop over Python ints that shares no code with any of them,
+followed by reduction mod m, on adversarial inputs: all coefficients
+m - 1, lengths around powers of two and around the steps of the
+transform length, and moduli on both sides of each path's guard.
 """
 
 import random
@@ -50,11 +51,19 @@ def coefficients(rng, n, m, fill):
     return [rng.randrange(m) for _ in range(n)]
 
 
+def nested_loop_product(a, b, rl):
+    """Reference: the first rl terms of a * b by a plain double loop over Python ints."""
+    acc = [0] * rl
+    for i, x in enumerate(a[:rl]):
+        for j, y in enumerate(b[: rl - i]):
+            acc[i + j] += x * y
+    return acc
+
+
 def exact_product(a, b, m):
-    """Reference: schoolbook product over ZZ, then reduction mod m."""
-    za = TruncatedSeries(ZZ, a.coeffs, a.offset, a.order)
-    zb = TruncatedSeries(ZZ, b.coeffs, b.offset, b.order)
-    return (za * zb).reduce_mod(m)
+    """Reference: the nested-loop product of two series mod m, reduced mod m."""
+    rl = min(a.order, b.order)
+    return TruncatedSeries(zmod(m), nested_loop_product(a.coefficients(), b.coefficients(), rl))
 
 
 def path_of(a, b, m):
@@ -171,8 +180,76 @@ def test_fft_kernel_on_unequal_blocks_matches_schoolbook(la, lb, rl, m, seed):
     b = [rng.randrange(m) for _ in range(lb)]
     aa, bb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     assert series._mul_path(aa[:rl], bb[:rl], rl, m) == "fft"
-    expected = [c % m for c in series._schoolbook(a, b, rl)]
+    expected = [c % m for c in nested_loop_product(a, b, rl)]
     assert series._mul_mod(aa, bb, rl, m).tolist() == expected
+
+
+# +-1 take the kernel's add and subtract rows; the rest scale a row
+KERNEL_VALUES = st.sampled_from([1, -1]) | st.integers(-(2**210), 2**210) | st.integers(-3, 3)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Coefficient lists of 0 to 40 terms: all zero, sparse (at most 4 nonzero) or dense."""
+    n = draw(st.integers(0, 40))
+    fill = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if fill == "dense":
+        return draw(st.lists(KERNEL_VALUES, min_size=n, max_size=n))
+    coeffs = [0] * n
+    if fill == "sparse" and n:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            coeffs[i] = draw(KERNEL_VALUES)
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=kernel_operands(), b=kernel_operands(), extra=st.integers(-45, 4))
+@example(a=[0] * 5, b=[3, -1, 2], extra=0)  # an all-zero operand
+@example(a=[2**200 + 1, 0, -(2**201)], b=[-1, 1, 0, 5, 2**205], extra=2)
+@example(a=[1, 2, 3], b=[4, 5], extra=-4)  # rl = 0
+def test_schoolbook_matches_the_nested_loop(a, b, extra):
+    """The row kernel on unequal sparse and dense operands, rl = la + lb - 1 + extra, at least 0.
+
+    rl runs from 0 to below la + lb - 1, where terms are cut, and past it,
+    where the product's top terms are zero.
+    """
+    rl = max(len(a) + len(b) - 1 + extra, 0)
+    expected = nested_loop_product(a, b, rl)
+    assert series._schoolbook(a, b, rl).tolist() == expected
+    assert series._schoolbook(b, a, rl).tolist() == expected
+    za = TruncatedSeries(ZZ, a, 0, rl)
+    zb = TruncatedSeries(ZZ, b, 0, rl)
+    assert (za * zb).coefficients() == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([2**61 - 1, 2**63]),
+    la=st.integers(1, 60),
+    lb=st.integers(1, 60),
+    extra=st.integers(-30, 4),
+    fill=st.sampled_from(["max", "random", "sparse"]),
+    square=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_mod_schoolbook_path_matches_the_nested_loop(m, la, lb, extra, fill, square, seed):
+    """The int64 fallback: residues up to m - 1 < 2^63, far outside the int64 guard."""
+    rng = random.Random(seed)
+
+    def residues(n):
+        if fill == "sparse":
+            return [rng.randrange(m) if rng.random() < 0.2 else 0 for _ in range(n)]
+        return coefficients(rng, n, m, fill)
+
+    a = residues(la)
+    b = a if square else residues(lb)
+    rl = max(len(a) + len(b) - 1 + extra, 1)
+    aa = np.array(a, dtype=np.int64)
+    bb = aa if square else np.array(b, dtype=np.int64)
+    assert series._mul_path(aa[:rl], bb[:rl], rl, m) == "schoolbook"
+    out = series._mul_mod(aa, bb, rl, m)
+    assert out.dtype == np.int64
+    assert out.tolist() == [c % m for c in nested_loop_product(a, b, rl)]
 
 
 @pytest.mark.parametrize("n", [384, 400, 512, 513])
