@@ -9,21 +9,30 @@ equal), 1 the checked statement is false or unproven, 2 usage error
 (or a certificate file that cannot be written).
 With --json all output is a single JSON document; counts and
 coefficients are decimal strings since they outgrow doubles quickly.
+
+The parser is built once per process and registers every subcommand
+with its help; a subcommand's own parser, with its arguments, is built
+the first time it parses, so a run builds only the ones it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
-# unused by the package; bench/tracer.py wraps this name
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, List, Optional, Tuple
 
 from . import engine
 from .partitions import _IDENTITIES, PartitionFamily, check_named_identity, generating_series
 from .series import ZZ, TruncatedSeries, zmod
+
+# What is imported by now (the package, numpy, argparse) lives as long as
+# the process.  The collector's permanent generation holds it, so no later
+# collection walks it: a command's collections are small, and cost the
+# same whichever command the collector's counts happen to reach them in.
+gc.freeze()
 
 # `series` prints its text lines, or its --json array, in slices of this many terms
 _SERIES_CHUNK = 1 << 16
@@ -36,6 +45,18 @@ _THEOREM_IDS = {
     "1.5": "1.5",
     "remarks": "remarks",
 }
+
+
+def __getattr__(name: str):
+    """ThreadPoolExecutor, imported on first access and not at start-up.
+
+    The package runs no pool; bench/tracer.py reads and replaces the name.
+    """
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _claim_dict(cl: engine.CongruenceClaim) -> dict:
@@ -212,9 +233,93 @@ def _add_family(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--colors", type=int, required=True, metavar="C")
 
 
+def _fill_count(sub: argparse.ArgumentParser) -> None:
+    _add_family(sub)
+    sub.add_argument("values", type=int, nargs="+", metavar="N")
+
+
+def _fill_series(sub: argparse.ArgumentParser) -> None:
+    _add_family(sub)
+    sub.add_argument("--order", type=int, required=True, metavar="O")
+    sub.add_argument("--mod", type=int, default=None, metavar="M")
+
+
+def _fill_verify(sub: argparse.ArgumentParser) -> None:
+    _add_family(sub)
+    sub.add_argument("--mod", type=int, required=True, metavar="M")
+    sub.add_argument("--progression", type=int, required=True, metavar="P")
+    sub.add_argument("--residue", type=int, required=True, metavar="R")
+    sub.add_argument("--nmax", type=int, required=True, metavar="X")
+
+
+def _fill_theorem(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--id", choices=sorted(_THEOREM_IDS), required=True)
+    sub.add_argument("--p", type=int, default=None)
+    sub.add_argument("--k", type=int, default=1)
+    sub.add_argument("--nmax", type=int, default=engine.DEFAULT_NMAX, metavar="X")
+
+
+def _fill_prove(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--id", choices=tuple(engine._ISOLATED), required=True)
+    sub.add_argument("--emit", metavar="FILE", default=None)
+
+
+def _fill_search(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--cmax", type=int, required=True, metavar="C")
+    sub.add_argument("--primes", required=True, metavar="P1,P2,...")
+    sub.add_argument("--nmax", type=int, required=True, metavar="X")
+    sub.add_argument("--min-confirmations", type=int, default=10, metavar="K")
+
+
+def _fill_identity(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--id", choices=tuple(_IDENTITIES), required=True)
+    sub.add_argument("--order", type=int, required=True, metavar="O")
+
+
+# subcommand -> (its help, the function that adds its own arguments, its handler)
+_COMMANDS = {
+    "count": ("exact counts, one per line", _fill_count, _cmd_count),
+    "series": ("expansion coefficients 0..order-1", _fill_series, _cmd_series),
+    "verify": ("scan one congruence claim", _fill_verify, _cmd_verify),
+    "theorem": ("verify a named result's claims", _fill_theorem, _cmd_theorem),
+    "prove": ("build a finite-check certificate", _fill_prove, _cmd_prove),
+    "search": ("scan for candidate congruences", _fill_search, _cmd_search),
+    "identity": ("check a classical identity", _fill_identity, _cmd_identity),
+}
+
+
+class _Subcommand:
+    """A subcommand's parser, built with its arguments the first time it parses.
+
+    ``build_parser`` registers one per subcommand as the subparsers'
+    ``parser_class``; argparse hands a subcommand its arguments,
+    ``--help`` included, through ``parse_known_args`` alone, so a run
+    builds the parsers of the subcommands it uses and no other.
+    """
+
+    def __init__(self, fill, func, **kwargs) -> None:
+        self._build = (fill, func, kwargs)  # fill and func of _COMMANDS; prog from add_parser
+        self.parser: Optional[argparse.ArgumentParser] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.parser is None:
+            fill, func, kwargs = self._build
+            parser = argparse.ArgumentParser(**kwargs)
+            fill(parser)
+            _add_common(parser)
+            parser.set_defaults(func=func)
+            self.parser = parser
+        return self.parser.parse_known_args(args, namespace)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one."""
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Every subcommand is registered here with its help, so the top-level
+    help and the choice errors list all of them; each subcommand's own
+    parser is built when it first parses (``_Subcommand``).
+    """
     parser = argparse.ArgumentParser(
         prog="cubicpart",
         description="Partition counts with colored even parts: series, congruences, certificates.",
@@ -224,58 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, metavar="T",
         help="accepted for compatibility; has no effect",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="exact counts, one per line")
-    _add_family(p_count)
-    p_count.add_argument("values", type=int, nargs="+", metavar="N")
-    _add_common(p_count)
-    p_count.set_defaults(func=_cmd_count)
-
-    p_series = sub.add_parser("series", help="expansion coefficients 0..order-1")
-    _add_family(p_series)
-    p_series.add_argument("--order", type=int, required=True, metavar="O")
-    p_series.add_argument("--mod", type=int, default=None, metavar="M")
-    _add_common(p_series)
-    p_series.set_defaults(func=_cmd_series)
-
-    p_verify = sub.add_parser("verify", help="scan one congruence claim")
-    _add_family(p_verify)
-    p_verify.add_argument("--mod", type=int, required=True, metavar="M")
-    p_verify.add_argument("--progression", type=int, required=True, metavar="P")
-    p_verify.add_argument("--residue", type=int, required=True, metavar="R")
-    p_verify.add_argument("--nmax", type=int, required=True, metavar="X")
-    _add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_theorem = sub.add_parser("theorem", help="verify a named result's claims")
-    p_theorem.add_argument("--id", choices=sorted(_THEOREM_IDS), required=True)
-    p_theorem.add_argument("--p", type=int, default=None)
-    p_theorem.add_argument("--k", type=int, default=1)
-    p_theorem.add_argument("--nmax", type=int, default=engine.DEFAULT_NMAX, metavar="X")
-    _add_common(p_theorem)
-    p_theorem.set_defaults(func=_cmd_theorem)
-
-    p_prove = sub.add_parser("prove", help="build a finite-check certificate")
-    p_prove.add_argument("--id", choices=tuple(engine._ISOLATED), required=True)
-    p_prove.add_argument("--emit", metavar="FILE", default=None)
-    _add_common(p_prove)
-    p_prove.set_defaults(func=_cmd_prove)
-
-    p_search = sub.add_parser("search", help="scan for candidate congruences")
-    p_search.add_argument("--cmax", type=int, required=True, metavar="C")
-    p_search.add_argument("--primes", required=True, metavar="P1,P2,...")
-    p_search.add_argument("--nmax", type=int, required=True, metavar="X")
-    p_search.add_argument("--min-confirmations", type=int, default=10, metavar="K")
-    _add_common(p_search)
-    p_search.set_defaults(func=_cmd_search)
-
-    p_identity = sub.add_parser("identity", help="check a classical identity")
-    p_identity.add_argument("--id", choices=tuple(_IDENTITIES), required=True)
-    p_identity.add_argument("--order", type=int, required=True, metavar="O")
-    _add_common(p_identity)
-    p_identity.set_defaults(func=_cmd_identity)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, (help_text, fill, func) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, fill=fill, func=func)
     return parser
 
 

@@ -28,8 +28,6 @@ in one vectorised pass.
 
 from __future__ import annotations
 
-# unused by the package; bench/tracer.py wraps this name
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -47,8 +45,10 @@ from .modform import (
     weight,
 )
 from .partitions import (
-    _COLOUR_STEP, CUBIC, OVERCUBIC, PartitionFamily, count_direct, generating_series
+    _COLOUR_STEP, CUBIC, OVERCUBIC, PartitionFamily, _count_table, generating_series
 )
+# unused by the package; bench/tracer.py wraps this name
+from .partitions import count_direct  # noqa: F401
 from .qfunctions import _MAX_COLOURS, _check_order, _core_class, eta_expansion, euler_quotient
 from .series import TruncatedSeries, zmod
 
@@ -69,6 +69,19 @@ DEFAULT_NMAX = 2000
 
 HOLDS = "holds-up-to-bound"
 REFUTED = "refuted"
+
+
+def __getattr__(name: str):
+    """ThreadPoolExecutor, imported on first access and not at start-up.
+
+    The package runs no pool; bench/tracer.py reads and replaces the name.
+    """
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Ramanujan's progressions for p(n), inherited by the c = jp+1 families.
 _CLASSICAL_RESIDUE = {5: 4, 7: 5, 11: 6}
@@ -414,10 +427,12 @@ def build_certificate(
                 witness_value=v,
                 **base,
             )
-    # the modular argument passed; make sure it proves the right progression
-    for n in range(_ORACLE_VALUES):
-        e = claim.progression * n + claim.residue
-        v = count_direct(claim.family, e) % claim.modulus
+    # the modular argument passed; make sure it proves the right progression,
+    # on the first _ORACLE_VALUES values, all read from one table
+    values = [claim.progression * n + claim.residue for n in range(_ORACLE_VALUES)]
+    counts = _count_table(claim.family, values[-1])
+    for e in values:
+        v = counts[e] % claim.modulus
         if v != 0:
             return SturmCertificate(
                 verdict=FAILED,

@@ -16,7 +16,7 @@ f_4 / f_2^2 (overcubic): ``engine.search_congruences`` builds on both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .arith import is_odd_prime
 from .series import Ring, TruncatedSeries, ZZ
@@ -84,7 +84,12 @@ def generating_series(fam: PartitionFamily, order: int, ring: Ring) -> Truncated
 
 
 def count_direct(fam: PartitionFamily, n: int) -> int:
-    """Exact count by dynamic programming over part kinds.
+    """Exact count by dynamic programming over part kinds (``_count_table``)."""
+    return _count_table(fam, n)[n]
+
+
+def _count_table(fam: PartitionFamily, n: int) -> List[int]:
+    """The exact counts of 0..n, from one dynamic program over part kinds.
 
     A kind is a (part value, color) pair: odd values have one kind, even
     values have c kinds.  Equal parts of equal color are interchangeable
@@ -106,7 +111,7 @@ def count_direct(fam: PartitionFamily, n: int) -> int:
             if overlined:
                 for s in range(n, v - 1, -1):
                     ways[s] += ways[s - v]
-    return ways[n]
+    return ways
 
 
 @dataclass(frozen=True)

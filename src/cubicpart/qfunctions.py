@@ -5,9 +5,11 @@ Euler's f_k = (q^k; q^k)_inf (pentagonal support, coefficients +-1),
 Jacobi's f_k^3 and the theta series psi = f_2^2 / f_1 and
 psi(-q) = f_1 f_4 / f_2 (on the triangular numbers), and
 phi = f_2^5 / (f_1^2 f_4^2) and phi(-q) = f_1^2 / f_2 (on the squares).
-``_terms`` gives an entry's exponents and coefficients, ``_closed_form``
-builds its series in q^k, and ``euler_product``, ``jacobi_cube`` and
-``psi`` are that builder.  Then the Frobenius split of an exponent map
+Each entry's closed formula maps an array of term indices to exponents
+and coefficients at once: ``_terms`` gives its terms in q^k below an
+order as two int64 arrays, ``_closed_form`` scatters them into its
+series, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
+builder.  Then the Frobenius split of an exponent map
 modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
 exact-integer steps are planned over every table entry and priced from
@@ -16,7 +18,8 @@ psi(q) / f_2^(c+1), one product by psi), the class-first read of
 one residue class mod a prime through a theta core congruent to the map
 (``_core_class``), and eta-quotient q-expansions with the leading
 power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
-table entry, or a product of two, each in q^k (``_theta_core``): mod 7,
+table entry, or a product of two, each in q^k, found by looking up each
+factor's exponent map mod p (``_theta_core``): mod 7,
 1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14.  Mod p the quotient is the
 core times a series in q^p with constant term 1, so each class has the
 verdict and first witness of the core's class, which is read from the
@@ -27,8 +30,7 @@ exactly in int64 under the bound that ``_class_read`` states.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, count, takewhile
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -40,41 +42,55 @@ from .series import Ring, TruncatedSeries, _int64_storage, one
 __all__ = ["euler_product", "jacobi_cube", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
 
 
-def _pentagonal(i: int) -> Tuple[int, int]:
+def _pentagonal(i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Term i of f_1 (Euler's pentagonal theorem): (-1)^j at j(3j-1)/2, j = 0, 1, -1, 2, ..."""
-    j = (i + 1) // 2 if i % 2 else -(i // 2)
-    return j * (3 * j - 1) // 2, -1 if j % 2 else 1
+    j = (i + 1) // 2 * (2 * (i & 1) - 1)
+    return j * (3 * j - 1) // 2, 1 - 2 * (j & 1)
 
+
+_Formula = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 # The closed forms by name (the public builder's, where there is one): the
-# exponent map of the eta product each one is, and its term i as (exponent,
-# coefficient) in q, exponents rising with i.  The entry at k is the same
-# series in q^k.
-_CLOSED_FORMS: Dict[str, Tuple[Dict[int, int], Callable[[int], Tuple[int, int]]]] = {
+# exponent map of the eta product each one is, and its closed formula for
+# the terms i as (exponents, coefficients) in q, both int64 arrays over an
+# int64 array of indices i, exponents strictly rising with i.  The entry
+# at k is the same series in q^k.
+_CLOSED_FORMS: Dict[str, Tuple[Dict[int, int], _Formula]] = {
     "euler_product": ({1: 1}, _pentagonal),
     # Jacobi's identity: (-1)^i (2i+1) at i(i+1)/2
-    "jacobi_cube": ({1: 3}, lambda i: (i * (i + 1) // 2, (-1) ** i * (2 * i + 1))),
+    "jacobi_cube": ({1: 3}, lambda i: (i * (i + 1) // 2, (1 - 2 * (i & 1)) * (2 * i + 1))),
     # Gauss: 1 at each triangular number
-    "psi": ({1: -1, 2: 2}, lambda i: (i * (i + 1) // 2, 1)),
+    "psi": ({1: -1, 2: 2}, lambda i: (i * (i + 1) // 2, np.ones_like(i))),
     # the sum of q^(n^2) over all integers n: 1 at 0, 2 at each other square
-    "phi": ({1: -2, 2: 5, 4: -2}, lambda i: (i * i, 2 if i else 1)),
-    "phi(-q)": ({1: 2, 2: -1}, lambda i: (i * i, 2 * (-1) ** i if i else 1)),
-    "psi(-q)": ({1: 1, 2: -1, 4: 1}, lambda i: (i * (i + 1) // 2, (-1) ** (i * (i + 1) // 2))),
+    "phi": ({1: -2, 2: 5, 4: -2}, lambda i: (i * i, np.where(i == 0, 1, 2))),
+    "phi(-q)": ({1: 2, 2: -1}, lambda i: (i * i, np.where(i == 0, 1, 2 - 4 * (i & 1)))),
+    "psi(-q)": ({1: 1, 2: -1, 4: 1}, lambda i: (i * (i + 1) // 2, 1 - 2 * (i * (i + 1) // 2 & 1))),
 }
 
 
-def _terms(name: str, n: int) -> List[Tuple[int, int]]:
-    """The closed form's terms (exponent, coefficient) at k = 1 with exponent below n."""
-    return list(takewhile(lambda t: t[0] < n, map(_CLOSED_FORMS[name][1], count())))
+def _terms(name: str, k: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The closed form's terms in q^k below order: exponents, rising, and coefficients, in int64.
+
+    Every entry's exponent at i is at least i^2 / 8 (the pentagonal
+    numbers' 3 j^2 / 2 at j ~ i / 2), so the terms below n = ceil(order / k)
+    lie among the first isqrt(8 n) + 2, and the formula runs once over
+    those indices.  The cut below n comes before the scaling by k, so every
+    exponent k e is below order: no product passes int64, and a k at or
+    above the order, which may itself pass int64, leaves only e = 0.
+    """
+    n = max(-(-order // k), 0)
+    e, c = _CLOSED_FORMS[name][1](np.arange(isqrt(8 * n) + 2, dtype=np.int64))
+    cut = int(np.searchsorted(e, n))
+    return (k * e[:cut] if k < order else e[:cut]), c[:cut]
 
 
 def _closed_form(name: str, k: int, order: int, ring: Ring) -> TruncatedSeries:
-    """The closed form in q^k to the given order."""
+    """The closed form in q^k to the given order, by one scatter of its terms."""
     if k < 1:
         raise ValueError(f"{name} expects k >= 1, got {k}")
     coeffs = np.zeros(max(order, 0), dtype=np.int64)
-    for e, c in _terms(name, -(-order // k)):
-        coeffs[k * e] = c
+    e, c = _terms(name, k, order)
+    coeffs[e] = c
     return TruncatedSeries(ring, coeffs, 0, order)
 
 
@@ -184,7 +200,7 @@ _Step = Tuple[Optional[str], int, int]
 @lru_cache(maxsize=256)
 def _term_count(name: str, n: int) -> int:
     """How many terms of the closed form lie below n (``_terms``), counted once per (name, n)."""
-    return len(_terms(name, n))
+    return len(_terms(name, 1, n)[0])
 
 
 def _sparse_steps(prod: TruncatedSeries, name: str, k: int, n: int) -> TruncatedSeries:
@@ -466,40 +482,72 @@ def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[_Core]:
 
     A core is one ``_CLOSED_FORMS`` entry or a product of two, each in
     q^k for k = 1 or a delta of E (the entry's map delta -> r becomes
-    k delta -> r), given as its factors (name, k).  The single entries at
-    k = 1 are tried first, in the table's order, then the other single
-    entries and then the pairs, so a map that a single entry at k = 1
-    matches keeps that core.  None when no core matches.  The match is by
-    the congruence, not by ``frobenius_split``'s balanced part, which
-    misses cores: overcubic c = 6 at p = 7 splits to {1: -2, 2: -2,
-    4: -2}, yet its map is phi's mod 7.  Cubic c = 3 at p = 7,
-    {1: -1, 2: -2}, is psi(q) f_2^3 + 7 {2: -1}.
+    k delta -> r), given as its factors (name, k).  The factors are
+    ordered by k, then as in the table; the cores are the single factors
+    in that order, then the pairs (i, j), i <= j, by i and then j, so a
+    map that a single entry at k = 1 matches keeps that core.  Each
+    factor's map mod p is one hashable key, so the first core is found by
+    lookup, not by forming every pair: the first factor keyed as E, else
+    the first factor i for which some factor is keyed as E - (factor i),
+    with the first such j.  That j is at least i, since a j below i
+    would have been found with i at step j.  None when no core matches.
+    The match is by the congruence, not by ``frobenius_split``'s balanced
+    part, which misses cores: overcubic c = 6 at p = 7 splits to
+    {1: -2, 2: -2, 4: -2}, yet its map is phi's mod 7.  Cubic c = 3 at
+    p = 7, {1: -1, 2: -2}, is psi(q) f_2^3 + 7 {2: -1}.  Each (map, p) is
+    matched once (``_first_core``): a theorem family reads every class of
+    one map.
     """
+    return _first_core(tuple(sorted(exponents.items())), p)
+
+
+@lru_cache(maxsize=256)
+def _first_core(items: Tuple[Tuple[int, int], ...], p: int) -> Optional[_Core]:
+    """``_theta_core`` of the map given by its sorted items."""
+    exponents = dict(items)
+
+    def key(m: Mapping[int, int]) -> frozenset:
+        """The map mod p, its zero residues dropped."""
+        return frozenset((d, r % p) for d, r in m.items() if r % p)
+
     factors = [(name, k) for k in sorted({1, *exponents}) for name in _CLOSED_FORMS]
-    for core in chain(((f,) for f in factors), combinations_with_replacement(factors, 2)):
+    target = key(exponents)
+    maps: List[Dict[int, int]] = []
+    keyed: Dict[frozenset, List[int]] = {}  # key -> the factors with it, rising
+    for j, (name, k) in enumerate(factors):
+        maps.append({k * d: e for d, e in _CLOSED_FORMS[name][0].items()})
+        mod_p = key(maps[j])
+        if mod_p == target:
+            return (factors[j],)
+        keyed.setdefault(mod_p, []).append(j)
+    for i, m in enumerate(maps):
         rest = dict(exponents)
-        for name, k in core:
-            for d, e in _CLOSED_FORMS[name][0].items():
-                rest[k * d] = rest.get(k * d, 0) - e
-        if all(v % p == 0 for v in rest.values()):
-            return core
+        for d, e in m.items():
+            rest[d] = rest.get(d, 0) - e
+        js = keyed.get(key(rest))
+        if js:
+            return factors[i], factors[js[0]]
     return None
 
 
+@lru_cache(maxsize=16)
 def _residue_terms(
     name: str, k: int, order: int, p: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of the closed form in q^k below order whose coefficient is nonzero mod p < 2^63.
 
-    Three int64 arrays: the exponents, rising; their coefficients, the
-    table's integers, not reduced mod p; and the exponents' residues mod p.
+    Three read-only int64 arrays: the exponents, rising; their
+    coefficients, the table's integers, not reduced mod p; and the
+    exponents' residues mod p.  They are built once per (name, k, order,
+    p), so the classes of one map share them.
     """
-    terms = _terms(name, -(-order // k))
-    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=2 * len(terms))
-    e, c = flat.reshape(-1, 2).T
+    e, c = _terms(name, k, order)
     keep = c % p != 0
-    e = k * e[keep]
-    return e, c[keep], e % p
+    e = e[keep]
+    arrays = e, c[keep], e % p
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # the series 1, as _residue_terms gives it: the second factor of a single-entry core

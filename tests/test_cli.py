@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -356,3 +359,89 @@ def test_an_oversized_order_exits_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: series order ") and "above the ceiling" in err
+
+
+# The help, usage and error text of the parser, as (argv, exit code, stdout,
+# stderr) at COLUMNS=80, recorded from the parser that added every
+# subcommand's arguments when it was built.
+with open(os.path.join(os.path.dirname(__file__), "cli_text.json"), encoding="utf-8") as _fh:
+    CLI_TEXT = json.load(_fh)
+
+
+def run_exit(capsys, argv):
+    """main's exit code, stdout and stderr, through SystemExit too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", CLI_TEXT, ids=lambda case: " ".join(case["argv"]) or "no-args")
+def test_help_usage_and_errors_are_pinned(capsys, monkeypatch, case):
+    """Top-level help, each subcommand's help and one missing-argument error each.
+
+    Each argv runs on a fresh parser, where this parse builds its
+    subcommand's parser, and again on the same parser, built already.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    want = (case["code"], case["stdout"], case["stderr"])
+    cli.build_parser.cache_clear()
+    assert run_exit(capsys, case["argv"]) == want
+    assert run_exit(capsys, case["argv"]) == want
+
+
+def test_the_pinned_text_covers_every_subcommand():
+    commands = {case["argv"][0] for case in CLI_TEXT}
+    assert commands == set(cli._COMMANDS) | {"--help"}
+    for name in cli._COMMANDS:
+        assert [name, "--help"] in [case["argv"] for case in CLI_TEXT]
+        assert any(case["argv"][0] == name and case["code"] == 2 for case in CLI_TEXT)
+
+
+def test_a_subcommand_builds_its_parser_when_it_first_parses(capsys):
+    """After one verify the other six subcommands have no parser, so no arguments."""
+    cli.build_parser.cache_clear()
+    (action,) = cli.build_parser()._subparsers._group_actions
+    subcommands = action.choices
+    assert list(subcommands) == list(cli._COMMANDS)
+
+    def built():
+        return {name for name, sub in subcommands.items() if sub.parser is not None}
+
+    assert built() == set()
+    verify = ("verify", "--family", "cubic", "--colors", "3", "--mod", "7",
+              "--progression", "7", "--residue", "4", "--nmax", "400")
+    assert run(capsys, *verify)[0] == 0
+    assert built() == {"verify"}
+    parser = subcommands["verify"].parser
+    assert [a.dest for a in parser._actions] == [
+        "help", "family", "colors", "mod", "progression", "residue", "nmax", "json", "threads",
+    ]
+    assert run(capsys, *verify)[0] == 0
+    assert subcommands["verify"].parser is parser and built() == {"verify"}
+
+
+def test_start_up_imports_no_thread_pool():
+    """concurrent.futures loads only when ThreadPoolExecutor is asked of cli or engine,
+    and both names stay readable and assignable."""
+    code = """
+import sys
+from cubicpart import cli, engine
+assert "concurrent.futures" not in sys.modules
+from concurrent.futures import ThreadPoolExecutor
+assert cli.ThreadPoolExecutor is engine.ThreadPoolExecutor is ThreadPoolExecutor
+class Pool(ThreadPoolExecutor):
+    pass
+cli.ThreadPoolExecutor = engine.ThreadPoolExecutor = Pool
+assert cli.ThreadPoolExecutor is engine.ThreadPoolExecutor is Pool
+for module in (cli, engine):
+    try:
+        module.ProcessPoolExecutor
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(module)
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)

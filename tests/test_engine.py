@@ -2,12 +2,14 @@
 
 import dataclasses
 import gc
+import itertools
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cubicpart import engine, partitions, qfunctions
 from cubicpart.engine import (
@@ -243,6 +245,45 @@ def test_certificate_oracle_agreement():
         assert prove_isolated(which).proven
         for n in range(10):
             assert count_direct(fam, p * n + r) % p == 0
+
+
+# the certificate texts as they were when the oracle filled one table per value
+CERTIFICATE_TEXT = {
+    "a3-mod7": "id: a3-mod7\nlevel: 8\nweight: 37\nexponents: 1^76 2^-2\n"
+    "character: (-1)^37 * 1/4\ncusp-orders: 1:25 2:6 4:3 8:3\nsturm-bound: 37\n"
+    "prime: 7\nmodulus: 7\ncoefficients-checked: 0..37\nverdict: proven\n",
+    "a5-mod11": "id: a5-mod11\nlevel: 4\nweight: 14\nexponents: 1^32 2^-4\n"
+    "character: (-1)^14 * 1/16\ncusp-orders: 1:5 2:1 4:1\nsturm-bound: 7\n"
+    "prime: 11\nmodulus: 11\ncoefficients-checked: 0..7\nverdict: proven\n",
+}
+
+
+@pytest.mark.parametrize("which", sorted(CERTIFICATE_TEXT))
+def test_a_certificate_reads_its_oracle_values_from_one_table(monkeypatch, which):
+    calls = []
+    table = engine._count_table
+
+    def counting(fam, n):
+        calls.append((fam, n))
+        return table(fam, n)
+
+    monkeypatch.setattr(engine, "_count_table", counting)
+    cert = build_certificate(which)
+    claim = engine._ISOLATED[which][2]
+    last = claim.progression * (engine._ORACLE_VALUES - 1) + claim.residue
+    assert calls == [(claim.family, last)]
+    assert cert.to_text() == CERTIFICATE_TEXT[which]
+
+
+def test_the_oracle_stage_fails_at_the_first_nonzero_value(monkeypatch):
+    """a_3(7n+3) is not 0 mod 7, though the Hecke window of a_3(7n+4) vanishes."""
+    eq, p, claim = engine._ISOLATED["a3-mod7"]
+    wrong = dataclasses.replace(claim, residue=3)
+    monkeypatch.setitem(engine._ISOLATED, "a3-mod7", (eq, p, wrong))
+    cert = build_certificate("a3-mod7")
+    assert cert.verdict == FAILED and cert.failure_stage == "oracle-cross-check"
+    assert (cert.witness_exponent, cert.witness_value) == (3, 5)
+    assert count_direct(claim.family, 3) % 7 == 5
 
 
 def test_mutated_pipeline_fails_with_witness():
@@ -707,6 +748,34 @@ def test_pair_cores_of_the_small_families():
     assert qfunctions._theta_core(PartitionFamily(CUBIC, 5).exponents, 11) is None
 
 
+def ordered_scan_core(exponents, p):
+    """The first core by trying every single factor, then every pair (i, j), i <= j, in order."""
+    factors = [(name, k) for k in sorted({1, *exponents}) for name in qfunctions._CLOSED_FORMS]
+    singles = ((f,) for f in factors)
+    for core in itertools.chain(singles, itertools.combinations_with_replacement(factors, 2)):
+        rest = dict(exponents)
+        for name, k in core:
+            for d, e in qfunctions._CLOSED_FORMS[name][0].items():
+                rest[k * d] = rest.get(k * d, 0) - e
+        if all(v % p == 0 for v in rest.values()):
+            return core
+    return None
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    exponents=st.dictionaries(st.integers(1, 12), st.integers(-30, 30).filter(bool), max_size=4),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 23]),
+)
+@example(exponents={1: -1, 2: -2}, p=7)  # psi(q) f_2^3
+@example(exponents={1: -2, 2: -7, 4: 4}, p=7)  # overcubic c = 5, a pair
+@example(exponents={1: -2, 2: -47, 4: 24}, p=13)  # overcubic c = 25: phi
+@example(exponents={1: -1, 2: -4}, p=11)  # cubic c = 5: no core
+@example(exponents={}, p=3)  # the map 1: f^3 == 1 (mod 3)
+def test_theta_core_lookup_matches_the_ordered_scan(exponents, p):
+    assert qfunctions._theta_core(exponents, p) == ordered_scan_core(exponents, p)
+
+
 @pytest.mark.parametrize("fam, p", pair_core_cases(), ids=lambda x: getattr(x, "colors", x))
 def test_pair_cores_match_the_generic_class(series_requests, fam, p):
     assert_classes_match(fam, p, (1, p, 997))
@@ -735,7 +804,8 @@ def test_pair_cores_match_the_generic_class_at_10_5(series_requests, kind, c, p)
 @pytest.mark.parametrize("p", [2, 7, 65521])
 def test_class_read_sums_every_pair_in_the_class(core, p):
     order = 3001
-    terms = [[(k * e, c) for e, c in qfunctions._terms(name, -(-order // k)) if c % p]
+    terms = [[(e, c) for e, c in zip(*(a.tolist() for a in qfunctions._terms(name, k, order)))
+              if c % p]
              for name, k in core] + [[(0, 1)]]
     for r in range(min(p, 9)):
         want = [0] * -(-(order - r) // p)

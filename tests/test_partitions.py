@@ -4,6 +4,7 @@ import functools
 
 import pytest
 
+from cubicpart import partitions
 from cubicpart.partitions import (
     _COLOUR_STEP,
     CUBIC,
@@ -64,6 +65,15 @@ def test_count_one_is_fixed():
     for c in range(1, 6):
         assert count_direct(PartitionFamily(CUBIC, c), 1) == 1
         assert count_direct(PartitionFamily(OVERCUBIC, c), 1) == 2
+
+
+def test_count_table_is_the_generating_series():
+    for kind in (CUBIC, OVERCUBIC):
+        for c in (1, 2, 5):
+            fam = PartitionFamily(kind, c)
+            table = partitions._count_table(fam, 80)
+            assert table == generating_series(fam, 81, ZZ).coefficients(), (kind, c)
+            assert [count_direct(fam, n) for n in (0, 17, 80)] == [table[n] for n in (0, 17, 80)]
 
 
 def test_count_direct_rejects_negative():

@@ -1,6 +1,7 @@
 """Euler products, theta series, Euler quotients, eta-quotient expansions."""
 
 import functools
+import itertools
 import time
 from unittest import mock
 
@@ -100,6 +101,75 @@ def test_jacobi_cube_is_the_cube_of_the_euler_product(k, order):
 def test_theta_entries_match_the_quotients_of_their_maps(name, ring):
     exponents = qfunctions._CLOSED_FORMS[name][0]
     assert qfunctions._closed_form(name, 1, 2000, ring) == euler_quotient(exponents, 2000, ring)
+
+
+def _pentagonal_term(i):
+    j = (i + 1) // 2 if i % 2 else -(i // 2)
+    return j * (3 * j - 1) // 2, -1 if j % 2 else 1
+
+
+# Each closed form's term i as (exponent, coefficient), one Python int at a
+# time from its formula: the oracle of the table's array formulas.
+TERM_ORACLE = {
+    "euler_product": _pentagonal_term,
+    "jacobi_cube": lambda i: (i * (i + 1) // 2, (-1) ** i * (2 * i + 1)),
+    "psi": lambda i: (i * (i + 1) // 2, 1),
+    "phi": lambda i: (i * i, 2 if i else 1),
+    "phi(-q)": lambda i: (i * i, 2 * (-1) ** i if i else 1),
+    "psi(-q)": lambda i: (i * (i + 1) // 2, (-1) ** (i * (i + 1) // 2)),
+}
+
+
+def oracle_terms(name, n):
+    """The terms with exponent below n, by the per-term formula."""
+    return list(itertools.takewhile(lambda t: t[0] < n, map(TERM_ORACLE[name], itertools.count())))
+
+
+def term_pairs(name, k, order):
+    e, c = qfunctions._terms(name, k, order)
+    assert e.dtype == c.dtype == np.int64
+    return list(zip(e.tolist(), c.tolist()))
+
+
+def test_the_term_oracle_covers_the_table():
+    assert set(TERM_ORACLE) == set(qfunctions._CLOSED_FORMS)
+
+
+@pytest.mark.parametrize("name", sorted(TERM_ORACLE))
+def test_term_arrays_match_the_per_term_formula(name):
+    """At n = 0 and 1, at every exponent below 10^4 and one either side, and at 10^7."""
+    terms = oracle_terms(name, 10**4)
+    ns = {0, 1} | {e + d for e, _ in terms for d in (-1, 0, 1) if e + d >= 0}
+    for n in sorted(ns):
+        assert term_pairs(name, 1, n) == [t for t in terms if t[0] < n], n
+    big = oracle_terms(name, 10**7)
+    e, c = qfunctions._terms(name, 1, 10**7)
+    assert len(e) == len(big) and (int(e[-1]), int(c[-1])) == big[-1]
+    assert qfunctions._term_count(name, 10**7) == len(big)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 999, 1000, 1001, 2**63 - 1, 2**63, 2**64 + 13])
+@pytest.mark.parametrize("order", [0, 1, 2, 1000])
+def test_terms_in_q_k_are_cut_before_they_are_scaled(k, order):
+    """Every exponent k e is below the order; a k at or past it, past int64 too, leaves e = 0."""
+    for name in TERM_ORACLE:
+        want = [(k * e, c) for e, c in oracle_terms(name, -(-order // k))]
+        assert term_pairs(name, k, order) == want, name
+        dense = [dict(want).get(n, 0) for n in range(order)]
+        for ring in (ZZ, zmod(7), zmod(2**64 + 13)):
+            assert qfunctions._closed_form(name, k, order, ring) == TruncatedSeries(ring, dense)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_residue_terms_keep_the_terms_nonzero_mod_p_once(p):
+    """Exponents in q^2, coefficients unreduced, residues mod p; read-only, built once."""
+    for name in TERM_ORACLE:
+        terms = qfunctions._residue_terms(name, 2, 3001, p)
+        want = [(2 * e, c) for e, c in oracle_terms(name, 1501) if c % p]
+        assert list(zip(terms[0].tolist(), terms[1].tolist())) == want, name
+        assert terms[2].tolist() == [e % p for e, _ in want]
+        assert not any(a.flags.writeable for a in terms)
+        assert qfunctions._residue_terms(name, 2, 3001, p) is terms
 
 
 def test_jacobi_cube_terms_and_validation():
