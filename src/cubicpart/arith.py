@@ -9,8 +9,7 @@ itself a nonresidue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterator, NamedTuple, Tuple
 
 __all__ = [
     "is_odd_prime",
@@ -104,8 +103,7 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class ResidueClassReport:
+class ResidueClassReport(NamedTuple):
     """Admissible residues for a prime and family, with the character
     value that admitted or rejected each r in [1, p-1].
 

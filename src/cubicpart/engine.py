@@ -28,8 +28,7 @@ in one vectorised pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -87,24 +86,30 @@ def __getattr__(name: str):
 _CLASSICAL_RESIDUE = {5: 4, 7: 5, 11: 6}
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
-    """count(family, progression*n + residue) == 0 (mod modulus), all n >= 0."""
-
+# CongruenceClaim's fields; a NamedTuple may not define __new__, so CongruenceClaim
+# subclasses this one to check them
+class _CongruenceClaim(NamedTuple):
     family: PartitionFamily
     modulus: int
     progression: int
     residue: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if self.progression < 1:
-            raise ValueError(f"progression must be >= 1, got {self.progression}")
-        if not 0 <= self.residue < self.progression:
-            raise ValueError(
-                f"residue {self.residue} out of range [0, {self.progression})"
-            )
+
+class CongruenceClaim(_CongruenceClaim):
+    """count(family, progression*n + residue) == 0 (mod modulus), all n >= 0."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, family: PartitionFamily, modulus: int, progression: int, residue: int
+    ) -> "CongruenceClaim":
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if progression < 1:
+            raise ValueError(f"progression must be >= 1, got {progression}")
+        if not 0 <= residue < progression:
+            raise ValueError(f"residue {residue} out of range [0, {progression})")
+        return _CongruenceClaim.__new__(cls, family, modulus, progression, residue)
 
     def describe(self) -> str:
         name = "a" if self.family.kind == CUBIC else "abar"
@@ -114,8 +119,7 @@ class CongruenceClaim:
         )
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of scanning one claim to n_max.
 
     The witness, present only on refutation, is (exponent, value mod m)
@@ -290,8 +294,7 @@ FAILED = "failed"
 _ORACLE_VALUES = 10
 
 
-@dataclass(frozen=True)
-class SturmCertificate:
+class SturmCertificate(NamedTuple):
     """A finite-check proof record for one congruence.
 
     verdict is 'proven' iff every T_p-image coefficient in the inclusive

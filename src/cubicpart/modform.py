@@ -15,10 +15,9 @@ congruence certificates need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .arith import _is_prime, kronecker
 from .series import TruncatedSeries
@@ -38,28 +37,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+# EtaQuotient's fields; a NamedTuple may not define __new__, so EtaQuotient
+# subclasses this one to check them
+class _EtaQuotient(NamedTuple):
+    level: int
+    exponents: Dict[int, int]
+
+
+class EtaQuotient(_EtaQuotient):
     """Level N and the exponent r_delta of each eta(delta z) factor.
 
     The exponent map is copied on construction and keeps only the
     nonzero exponents, so every consumer sees the same factors.
     """
 
-    level: int
-    exponents: Dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be positive, got {self.level}")
-        for delta in self.exponents:
-            if delta < 1 or self.level % delta != 0:
-                raise ValueError(f"{delta} does not divide the level {self.level}")
-        nonzero = {d: r for d, r in self.exponents.items() if r}
-        object.__setattr__(self, "exponents", nonzero)
+    def __new__(cls, level: int, exponents: Dict[int, int]) -> "EtaQuotient":
+        if level < 1:
+            raise ValueError(f"level must be positive, got {level}")
+        for delta in exponents:
+            if delta < 1 or level % delta != 0:
+                raise ValueError(f"{delta} does not divide the level {level}")
+        return _EtaQuotient.__new__(cls, level, {d: r for d, r in exponents.items() if r})
 
     def __hash__(self) -> int:
-        # the generated hash would hash the dict and fail
+        # the tuple's hash would hash the dict and fail
         return hash((self.level, frozenset(self.exponents.items())))
 
     @property
@@ -82,8 +85,7 @@ def weight(eq: EtaQuotient) -> "int | Fraction":
     return int(w) if w.denominator == 1 else w
 
 
-@dataclass(frozen=True)
-class CharacterDescriptor:
+class CharacterDescriptor(NamedTuple):
     """The character d -> ((-1)^l * s | d) with s = prod delta^{r_delta}.
 
     s is stored as a reduced positive fraction.  Square factors of
@@ -122,8 +124,7 @@ def character_eval(ch: CharacterDescriptor, d: int) -> int:
     return kronecker(a, d)
 
 
-@dataclass(frozen=True)
-class CandidacyReport:
+class CandidacyReport(NamedTuple):
     """Outcome of the three candidacy conditions for level-N modularity.
 
     The exponent sums are reported mod 24; the character is present only
@@ -169,8 +170,7 @@ def check_candidacy(eq: EtaQuotient) -> CandidacyReport:
     )
 
 
-@dataclass(frozen=True)
-class CuspOrderTable:
+class CuspOrderTable(NamedTuple):
     """Order of vanishing at each cusp 1/d, d running over divisors of N.
 
     The formula depends only on the denominator d of the cusp, so one

@@ -15,8 +15,7 @@ f_4 / f_2^2 (overcubic): ``engine.search_congruences`` builds on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .arith import is_odd_prime
 from .series import Ring, TruncatedSeries, ZZ
@@ -38,22 +37,28 @@ CUBIC = "cubic"
 OVERCUBIC = "overcubic"
 
 
-@dataclass(frozen=True)
-class PartitionFamily:
+# PartitionFamily's fields; a NamedTuple may not define __new__, so PartitionFamily
+# subclasses this one to check them
+class _PartitionFamily(NamedTuple):
+    kind: str
+    colors: int
+
+
+class PartitionFamily(_PartitionFamily):
     """A counting family: kind ('cubic' or 'overcubic') and color count c >= 1.
 
     kind='cubic' with c=1 is ordinary partition counting; c=2 counts
     partitions whose even parts come in two colors.
     """
 
-    kind: str
-    colors: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (CUBIC, OVERCUBIC):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.colors < 1:
-            raise ValueError(f"colors must be >= 1, got {self.colors}")
+    def __new__(cls, kind: str, colors: int) -> "PartitionFamily":
+        if kind not in (CUBIC, OVERCUBIC):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if colors < 1:
+            raise ValueError(f"colors must be >= 1, got {colors}")
+        return _PartitionFamily.__new__(cls, kind, colors)
 
     @property
     def exponents(self) -> Dict[int, int]:
@@ -114,8 +119,7 @@ def _count_table(fam: PartitionFamily, n: int) -> List[int]:
     return ways
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a coefficient-wise comparison of two series."""
 
     equal: bool

@@ -98,10 +98,9 @@ the gate admits it, and otherwise falls back to ``_mul_mod``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -300,8 +299,13 @@ def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class Ring:
+# Ring's field; a NamedTuple may not define __new__, so Ring
+# subclasses this one to check it
+class _Ring(NamedTuple):
+    modulus: Optional[int]
+
+
+class Ring(_Ring):
     """Coefficient ring: exact integers (modulus None) or integers mod m.
 
     The modulus, when present, must be >= 2.  Primality is not required;
@@ -309,11 +313,12 @@ class Ring:
     does not care.
     """
 
-    modulus: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+    def __new__(cls, modulus: Optional[int] = None) -> "Ring":
+        if modulus is not None and modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        return _Ring.__new__(cls, modulus)
 
     @property
     def is_exact(self) -> bool:

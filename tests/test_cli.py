@@ -445,3 +445,13 @@ for module in (cli, engine):
         raise AssertionError(module)
 """
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_start_up_imports_no_dataclasses():
+    """The value records are NamedTuples, so no start-up import brings in dataclasses."""
+    code = """
+import sys
+import cubicpart.cli
+assert "dataclasses" not in sys.modules, "dataclasses"
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)

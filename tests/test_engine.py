@@ -1,6 +1,5 @@
 """Claims, theorem families, certificates, and the empirical search."""
 
-import dataclasses
 import gc
 import itertools
 import sys
@@ -231,7 +230,7 @@ def test_certificate_to_dict_round_trips_values():
 
 def test_certificate_text_and_dict_list_the_same_factors():
     cert = prove_isolated("a3-mod7")
-    padded = dataclasses.replace(cert, quotient=EtaQuotient(8, {1: 76, 2: -2, 4: 0}))
+    padded = cert._replace(quotient=EtaQuotient(8, {1: 76, 2: -2, 4: 0}))
     assert "exponents: 1^76 2^-2\n" in padded.to_text()
     assert padded.to_dict()["exponents"] == {"1": 76, "2": -2}
 
@@ -278,7 +277,7 @@ def test_a_certificate_reads_its_oracle_values_from_one_table(monkeypatch, which
 def test_the_oracle_stage_fails_at_the_first_nonzero_value(monkeypatch):
     """a_3(7n+3) is not 0 mod 7, though the Hecke window of a_3(7n+4) vanishes."""
     eq, p, claim = engine._ISOLATED["a3-mod7"]
-    wrong = dataclasses.replace(claim, residue=3)
+    wrong = claim._replace(residue=3)
     monkeypatch.setitem(engine._ISOLATED, "a3-mod7", (eq, p, wrong))
     cert = build_certificate("a3-mod7")
     assert cert.verdict == FAILED and cert.failure_stage == "oracle-cross-check"
