@@ -26,6 +26,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import engine
 from .partitions import _IDENTITIES, PartitionFamily, check_named_identity, generating_series
+from .qfunctions import _quotient_at
 from .series import ZZ, TruncatedSeries, zmod
 
 # What is imported by now (the package, numpy, argparse) lives as long as
@@ -93,8 +94,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     for n in args.values:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-    series = generating_series(fam, max(args.values) + 1, ZZ)
-    counts = [series.coefficient(n) for n in args.values]
+    counts = _quotient_at(fam.exponents, max(args.values) + 1, ZZ, args.values)
     payload = {
         "family": args.family,
         "colors": args.colors,

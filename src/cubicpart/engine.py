@@ -142,6 +142,10 @@ class VerificationResult(NamedTuple):
         return base
 
 
+# search scans each series first on its _PREFIX p leading terms, and
+# verify_claim a class with no theta core on its _PREFIX progression
+_PREFIX = 16
+
 # the last family series that _series_mod built, as ((kind, colors, modulus), series)
 _family_held: Optional[Tuple[Tuple[str, int, int], TruncatedSeries]] = None
 
@@ -157,12 +161,20 @@ def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSe
     ``search``'s next open class of the same family.
     """
     global _family_held
-    key, held = (kind, colors, modulus), _family_held
+    key = (kind, colors, modulus)
+    series = _held_cut(key, order)
+    if series is None:
+        series = generating_series(PartitionFamily(kind, colors), order, zmod(modulus))
+        _family_held = (key, series)
+    return series
+
+
+def _held_cut(key: Tuple[str, int, int], order: int) -> Optional[TruncatedSeries]:
+    """The held family series under key cut to the given order, or None if it is not held that long."""
+    held = _family_held
     if held is not None and held[0] == key and held[1].order >= order:
         return held[1] if held[1].order == order else held[1].truncate(order)
-    series = generating_series(PartitionFamily(kind, colors), order, zmod(modulus))
-    _family_held = (key, series)
-    return series
+    return None
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
@@ -176,19 +188,33 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
     [C]_r(q) H(q), H = prod f_delta^{D(delta)}, and H(0) = 1, so the
     class is zero up to n_max exactly when [C]_r is, and its first
     nonzero value is [C]_r's, at the same index.  Every other claim cuts
-    its class from the family's full series.
+    its class from the family's series mod m, first at
+    min(n_max + 1, _PREFIX progression) terms: a nonzero value there is
+    the first witness.  Only a class that the prefix leaves zero is cut
+    from the full series (``_series_mod``); the prefix is a cut of the
+    held series when that is long enough, and is never held itself.
     """
     if n_max < claim.residue:
         raise ValueError(
             f"n_max {n_max} does not reach the first progression value {claim.residue}"
         )
-    fam = claim.family
+    fam, ring = claim.family, zmod(claim.modulus)
     values = None
     if claim.progression == claim.modulus:
-        values = _core_class(fam.exponents, claim.residue, n_max + 1, zmod(claim.modulus))
+        values = _core_class(fam.exponents, claim.residue, n_max + 1, ring)
     if values is None:
-        series = _series_mod(fam.kind, fam.colors, claim.modulus, n_max + 1)
-        values = series.extract_progression(claim.progression, claim.residue)
+        _check_order(n_max + 1, ring)  # refused as the full build would, before the prefix
+        n = min(n_max + 1, _PREFIX * claim.progression)
+        if n <= n_max:
+            prefix = _held_cut((fam.kind, fam.colors, claim.modulus), n)
+            if prefix is None:
+                prefix = generating_series(fam, n, ring)
+            values = prefix.extract_progression(claim.progression, claim.residue)
+            if not values.support().size:
+                values = None
+        if values is None:
+            series = _series_mod(fam.kind, fam.colors, claim.modulus, n_max + 1)
+            values = series.extract_progression(claim.progression, claim.residue)
     hits = values.support()
     if hits.size:
         n = int(hits[0])
@@ -453,9 +479,6 @@ def prove_isolated(which: str) -> SturmCertificate:
 
 
 # -- empirical search ------------------------------------------------------
-
-# search scans each series first on its _PREFIX p leading terms
-_PREFIX = 16
 
 
 def search_congruences(

@@ -14,7 +14,11 @@ modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
 exact-integer steps are planned over every table entry and priced from
 the entries' term counts (``_step_plan``; cubic c >= 2 is mostly
-psi(q) / f_2^(c+1), one product by psi), the class-first read of
+psi(q) / f_2^(c+1), one product by psi), and whose plan runner also
+reads chosen coefficients alone (``_quotient_at``, through which the
+CLI's ``count`` and the left side of each named identity read theirs:
+a last product by a closed form is evaluated only at the exponents
+read), the class-first read of
 one residue class mod a prime through a theta core congruent to the map
 (``_core_class``), and eta-quotient q-expansions with the leading
 power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -439,6 +443,30 @@ def euler_quotient(
     f_1 factor run at full length.  The sparsest factor comes first, so
     an exact-integer product with h = 1 still skips most of its left
     operand.
+
+    One plan runner serves this function and the read of chosen
+    coefficients that ``count`` and the left side of
+    ``check_named_identity`` use (``_quotient_at``): on object storage,
+    when the plan ends in a product by a closed form, the read runs every
+    step but that one and evaluates it only at the exponents it reads.
+    ``count`` for cubic c = 5 at 4001 so forms no product of 4001 terms.
+    """
+    return _quotient_at(exponents, order, ring)
+
+
+def _quotient_at(
+    exponents: Mapping[int, int], order: int, ring: Ring, at: Optional[Sequence[int]] = None
+):
+    """The plan runner: ``euler_quotient`` when at is None, else its coefficients at at, as ints.
+
+    at is a range with a positive step (a progression) or a sequence of
+    exponents in any order, repeats allowed; each is in [0, order).  The
+    checks of ``euler_quotient`` come first, the order's ceiling
+    included, so a long progression is never listed above it.  On object
+    storage a read of a plan that ends in a product by a closed form runs
+    every step but that last one, which is evaluated at the chosen
+    exponents alone (``_product_at``).  A read of any other plan, and on
+    int64 storage, builds the whole series and indexes it.
     """
     if min(exponents, default=1) < 1:
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
@@ -451,6 +479,11 @@ def euler_quotient(
         plan = [(None, d, exponents[d]) for d in sorted(exponents, reverse=True)]
     else:
         plan = _step_plan(exponents, order)
+    # a read holds back the plan's last step when that is a product by a closed form
+    last = None
+    if at is not None and plan and plan[-1][0] is not None and plan[-1][2] > 0:
+        name, k, n = plan[-1]
+        plan, last = plan[:-1] + ([(name, k, n - 1)] if n > 1 else []), (name, k)
     # 1 / f_1 once, at the longest order a negative pow factor needs
     inverse_orders = [-(-order // k) for name, k, n in plan if name is None and n < 0]
     f1_inverse = _f1_inverse(max(inverse_orders), ring) if inverse_orders else None
@@ -470,7 +503,39 @@ def euler_quotient(
             else:
                 prod = _expand(prod, g // h, m) * _expand(factor, k // h, m)
         g = h
-    return one(ring, order) if prod is None else _expand(prod, g, order)
+    series = one(ring, order) if prod is None else _expand(prod, g, order)
+    if at is None:
+        return series
+    if last is not None:  # the series times the held-back step, at the exponents of at
+        return _product_at(series, *last, at)
+    return series.coeffs[np.asarray(at, dtype=np.int64)].tolist()
+
+
+def _product_at(prod: TruncatedSeries, name: str, k: int, at: Sequence[int]) -> List[int]:
+    """prod times the closed form in q^k, at the exponents of at (each below prod's order), as ints.
+
+    Object storage.  For a progression each term (t, c) of the entry adds
+    c times one strided row of prod, at the exponents of at less t; for a
+    list each exponent gathers prod at itself less the terms below it.
+    """
+    e, c = _terms(name, k, prod.order)
+    coeffs = prod.coeffs
+    if isinstance(at, range):
+        out = np.zeros(len(at), dtype=object)
+        for t, ct in zip(e.tolist(), c.tolist()):
+            first = max(0, -((at.start - t) // at.step))  # the first index at which at reaches t
+            if first >= len(out):
+                break
+            row = coeffs[at[first] - t :: at.step][: len(out) - first]
+            out[first:] += row if ct == 1 else ct * row
+    else:
+        cs = np.array(c.tolist(), dtype=object)
+        out = np.zeros(len(at), dtype=object)
+        for j, x in enumerate(at):
+            below = int(np.searchsorted(e, x, "right"))  # the terms at t <= x
+            out[j] = np.dot(coeffs[x - e[:below]], cs[:below])
+    m = prod.ring.modulus
+    return (out if m is None else out % m).tolist()
 
 
 # a theta core as its factors: (name in _CLOSED_FORMS, k) for the entry in q^k

@@ -29,11 +29,17 @@ object-array add with no interpreted inner loop, so f * g, with f an
 Euler product (about 1.6 sqrt(order) nonzero terms) as long as g, costs
 O(order nnz(f)) additions.  Exact division g / f by a series f with a
 unit constant term (``divide``) is the recurrence
-out_n = f0^{-1} (g_n - sum_{i>=1} f_i out_{n-i}), an interpreted loop
-that skips the zero f_i and also costs O(order nnz(f)).  The terms of a
-value that occurs more than once among the f_i are summed before one
-multiplication by it; a value that occurs once, as do the coefficients
-of Jacobi's f^3, is a single term.
+out_n = f0^{-1} (g_n - sum_{i>=1} f_i out_{n-i}), which skips the zero
+f_i and also costs O(order nnz(f)), run in blocks of _DIVIDE_BLOCK
+exponents.  A term whose value occurs more than once among the f_i (the
++-1 of Euler's f, the +-2 of phi(-q)) and whose i is at least the block
+length reads only finished blocks, so it becomes a row: such terms are
+added as object-array rows per value, and each value's sum multiplies
+once per block before the block's recurrence runs.  The nearer terms of
+a repeated value are summed in the interpreted loop before one
+multiplication by it.  A value that occurs once, as do the coefficients
+of Jacobi's f^3, stays a single term of the loop at every distance: as a
+row it would still pay one product per output, and the row adds on top.
 
 Every product of int64-storage series is ``_mul_mod``: both operands are
 first cut to the result length, then the first of these paths whose
@@ -113,6 +119,11 @@ _INT64_MAX_MODULUS = 2**63
 _FFT_MIN_LEN = 384
 # The fft path runs only while its rounding bound stays below this.
 _FFT_MAX_ERROR = 0.25
+
+# ``_reduce`` takes the floor-division form from this many terms on.
+_REDUCE_MIN_LEN = 1024
+# ``divide`` runs its recurrence in blocks of this many exponents.
+_DIVIDE_BLOCK = 256
 
 _U = 2.0**-53  # unit roundoff of float64
 _MU = 3 * _U  # relative error of one complex product, sqrt(2) gamma_2 < 3u
@@ -201,6 +212,23 @@ def _spectral_product(fx: np.ndarray, fy: np.ndarray, length: int, n: int) -> np
     return z.astype(np.int64)
 
 
+def _reduce(a: np.ndarray, m: int) -> np.ndarray:
+    """a mod m, in [0, m), for an int64 array a and 2 <= m < 2^63, as a new array.
+
+    From _REDUCE_MIN_LEN terms on it is a - (a // m) m, formed in the one
+    new array: there numpy's floor division and two in-place passes run
+    2-6 times faster than its remainder, and below it their three calls
+    cost more than the remainder's one.  It is exact for every int64 a,
+    INT64_MIN included: the product and the difference wrap modulo 2^64,
+    and the true result lies in [0, m), so the wrapped one is it.
+    """
+    if len(a) < _REDUCE_MIN_LEN:
+        return np.remainder(a, m)
+    q = a // m
+    q *= m
+    return np.subtract(a, q, out=q)
+
+
 def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     """First rl terms of a * b mod m by real FFT; the caller checked the bound.
 
@@ -220,8 +248,7 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
         top += _spectral_product(np.fft.rfft(b[h:], length), fa0, length, len(top))
     low = out[: 2 * h]
     low += _spectral_product(fa0, fb0, length, len(low))
-    out %= m
-    return out
+    return _reduce(out, m)
 
 
 def _schoolbook(
@@ -263,7 +290,7 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     if path == "fft":
         return _fft_mul(a, b, rl, m)
     if path == "convolve":
-        return np.convolve(a, b)[:rl] % m
+        return _reduce(np.convolve(a, b)[:rl], m)
     return (_schoolbook(a, b, rl) % m).astype(np.int64)
 
 
@@ -287,14 +314,14 @@ def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
             g_hat = np.fft.rfft(g, length)
             ng = _norm2(g)
             if _fft_exact(_norm2(fk), ng, length):
-                e = _spectral_product(np.fft.rfft(fk, length), g_hat, length, k2)[k:] % m
+                e = _reduce(_spectral_product(np.fft.rfft(fk, length), g_hat, length, k2)[k:], m)
             else:
                 e = _mul_mod(fk, g, k2, m)[k:]
             if _fft_exact(ng, _norm2(e), length):
                 ge = _spectral_product(np.fft.rfft(e, length), g_hat, length, k2 - k)
             else:
                 ge = _mul_mod(g, e, k2 - k, m)
-        g = np.concatenate((g, (-ge) % m))
+        g = np.concatenate((g, _reduce(-ge, m)))
         k = k2
     return g
 
@@ -372,7 +399,7 @@ def _residues(coeffs, m: int) -> np.ndarray:
     Python-int reduction.
     """
     if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
-        arr = coeffs.copy()
+        arr = coeffs
     else:
         cs = _ints(coeffs)
         try:
@@ -380,10 +407,8 @@ def _residues(coeffs, m: int) -> np.ndarray:
         except OverflowError:
             arr = np.array([c % m for c in cs], dtype=np.int64)
     if m == _INT64_MAX_MODULUS:  # no int64 holds 2^63; keep the low 63 bits
-        arr &= _INT64_MAX_MODULUS - 1
-    else:
-        np.remainder(arr, m, out=arr)
-    return arr
+        return arr & (_INT64_MAX_MODULUS - 1)
+    return _reduce(arr, m)
 
 
 def _ints(coeffs) -> list[int]:
@@ -566,39 +591,69 @@ class TruncatedSeries:
     def divide(self, f: TruncatedSeries) -> TruncatedSeries:
         """self / f; f must have a unit constant term.
 
-        result.order = min(self.order, f.order).  The
-        recurrence out_n = f0^{-1} (self_n - sum_{i>=1} f_i out_{n-i})
-        skips zero coefficients of f, so dividing by a sparse series (an
-        Euler product, say) costs O(order * nnz(f)).  The terms of a value
-        that occurs more than once among the f_i are summed before one
-        multiplication by it, so the +-1 of an Euler product cost two
-        multiplications per n, not nnz.  A value that occurs once, as do
-        the distinct coefficients of Jacobi's f_k^3, is one term.
+        result.order = min(self.order, f.order).  The recurrence
+        out_n = f0^{-1} (self_n - sum_{i>=1} f_i out_{n-i}) skips zero
+        coefficients of f, so dividing by a sparse series (an Euler
+        product, say) costs O(order * nnz(f)).  It runs in blocks of
+        _DIVIDE_BLOCK exponents.  The terms of a value that occurs more
+        than once among the f_i (Euler's +-1, phi(-q)'s +-2) at i >= the
+        block length read only finished blocks: they are added as
+        object-array rows, summed per value, and each sum multiplies once
+        per block before the block's recurrence.  The recurrence sums a
+        repeated value's nearer terms before one multiplication by it.  A
+        value that occurs once (Jacobi's f_k^3) stays in the recurrence at
+        every distance: as a row it would still cost one product per
+        output, with the row's adds on top.
         """
         self._require_same_ring(f)
         inv0 = f._unit_constant_inverse()
         out = _ints(self.coeffs[: f.order])
+        size = len(out)
         terms: dict[int, list[int]] = {}  # f_i -> the ascending i >= 1 holding it
-        for i, c in enumerate(_ints(f.coeffs[1 : len(out)]), 1):
+        for i, c in enumerate(_ints(f.coeffs[1:size]), 1):
             if c:
                 terms.setdefault(c, []).append(i)
-        groups = [(c, idx) for c, idx in terms.items() if len(idx) > 1]
+        block = _DIVIDE_BLOCK
+        repeated = [(c, idx) for c, idx in terms.items() if len(idx) > 1]
+        rows = [(c, [i for i in idx if i >= block]) for c, idx in repeated]
+        rows = [(c, idx) for c, idx in rows if idx]
+        groups = [(c, [i for i in idx if i < block]) for c, idx in repeated]
         singles = sorted((idx[0], c) for c, idx in terms.items() if len(idx) == 1)
+        done = np.zeros(size, dtype=object)  # out, block by block, for the rows
         norm = self.ring.normalize
-        for n in range(len(out)):
-            s = out[n]
-            for c, idx in groups:
-                t = 0
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            dividend = None
+            for c, idx in rows:
+                if idx[0] >= stop:
+                    continue
+                acc = np.zeros(stop - start, dtype=object)
                 for i in idx:
+                    if i >= stop:
+                        break
+                    lo = max(i - start, 0)  # out_n for n < i is not read
+                    acc[lo:] += done[start + lo - i : stop - i]
+                if dividend is None:
+                    dividend = np.array(out[start:stop], dtype=object)
+                dividend -= c * acc
+            if dividend is not None:
+                out[start:stop] = dividend.tolist()
+            for n in range(start, stop):
+                s = out[n]
+                for c, idx in groups:
+                    t = 0
+                    for i in idx:
+                        if i > n:
+                            break
+                        t += out[n - i]
+                    s -= c * t
+                for i, c in singles:
                     if i > n:
                         break
-                    t += out[n - i]
-                s -= c * t
-            for i, c in singles:
-                if i > n:
-                    break
-                s -= c * out[n - i]
-            out[n] = norm(inv0 * s) if s else 0
+                    s -= c * out[n - i]
+                out[n] = norm(inv0 * s) if s else 0
+            if rows:
+                done[start:stop] = out[start:stop]
         return TruncatedSeries(self.ring, out)
 
     def inverse(self) -> TruncatedSeries:

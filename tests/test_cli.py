@@ -352,6 +352,9 @@ HUGE = "100000000000"  # 10^11, far above every order ceiling
     ("verify", "--family", "overcubic", "--colors", "25", "--mod", "13",
      "--progression", "13", "--residue", "11", "--nmax", HUGE),
     ("search", "--cmax", "1", "--primes", "3", "--nmax", HUGE),  # no class survives its prefix
+    # progression 1 is read from the full series, and its witness count(0) lies in the prefix
+    ("verify", "--family", "cubic", "--colors", "1", "--mod", "7",
+     "--progression", "1", "--residue", "0", "--nmax", HUGE),
 ])
 def test_an_oversized_order_exits_2_at_once(capsys, argv):
     start = time.perf_counter()

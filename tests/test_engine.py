@@ -482,6 +482,29 @@ def counted_builds(monkeypatch):
     return builds
 
 
+def test_a_witness_in_the_prefix_builds_no_full_series(counted_builds):
+    """a_1(17n + 5) mod 17 has no theta core; its witness at n = 5 lies in the
+    272-term prefix, so n_max 4 * 10^6 builds 272 terms, and the held series stays."""
+    held = engine._series_mod(CUBIC, 3, 7, 100)
+    claim = CongruenceClaim(PartitionFamily(CUBIC, 1), 17, 17, 5)
+    result = verify_claim(claim, 4_000_000)
+    assert result.describe().endswith("refuted  witness: count(5) == 7")
+    assert counted_builds == [(CUBIC, 3, 7, 100), (CUBIC, 1, 17, engine._PREFIX * 17)]
+    assert engine._family_held == ((CUBIC, 3, 7), held)
+
+
+def test_a_clean_prefix_builds_the_full_series_once_and_holds_it(counted_builds):
+    """a_5(11n + 10) mod 11 holds: its prefix is clean, so the full series is
+    built and held, and the next class cuts its prefix and its series from it."""
+    fam = PartitionFamily(CUBIC, 5)
+    assert verify_claim(CongruenceClaim(fam, 11, 11, 10), 3000).holds
+    assert counted_builds == [(CUBIC, 5, 11, 176), (CUBIC, 5, 11, 3001)]
+    refuted = verify_claim(CongruenceClaim(fam, 11, 11, 3), 2000)
+    assert counted_builds == [(CUBIC, 5, 11, 176), (CUBIC, 5, 11, 3001)]
+    assert (refuted.verdict, refuted.witness) == generic_scan(refuted.claim, 2000)
+    assert engine._family_held[0] == (CUBIC, 5, 11) and engine._family_held[1].order == 3001
+
+
 def test_store_cuts_a_shorter_series_from_a_longer_one(counted_builds):
     long = engine._series_mod(CUBIC, 3, 7, 500)
     short = engine._series_mod(CUBIC, 3, 7, 120)
@@ -623,11 +646,11 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
         full = [t for t in triples if t in survivors and needs_full_series(*t)]
         assert full  # cubic c = 1 and 5 mod 11 have no core; 4, 6 and 9 are composite
         # one F_1 and one step per kind and modulus at the prefix order, and
-        # the full order only for a triple read on its prefix whose surviving
-        # classes verify_claim cuts from the full series
+        # for a triple read on its prefix whose surviving classes verify_claim
+        # cuts from the full series, verify_claim's own prefix, then the full order
         assert sorted(counted_builds) == sorted(
             [(kind, 1, p, prefix[p]) for kind in (CUBIC, OVERCUBIC) for p in moduli]
-            + [(*t, n_max + 1) for t in full]
+            + [(*t, n) for t in full for n in (prefix[t[2]], n_max + 1)]
         )
         assert sorted((sorted(e.items()), n, p) for e, n, p in steps) == sorted(
             (sorted(partitions._COLOUR_STEP[kind].items()), prefix[p], p)
@@ -875,7 +898,11 @@ def test_class_first_claims_build_no_series(monkeypatch):
 ])
 def test_claims_without_a_prime_core_stay_generic(series_requests, claim):
     result = verify_claim(claim, 3000)
-    assert series_requests == [(claim.family.kind, claim.family.colors, claim.modulus)]
+    # the full series only for a class with no witness in the prefix
+    prefix = min(3001, engine._PREFIX * claim.progression)
+    in_prefix = result.witness is not None and result.witness[0] < prefix
+    full = [(claim.family.kind, claim.family.colors, claim.modulus)]
+    assert series_requests == ([] if in_prefix else full)
     assert (result.verdict, result.witness) == generic_scan(claim, 3000)
 
 

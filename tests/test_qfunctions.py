@@ -870,3 +870,56 @@ def test_euler_quotient_refuses_an_order_above_the_ceiling_before_any_work(
 def test_the_order_ceiling_is_one_per_ring_kind(ring, ceiling):
     with pytest.raises(ValueError, match=f"above the ceiling {ceiling} over {ring}"):
         euler_quotient({1: -1}, 10**11, ring)
+
+
+# -- reading chosen coefficients through the plan ------------------------------------
+
+READ_MAPS = (
+    [PartitionFamily(CUBIC, c).exponents for c in range(1, 13)]
+    + [PartitionFamily(OVERCUBIC, c).exponents for c in range(1, 7)]
+    + [exps for *_, exps in _IDENTITIES.values()]
+    # plans that end in two products by f, and in one by phi(-q) after divisions
+    + [{1: 5}, {2: -3, 1: 2}]
+)
+
+
+@pytest.mark.parametrize("exps", READ_MAPS, ids=str)
+def test_a_read_of_chosen_exponents_matches_the_full_series(exps):
+    order = 4001
+    if exps == {1: 5}:
+        assert qfunctions._step_plan(exps, order)[-1] == ("euler_product", 1, 2)
+    full = euler_quotient(exps, order, ZZ).coefficients()
+    for at in (
+        range(2, order, 3),  # chan's class, to the end
+        range(4, 3000, 5),  # Ramanujan's, cut short of the order
+        [4000, 0, 17, 17, 1, 2999, 0, 4000, 5],  # unsorted, with repeats and 0
+    ):
+        assert qfunctions._quotient_at(exps, order, ZZ, at) == [full[e] for e in at]
+
+
+def test_a_read_holds_back_the_last_product_by_a_closed_form(step_factors):
+    """Cubic c = 5 at 4001: the two divisions by f^3 run, the product by psi does not."""
+    fam = PartitionFamily(CUBIC, 5)
+    values = qfunctions._quotient_at(fam.exponents, 4001, ZZ, [4000, 0, 299, 7])
+    assert step_factors == CUBIC_5_STEPS[:2]
+    assert values[1:] == [count_direct(fam, n) for n in (0, 299, 7)]
+    # a plan that ends in a division builds the series and reads it
+    step_factors.clear()
+    assert qfunctions._quotient_at({1: -1}, 300, ZZ, [299, 5]) == [
+        count_direct(PartitionFamily(CUBIC, 1), n) for n in (299, 5)
+    ]
+    assert step_factors == [("divide", 1, 1, 300)]
+
+
+@pytest.mark.parametrize("m", [7, 65521, 2**64 + 13])
+def test_a_read_mod_m_matches_the_full_series(m):
+    exps = PartitionFamily(CUBIC, 5).exponents
+    full = euler_quotient(exps, 3001, zmod(m)).coefficients()
+    for at in (range(10, 3001, 11), [3000, 0, 0, 12]):
+        assert qfunctions._quotient_at(exps, 3001, zmod(m), at) == [full[e] for e in at]
+
+
+def test_a_read_refuses_an_order_above_the_ceiling_before_listing_its_exponents():
+    huge = 5 * (10**11 + 1)
+    with pytest.raises(ValueError, match=f"series order {huge} is above the ceiling"):
+        qfunctions._quotient_at({1: -1}, huge, ZZ, range(4, 5 * 10**11, 5))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubicpart import series
+from cubicpart import qfunctions, series
 from cubicpart.qfunctions import euler_product
 from cubicpart.series import TruncatedSeries, ZZ, _fft_error_bound, _fft_length, one, zmod
 
@@ -482,3 +482,91 @@ def test_non_unit_constant_term_is_rejected(order):
         s = TruncatedSeries(ring, [a0] + [1] * (order - 1))
         with pytest.raises(ValueError, match="not a unit"):
             s.inverse()
+
+
+# -- blocked division ---------------------------------------------------------
+
+B = series._DIVIDE_BLOCK
+
+
+def nested_loop_quotient(g, f, ring):
+    """Reference: g / f by out_n = f0^-1 (g_n - sum_{i=1..n} f_i out_{n-i}), a plain double loop."""
+    inv0 = ring.invert(f[0])
+    out = []
+    for n in range(min(len(g), len(f))):
+        s = g[n] - sum(f[i] * out[n - i] for i in range(1, n + 1))
+        out.append(ring.normalize(inv0 * s))
+    return out
+
+
+def divisor(rng, ring, order, kind):
+    """A unit-constant divisor whose repeated values reach past the first block.
+
+    "euler" and "phi" are f_1 and phi(-q), whose +-1 and +-2 repeat;
+    "mixed" has a few values, each at many random i up to the order, next
+    to distinct values that occur once, and a unit f_0 other than 1 where
+    the ring has one.
+    """
+    if kind == "euler":
+        return euler_product(1, order, ring).coefficients()
+    if kind == "phi":
+        return qfunctions._closed_form("phi(-q)", 1, order, ring).coefficients()
+    m = ring.modulus
+    f = [0] * order
+    f[0] = -1 if m is None else next(u for u in (3, 5, 2) if ring.is_unit(u))
+    for i in rng.sample(range(1, order), min(order - 1, 40)):
+        f[i] = rng.choice([1, -1, 5])
+    for i in rng.sample(range(1, order), min(order - 1, 6)):
+        f[i] = rng.randrange(10**6, 10**30)  # distinct: single terms
+    return [ring.normalize(c) for c in f]
+
+
+@pytest.mark.parametrize("order", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("m", [None, 65521, 2**64 + 13])
+@pytest.mark.parametrize("kind", ["euler", "phi", "mixed"])
+def test_blocked_divide_matches_the_nested_loop_recurrence(order, m, kind):
+    ring = ZZ if m is None else zmod(m)
+    rng = random.Random(f"{order}:{m}:{kind}")
+    f = divisor(rng, ring, order, kind)
+    g = [ring.normalize(rng.randrange(-(10**40), 10**40)) for _ in range(order + 3)]
+    expected = nested_loop_quotient(g, f, ring)
+    got = TruncatedSeries(ring, g).divide(TruncatedSeries(ring, f))
+    assert got.coefficients() == expected
+    # 1 / f: mod 65521 the Newton gate fails, so inverse is this division on int64 storage
+    got = TruncatedSeries(ring, f).inverse()
+    assert got.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f, ring)
+
+
+def test_divide_leaves_only_single_and_near_terms_to_the_recurrence():
+    """Euler's f_1 at 2B + 1: its +-1 terms from B on come off as rows, one
+    object-array multiply per value and block, and f^3's distinct values none."""
+    order = 2 * B + 1
+    f1 = euler_product(1, order, ZZ)
+    f3 = qfunctions.jacobi_cube(1, order, ZZ)
+    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+        f3_inverse = one(ZZ, order).divide(f3)
+    rows_of_f3 = [c for c in zeros.call_args_list if c.kwargs.get("dtype") is object]
+    assert len(rows_of_f3) == 1  # the finished outputs' array, no row
+    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+        f1_inverse = one(ZZ, order).divide(f1)
+    rows_of_f1 = [c for c in zeros.call_args_list if c.kwargs.get("dtype") is object]
+    assert len(rows_of_f1) == 1 + 2 * 2  # two values, in the second and third block
+    assert f1_inverse.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f1.coefficients(), ZZ)
+    assert f3_inverse.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f3.coefficients(), ZZ)
+
+
+# -- int64 reduction ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 7, 2**31 - 1, 2**62 + 1])
+def test_reduce_by_floor_division_is_exact_at_the_int64_extremes(m):
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    extremes = [low, low + 1, -1, 0, 1, m - 1, m, -m, high - 1, high]
+    # short arrays take numpy's remainder, from _REDUCE_MIN_LEN terms on floor division
+    for values in (extremes, extremes * (series._REDUCE_MIN_LEN // len(extremes) + 1)):
+        a = np.array(values, dtype=np.int64)
+        out = series._reduce(a, m)
+        assert out.dtype == np.int64
+        assert out.tolist() == [v % m for v in values]
+        assert a.tolist() == values  # a new array; the input is kept
+        assert series._residues(a, m).tolist() == [v % m for v in values]
