@@ -143,7 +143,8 @@ class VerificationResult(NamedTuple):
 
 
 # search scans each series first on its _PREFIX p leading terms, and
-# verify_claim a class with no theta core on its _PREFIX progression
+# verify_claim a class with no theta core on its _PREFIX progression when
+# that is at most a 1/_PREFIX share of the full scan
 _PREFIX = 16
 
 # the last family series that _series_mod built, as ((kind, colors, modulus), series)
@@ -170,14 +171,14 @@ def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSe
 
 
 def _held_cut(key: Tuple[str, int, int], order: int) -> Optional[TruncatedSeries]:
-    """The held family series under key cut to the given order, or None if it is not held that long."""
+    """The held family series under key cut to order, or None if it is not held that long."""
     held = _family_held
     if held is not None and held[0] == key and held[1].order >= order:
         return held[1] if held[1].order == order else held[1].truncate(order)
     return None
 
 
-def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
+def verify_claim(claim: CongruenceClaim, n_max: int, prefix: bool = True) -> VerificationResult:
     """Scan every progression value <= n_max; report the first violation.
 
     A claim whose progression is its prime modulus p and whose family's
@@ -188,11 +189,14 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
     [C]_r(q) H(q), H = prod f_delta^{D(delta)}, and H(0) = 1, so the
     class is zero up to n_max exactly when [C]_r is, and its first
     nonzero value is [C]_r's, at the same index.  Every other claim cuts
-    its class from the family's series mod m, first at
-    min(n_max + 1, _PREFIX progression) terms: a nonzero value there is
-    the first witness.  Only a class that the prefix leaves zero is cut
-    from the full series (``_series_mod``); the prefix is a cut of the
-    held series when that is long enough, and is never held itself.
+    its class from the family's series mod m.  When _PREFIX progression
+    terms are at most a 1/_PREFIX share of the n_max + 1 of the full
+    scan, the class is first cut from a prefix of that length: a nonzero
+    value there is the first witness.  Only a class that the prefix
+    leaves zero is cut from the full series (``_series_mod``); the prefix
+    is a cut of the held series when that is long enough, and is never
+    held itself.  prefix=False skips that scan, for a class that
+    ``search_congruences`` has already read zero on the same prefix.
     """
     if n_max < claim.residue:
         raise ValueError(
@@ -204,12 +208,12 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationResult:
         values = _core_class(fam.exponents, claim.residue, n_max + 1, ring)
     if values is None:
         _check_order(n_max + 1, ring)  # refused as the full build would, before the prefix
-        n = min(n_max + 1, _PREFIX * claim.progression)
-        if n <= n_max:
-            prefix = _held_cut((fam.kind, fam.colors, claim.modulus), n)
-            if prefix is None:
-                prefix = generating_series(fam, n, ring)
-            values = prefix.extract_progression(claim.progression, claim.residue)
+        n = _PREFIX * claim.progression
+        if prefix and _PREFIX * n <= n_max + 1:
+            head = _held_cut((fam.kind, fam.colors, claim.modulus), n)
+            if head is None:
+                head = generating_series(fam, n, ring)
+            values = head.extract_progression(claim.progression, claim.residue)
             if not values.support().size:
                 values = None
         if values is None:
@@ -498,8 +502,9 @@ def search_congruences(
     F_{c-1} times the step, a local series never stored.  A class with a
     nonzero value in the prefix is refuted at an exponent <= n_max, as the
     full scan would refute it; every other class goes to ``verify_claim``
-    to n_max, and its claim is emitted iff it holds.  So the claims are
-    those of a scan of every full series, whatever _PREFIX is.
+    to n_max, with no second prefix scan, and its claim is emitted iff it
+    holds.  So the claims are those of a scan of every full series,
+    whatever _PREFIX is.
 
     Mod a prime p (2 included), F_{c+p} == F_c(q) H(q^p) with H(0) = 1
     (``partitions``), so class r of F_{c+p} is class r of F_c times H(q),
@@ -542,9 +547,10 @@ def search_congruences(
                     prefix = prefix * step if c > 1 else prefix
                     # the residue classes with no nonzero value in the prefix
                     seen = np.bincount(prefix.support() % p, minlength=p)
+                    # verify_claim's own prefix would read the same terms again
                     survivors = [
                         int(r) for r in np.flatnonzero(seen == 0)
-                        if verify_claim(CongruenceClaim(fam, p, p, int(r)), n_max).holds
+                        if verify_claim(CongruenceClaim(fam, p, p, int(r)), n_max, False).holds
                     ]
                 held.append(survivors)
                 results.extend(CongruenceClaim(fam, p, p, r) for r in survivors)

@@ -514,28 +514,20 @@ def _quotient_at(
 def _product_at(prod: TruncatedSeries, name: str, k: int, at: Sequence[int]) -> List[int]:
     """prod times the closed form in q^k, at the exponents of at (each below prod's order), as ints.
 
-    Object storage.  For a progression each term (t, c) of the entry adds
-    c times one strided row of prod, at the exponents of at less t; for a
-    list each exponent gathers prod at itself less the terms below it.
+    Object storage.  The distinct exponents of at are read in rising
+    order: each term (t, c) of the entry adds c times one gather of prod
+    at those of them from t on, less t.
     """
     e, c = _terms(name, k, prod.order)
-    coeffs = prod.coeffs
-    if isinstance(at, range):
-        out = np.zeros(len(at), dtype=object)
-        for t, ct in zip(e.tolist(), c.tolist()):
-            first = max(0, -((at.start - t) // at.step))  # the first index at which at reaches t
-            if first >= len(out):
-                break
-            row = coeffs[at[first] - t :: at.step][: len(out) - first]
-            out[first:] += row if ct == 1 else ct * row
-    else:
-        cs = np.array(c.tolist(), dtype=object)
-        out = np.zeros(len(at), dtype=object)
-        for j, x in enumerate(at):
-            below = int(np.searchsorted(e, x, "right"))  # the terms at t <= x
-            out[j] = np.dot(coeffs[x - e[:below]], cs[:below])
+    want, back = np.unique(np.asarray(at, dtype=np.int64), return_inverse=True)
+    out = np.zeros(len(want), dtype=object)
+    for t, ct, first in zip(e.tolist(), c.tolist(), np.searchsorted(want, e).tolist()):
+        if first == len(want):
+            break
+        row = prod.coeffs[want[first:] - t]
+        out[first:] += row if ct == 1 else ct * row
     m = prod.ring.modulus
-    return (out if m is None else out % m).tolist()
+    return (out if m is None else out % m)[back].tolist()
 
 
 # a theta core as its factors: (name in _CLOSED_FORMS, k) for the entry in q^k

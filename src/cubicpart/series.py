@@ -120,8 +120,6 @@ _FFT_MIN_LEN = 384
 # The fft path runs only while its rounding bound stays below this.
 _FFT_MAX_ERROR = 0.25
 
-# ``_reduce`` takes the floor-division form from this many terms on.
-_REDUCE_MIN_LEN = 1024
 # ``divide`` runs its recurrence in blocks of this many exponents.
 _DIVIDE_BLOCK = 256
 
@@ -215,15 +213,12 @@ def _spectral_product(fx: np.ndarray, fy: np.ndarray, length: int, n: int) -> np
 def _reduce(a: np.ndarray, m: int) -> np.ndarray:
     """a mod m, in [0, m), for an int64 array a and 2 <= m < 2^63, as a new array.
 
-    From _REDUCE_MIN_LEN terms on it is a - (a // m) m, formed in the one
-    new array: there numpy's floor division and two in-place passes run
-    2-6 times faster than its remainder, and below it their three calls
-    cost more than the remainder's one.  It is exact for every int64 a,
-    INT64_MIN included: the product and the difference wrap modulo 2^64,
-    and the true result lies in [0, m), so the wrapped one is it.
+    It is a - (a // m) m, formed in the one new array: numpy's floor
+    division and two in-place passes run about twice as fast as its
+    remainder on long arrays.  It is exact for every int64 a, INT64_MIN
+    included: the product and the difference wrap modulo 2^64, and the
+    true result lies in [0, m), so the wrapped one is it.
     """
-    if len(a) < _REDUCE_MIN_LEN:
-        return np.remainder(a, m)
     q = a // m
     q *= m
     return np.subtract(a, q, out=q)

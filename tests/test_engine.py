@@ -409,9 +409,10 @@ def test_search_matches_the_full_series_scan(monkeypatch, prefix, c_max, moduli,
     verified = []
     verify = engine.verify_claim
 
-    def recording(claim, n):
+    def recording(claim, n, prefix=True):
+        assert not prefix  # search's own prefix is not scanned again
         verified.append(claim)
-        return verify(claim, n)
+        return verify(claim, n, prefix)
 
     monkeypatch.setattr(engine, "verify_claim", recording)
     assert search_congruences(c_max, moduli, n_max, min_conf) == expected
@@ -503,6 +504,23 @@ def test_a_clean_prefix_builds_the_full_series_once_and_holds_it(counted_builds)
     assert counted_builds == [(CUBIC, 5, 11, 176), (CUBIC, 5, 11, 3001)]
     assert (refuted.verdict, refuted.witness) == generic_scan(refuted.claim, 2000)
     assert engine._family_held[0] == (CUBIC, 5, 11) and engine._family_held[1].order == 3001
+
+
+def test_a_prefix_above_a_sixteenth_of_the_scan_is_not_taken(counted_builds):
+    """a_5(11n + 10) mod 11 at n_max 2000: 176 terms are more than 2001 / 16,
+    so the full series is built at once, with no prefix before it."""
+    fam = PartitionFamily(CUBIC, 5)
+    assert verify_claim(CongruenceClaim(fam, 11, 11, 10), 2000).holds
+    assert counted_builds == [(CUBIC, 5, 11, 2001)]
+    assert 16 * engine._PREFIX * 11 > 2001 and engine._PREFIX * 11 < 2001
+
+
+def test_a_prefix_is_skipped_on_request(counted_builds):
+    """prefix=False goes to the full series, with the verdict of the prefix path."""
+    claim = CongruenceClaim(PartitionFamily(CUBIC, 1), 17, 17, 5)
+    result = verify_claim(claim, 5000, prefix=False)
+    assert counted_builds == [(CUBIC, 1, 17, 5001)]
+    assert result == verify_claim(claim, 5000)
 
 
 def test_store_cuts_a_shorter_series_from_a_longer_one(counted_builds):
@@ -619,9 +637,10 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
         requested.append(order)
         return series_mod(kind, colors, modulus, order)
 
-    def recording_verify(claim, n):
+    def recording_verify(claim, n, prefix=True):
+        assert not prefix  # search's own prefix is not scanned again
         verified.append(claim)
-        return verify(claim, n)
+        return verify(claim, n, prefix)
 
     built = []  # the steps search built
     monkeypatch.setattr(engine, "euler_quotient", counting_quotient)
@@ -646,11 +665,11 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
         full = [t for t in triples if t in survivors and needs_full_series(*t)]
         assert full  # cubic c = 1 and 5 mod 11 have no core; 4, 6 and 9 are composite
         # one F_1 and one step per kind and modulus at the prefix order, and
-        # for a triple read on its prefix whose surviving classes verify_claim
-        # cuts from the full series, verify_claim's own prefix, then the full order
+        # the full order only for a triple read on its prefix whose surviving
+        # classes verify_claim cuts from the full series
         assert sorted(counted_builds) == sorted(
             [(kind, 1, p, prefix[p]) for kind in (CUBIC, OVERCUBIC) for p in moduli]
-            + [(*t, n) for t in full for n in (prefix[t[2]], n_max + 1)]
+            + [(*t, n_max + 1) for t in full]
         )
         assert sorted((sorted(e.items()), n, p) for e, n, p in steps) == sorted(
             (sorted(partitions._COLOUR_STEP[kind].items()), prefix[p], p)
@@ -898,9 +917,11 @@ def test_class_first_claims_build_no_series(monkeypatch):
 ])
 def test_claims_without_a_prime_core_stay_generic(series_requests, claim):
     result = verify_claim(claim, 3000)
-    # the full series only for a class with no witness in the prefix
-    prefix = min(3001, engine._PREFIX * claim.progression)
-    in_prefix = result.witness is not None and result.witness[0] < prefix
+    # the full series only for a class with no witness in the prefix, which is
+    # scanned only when it is at most a 1/_PREFIX share of the 3001 terms
+    prefix = engine._PREFIX * claim.progression
+    scanned = engine._PREFIX * prefix <= 3001
+    in_prefix = scanned and result.witness is not None and result.witness[0] < prefix
     full = [(claim.family.kind, claim.family.colors, claim.modulus)]
     assert series_requests == ([] if in_prefix else full)
     assert (result.verdict, result.witness) == generic_scan(claim, 3000)

@@ -562,11 +562,9 @@ def test_divide_leaves_only_single_and_near_terms_to_the_recurrence():
 def test_reduce_by_floor_division_is_exact_at_the_int64_extremes(m):
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     extremes = [low, low + 1, -1, 0, 1, m - 1, m, -m, high - 1, high]
-    # short arrays take numpy's remainder, from _REDUCE_MIN_LEN terms on floor division
-    for values in (extremes, extremes * (series._REDUCE_MIN_LEN // len(extremes) + 1)):
-        a = np.array(values, dtype=np.int64)
-        out = series._reduce(a, m)
-        assert out.dtype == np.int64
-        assert out.tolist() == [v % m for v in values]
-        assert a.tolist() == values  # a new array; the input is kept
-        assert series._residues(a, m).tolist() == [v % m for v in values]
+    a = np.array(extremes, dtype=np.int64)
+    out = series._reduce(a, m)
+    assert out.dtype == np.int64
+    assert out.tolist() == [v % m for v in extremes]
+    assert a.tolist() == extremes  # a new array; the input is kept
+    assert series._residues(a, m).tolist() == [v % m for v in extremes]
