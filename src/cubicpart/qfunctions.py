@@ -12,9 +12,10 @@ series, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
 builder.  Then the Frobenius split of an exponent map
 modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
-exact-integer steps are planned over every table entry and priced from
-the entries' term counts (``_step_plan``; cubic c >= 2 is mostly
-psi(q) / f_2^(c+1), one product by psi), and whose plan runner also
+exact-integer steps follow one chain of theta entries, each zeroing the
+bottom delta of what is left, priced from the entries' term counts
+(``_step_plan``; cubic c >= 2 is mostly psi(q) / f_2^(c+1), one product
+by psi), and whose plan runner also
 reads chosen coefficients alone (``_quotient_at``, through which the
 CLI's ``count`` and the left side of each named identity read theirs:
 a last product by a closed form is evaluated only at the exponents
@@ -33,6 +34,7 @@ exactly in int64 under the bound that ``_class_read`` states.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -159,8 +161,6 @@ def _frobenius_reduced(exponents: Mapping[int, int], p: int) -> Dict[int, int]:
 # set them are in its docstring.
 _MAX_ORDER_MOD = 10**7
 _MAX_ORDER_ZZ = 10**6
-# The most (map, g) states ``_step_plan`` prices for one map.
-_PLAN_STATES = 256
 # The largest c_max ``search`` reads: its claims and their text grow
 # linearly in c_max, 8.7 s and 576 MB at 10^6 (mod 5, n_max 100).
 _MAX_COLOURS = 10**6
@@ -253,93 +253,62 @@ def _takes_steps(r: int, delta: int, g: int, order: int) -> bool:
     return _price(_f_steps(r, delta), g, order) <= _price([(None, delta, r)], g, order)
 
 
-def _f_plan(r: int, delta: int, g: int, order: int) -> List[_Step]:
-    """f_delta^r on the product in q^g: sparse steps where ``_takes_steps`` holds, else pow."""
-    return _f_steps(r, delta) if _takes_steps(r, delta, g, order) else [(None, delta, r)]
-
-
 def _f_factor_plan(exponents: Mapping[int, int], g: int, order: int) -> List[_Step]:
-    """Each f_delta^r of the map by ``_f_plan``, in descending delta, on the product in q^g."""
+    """Each f_delta^r of the map, in descending delta, on the product in q^g.
+
+    f_delta^r is sparse steps where ``_takes_steps`` holds, else pow.
+    """
     plan: List[_Step] = []
     for delta in sorted(exponents, reverse=True):
-        plan += _f_plan(exponents[delta], delta, g, order)
+        r = exponents[delta]
+        plan += _f_steps(r, delta) if _takes_steps(r, delta, g, order) else [(None, delta, r)]
         g = gcd(g, delta)
     return plan
 
 
 def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
-    """The cheapest step plan for the map on object storage, by ``_price``.
+    """The cheapest step plan for the map on object storage, by ``_price``, along one chain.
 
-    The map is walked from its top delta d down.  At each d, r_d is
-    zeroed either by f_d^r (``_f_plan``) or by a theta entry whose top
-    delta, in q^k, is d, taken n times with n r_top = r_d; the entry's
-    lower exponents, times n, come off the map below d.  Or the bottom
-    delta b is zeroed by a theta entry whose bottom delta, in q^k, is b,
-    n r_bottom = r_b, when the entry's other deltas are all in the map:
-    that item removes a delta and adds none, and goes after the rest of
-    the plan, priced at the gcd the rest leaves.  Every choice is priced,
-    unless its own items cost no less than the best plan so far, and on a
-    tie the earlier choice stays, f_d^r first, so a map that no entry
-    makes cheaper keeps its f factors (``_f_factor_plan``).
-    The search expands at most _PLAN_STATES distinct (map, g) states;
-    past them no other choice is tried and a map not yet expanded keeps
-    its f factors.  So a map with many even deltas, whose states grow
-    exponentially with them, is planned in time linear in its size past
-    the bound, and the recursion is no deeper than the bound.
-    The overcubic map {1: -2, 2: 3 - 2c, 4: c - 1} is
-    1 / (phi(-q) phi(-q^2)^(c-1)), cubic {1: -1, 2: 1 - c} psi / f_2^(c+1).
+    The chain starts at the f-factor plan (``_f_factor_plan``).  Each link
+    zeroes the bottom delta b of what is left by a theta entry whose
+    bottom delta, in q^k, is b, taken n times with n r_bottom = r_b, when
+    the entry's other deltas are all in what is left: the link removes a
+    delta and adds none.  Every entry that fits is priced as the f factors
+    of what it leaves, then its item, then the earlier links' items; the
+    chain follows the one that leaves the least sum of |r_delta| / delta,
+    and ends when none fits.  The cheapest plan is taken; on a tie the
+    earlier one stays, the f-factor plan first and at each link the
+    followed entry first.  So the overcubic map {1: -2, 2: 3 - 2c,
+    4: c - 1} is 1 / (phi(-q) phi(-q^2)^(c-1)), and cubic {1: -1, 2: 1 - c}
+    psi / f_2^(c+1).
     """
-    thetas = [(name, max(e), e) for name, (e, _) in _CLOSED_FORMS.items() if max(e) > 1]
-    memo: Dict[Tuple[Tuple[Tuple[int, int], ...], int], Tuple[int, List[_Step]]] = {}
-    expanded = 0
-
-    def best(rest: Dict[int, int], g: int) -> Tuple[int, List[_Step]]:
-        """The price and plan of the map rest on the product in q^g."""
-        nonlocal expanded
-        key = (tuple(sorted(rest.items())), g)
-        if key in memo:
-            return memo[key]
-        if not rest or expanded >= _PLAN_STATES:
-            plan = _f_factor_plan(rest, g, order)
-            return _price(plan, g, order), plan
-        expanded += 1
-        d = max(rest)
-        r = rest[d]
-        below = {e: x for e, x in rest.items() if e != d}
-        options = [(_f_plan(r, d, g, order), below, False)]
-
-        def take(name: str, entry: Dict[int, int], k: int, n: int, last: bool) -> None:
+    thetas = [(name, entry) for name, (entry, _) in _CLOSED_FORMS.items() if max(entry) > 1]
+    best = _f_factor_plan(exponents, 0, order)
+    best_price = _price(best, 0, order)
+    rest: Dict[int, int] = dict(exponents)
+    tail: List[_Step] = []
+    while rest:
+        b = min(rest)
+        fits = []
+        for name, entry in thetas:
+            low = min(entry)
+            k, n = b // low, rest[b] // entry[low]
+            if b % low or rest[b] % entry[low] or any(k * e not in rest for e in entry):
+                continue
             left = dict(rest)
             for e, x in entry.items():
-                left[k * e] = left.get(k * e, 0) - n * x
-            options.append(([(name, k, n)], {e: x for e, x in left.items() if x}, last))
-
-        b = min(rest)
-        for name, top, entry in thetas:
-            if d % top == 0 and r % entry[top] == 0:
-                take(name, entry, d // top, r // entry[top], False)
-            low = min(entry)
-            k = b // low
-            if b % low == 0 and rest[b] % entry[low] == 0 and all(k * e in rest for e in entry):
-                take(name, entry, k, rest[b] // entry[low], True)
-        for items, left, last in options:
-            if key in memo and expanded >= _PLAN_STATES:
-                break
-            if key in memo and _price(items, g, order) >= memo[key][0]:
-                continue
-            if last:  # the items go after the rest, at the gcd that it leaves
-                price, plan = best(left, g)
-                price += _price(items, gcd(g, *(k for _, k, _ in plan)), order)
-                plan = plan + items
-            else:
-                price, plan = best(left, gcd(g, *(k for _, k, _ in items)))
-                price += _price(items, g, order)
-                plan = items + plan
-            if key not in memo or price < memo[key][0]:
-                memo[key] = (price, plan)
-        return memo[key]
-
-    return best(dict(exponents), 0)[1]
+                left[k * e] -= n * x
+            fits.append(({d: r for d, r in left.items() if r}, [(name, k, n)] + tail))
+        if not fits:
+            break
+        fits.sort(key=lambda fit: sum(Fraction(abs(r), d) for d, r in fit[0].items()))
+        for left, items in fits:
+            plan = _f_factor_plan(left, 0, order) + items
+            price = _price(plan, 0, order)
+            if price < best_price:
+                best, best_price = plan, price
+        rest, tail = fits[0]
+    return best
 
 
 def _check_order(order: int, ring: Ring) -> None:
@@ -398,11 +367,11 @@ def euler_quotient(
     entry in q^k is the entry in q^{k/h} there, and a step multiplies by
     it for n > 0 (the schoolbook kernel adds one row per nonzero term of
     the entry) or divides by it (``divide``) for n < 0.  The
-    first item starts from 1 at ceil(order / k).  The plan walks the map
-    from its top delta d down and zeroes r_d either as f_d^r or by the
-    theta entry whose top delta, in q^k, is d, which moves the entry's
-    lower exponents onto the map below d, or zeroes the bottom delta by
-    an entry whose other deltas are in the map, applied last (``_step_plan``).
+    first item starts from 1 at ceil(order / k).  The plan is the map's
+    f factors, or a chain of theta entries in front of the f factors of
+    what they leave: each link zeroes the bottom delta of what is left by
+    an entry whose other deltas are all in it, and goes after the f
+    factors and before the earlier links (``_step_plan``).
     f_d^r is pow or steps, three
     at a time by Jacobi's f^3 (``jacobi_cube``) and the |r| mod 3 left
     by f, whichever ``_takes_steps`` finds no dearer.  The prices count

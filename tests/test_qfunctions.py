@@ -575,6 +575,26 @@ def test_cubic_one_every_overcubic_and_ramanujan_keep_their_plans(order):
     ]
 
 
+@pytest.mark.parametrize(
+    "c, order, plan",
+    [
+        # the plans ending in phi(-q) and in phi price alike; the followed link, phi(-q), stays
+        (287, 383, [(None, 4, 286), (None, 2, -572), ("phi(-q)", 1, -1)]),
+        (248, 1000, [("jacobi_cube", 4, 83), (None, 2, -498), ("phi", 1, 1)]),
+        (
+            255,
+            1000,
+            [("jacobi_cube", 4, 84), ("euler_product", 4, 2), (None, 2, -508), ("phi(-q)", 1, -1)],
+        ),
+        (270, 1000, [("phi(-q)", 2, -269), ("phi(-q)", 1, -1)]),
+    ],
+)
+def test_overcubic_plans_where_pow_runs(c, order, plan):
+    """Overcubic at colour counts large against the order: f_2's power by pow, one link of
+    the chain or two."""
+    assert qfunctions._step_plan(PartitionFamily(OVERCUBIC, c).exponents, order) == plan
+
+
 def f_factors_then(exps, order, name, k, n):
     """The f-factor plan of the map less n times the entry in q^k, then that entry."""
     rest = dict(exps)
@@ -619,18 +639,42 @@ def test_cubic_and_identity_maps_keep_the_f_factor_plan(order):
     assert qfunctions._step_plan(chan, order) == expected
 
 
-def test_step_plan_search_stops_at_its_state_bound(monkeypatch):
-    # 60 deltas, 30 of them even: the states of a full search grow
-    # exponentially, and past the bound every map keeps its f factors
+def test_a_map_of_sixty_deltas_plans_and_expands_at_once():
+    # 60 deltas, 30 of them even: the chain has at most one link per delta
     exps = {d: 2 * (-1) ** d for d in range(1, 61)}
     start = time.perf_counter()
     s = euler_quotient(exps, 200, ZZ)
     assert time.perf_counter() - start < 5.0
     assert s.reduce_mod(2**61 - 1) == euler_quotient(exps, 200, zmod(2**61 - 1))
-    # with one state the top delta's f factor is tried alone
-    overcubic = PartitionFamily(OVERCUBIC, 3).exponents
-    monkeypatch.setattr(qfunctions, "_PLAN_STATES", 1)
-    assert qfunctions._step_plan(overcubic, 3000) == qfunctions._f_factor_plan(overcubic, 0, 3000)
+
+
+THETA_NAMES = {name for name, (entry, _) in qfunctions._CLOSED_FORMS.items() if max(entry) > 1}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    exps=st.dictionaries(
+        st.integers(1, 24), st.integers(-9, 9).filter(bool), min_size=1, max_size=6
+    ),
+    order=st.integers(1, 4001),
+)
+@example(exps={4: 5, 8: -1}, order=4001)  # phi(-q^4) f_4^3 zeroes its top delta, no bottom one: f factors
+@example(exps={1: -2, 2: -571, 4: 286}, order=383)  # overcubic c = 287
+def test_the_chain_never_prices_above_the_f_factor_plan(exps, order):
+    """The chain's plan costs no more than the f factors, with one theta link per delta at most.
+
+    Each link zeroes the bottom delta of what is left, so the theta items'
+    bottom deltas, k times the entry's least delta, are distinct deltas
+    of the map.
+    """
+    plan = qfunctions._step_plan(exps, order)
+    f_plan = qfunctions._f_factor_plan(exps, 0, order)
+    assert qfunctions._price(plan, 0, order) <= qfunctions._price(f_plan, 0, order)
+    bottoms = [
+        k * min(qfunctions._CLOSED_FORMS[name][0]) for name, k, _ in plan if name in THETA_NAMES
+    ]
+    assert len(set(bottoms)) == len(bottoms)
+    assert set(bottoms) <= set(exps)
 
 
 def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
