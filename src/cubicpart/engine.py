@@ -353,19 +353,13 @@ class SturmCertificate(NamedTuple):
         return self.verdict == PROVEN
 
     def to_text(self) -> str:
-        exps = " ".join(
-            f"{d}^{self.quotient.exponents[d]}" for d in sorted(self.quotient.exponents)
-        )
-        cusps = " ".join(
-            f"{d}:{self.cusp_table.orders[d]}" for d in sorted(self.cusp_table.orders)
-        )
         lines = [
             f"id: {self.cert_id}",
             f"level: {self.level}",
             f"weight: {self.weight}",
-            f"exponents: {exps}",
+            f"exponents: {self.quotient.exponents.to_text()}",
             f"character: {self.character if self.character else 'none'}",
-            f"cusp-orders: {cusps}",
+            f"cusp-orders: {self.cusp_table}",
             f"sturm-bound: {self.bound}",
             f"prime: {self.prime}",
             f"modulus: {self.modulus}",
@@ -383,19 +377,12 @@ class SturmCertificate(NamedTuple):
         witness = None
         if self.witness_exponent is not None:
             witness = {"exponent": self.witness_exponent, "value": self.witness_value}
-        character = None
-        if self.character is not None:
-            character = {
-                "weight": self.character.weight,
-                "s_numerator": self.character.s_numerator,
-                "s_denominator": self.character.s_denominator,
-            }
         return {
             "id": self.cert_id,
             "level": self.level,
             "weight": self.weight,
-            "exponents": {str(d): r for d, r in sorted(self.quotient.exponents.items())},
-            "character": character,
+            "exponents": {str(d): r for d, r in self.quotient.exponents.items()},
+            "character": None if self.character is None else self.character._asdict(),
             "cusp_orders": {
                 str(d): str(v) for d, v in sorted(self.cusp_table.orders.items())
             },

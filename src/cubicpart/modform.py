@@ -1,11 +1,12 @@
-"""Eta-quotient bookkeeping and Hecke action on q-expansions.
+"""Exponent maps, eta-quotient bookkeeping and Hecke action on q-expansions.
 
-An eta-quotient is a finite product prod_{delta | N} eta(delta z)^{r_delta}.
-This module decides candidacy for level N (integral weight plus the two
-mod-24 exponent sums), builds the associated Kronecker-symbol character,
-evaluates the order of vanishing at each cusp 1/d in exact rationals,
-computes the Sturm bound for the space, and applies T_p to a truncated
-q-expansion.
+A map delta -> r_delta is one type, ``EtaMap``, with its arithmetic and
+its text ``1^76 2^-2``; an eta-quotient prod_{delta | N} eta(delta z)^{r_delta}
+is a level and one map.  This module decides candidacy for level N
+(integral weight plus the two mod-24 exponent sums), builds the
+associated Kronecker-symbol character, evaluates the order of vanishing
+at each cusp 1/d in exact rationals, computes the Sturm bound for the
+space, and applies T_p to a truncated q-expansion.
 
 Everything here is metadata plus coefficient manipulation: no space of
 modular forms is ever computed.  Holomorphy at the cusps together with
@@ -15,14 +16,17 @@ congruence certificates need.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Dict, NamedTuple, Optional, Tuple
+from operator import index
+from typing import Dict, ItemsView, Iterator, NamedTuple, Optional, Tuple
 
 from .arith import _is_prime, kronecker
 from .series import TruncatedSeries
 
 __all__ = [
+    "EtaMap",
     "EtaQuotient",
     "CharacterDescriptor",
     "CandidacyReport",
@@ -37,33 +41,116 @@ __all__ = [
 ]
 
 
+class EtaMap(Mapping):
+    """A frozen map delta -> r_delta of integers in rising delta with no zero r, built from a
+    mapping or pairs (ValueError for a non-integer, by ``operator.index``); it equals the dict
+    of its entries.  +, - and n * E are entrywise; E.at(k) is E(q^k), k delta -> r_delta."""
+
+    __slots__ = ("_map",)
+
+    def __new__(cls, exponents: "Mapping[int, int] | Iterable[Tuple[int, int]]" = ()) -> "EtaMap":
+        if type(exponents) is cls:
+            return exponents
+        entries = dict(exponents)
+        try:
+            return cls._of(sorted((index(d), index(r)) for d, r in entries.items()))
+        except TypeError:
+            raise ValueError(f"an exponent map holds integers, got {entries}") from None
+
+    @classmethod
+    def _of(cls, pairs: Iterable[Tuple[int, int]]) -> "EtaMap":
+        """The map of integer pairs in rising delta, unchecked: the one place zeros are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_map", {d: r for d, r in pairs if r})
+        return self
+
+    def __getitem__(self, delta: int) -> int:
+        return self._map[delta]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._map)
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+    def items(self) -> ItemsView[int, int]:
+        return self._map.items()
+
+    def __eq__(self, other: object) -> bool:
+        return self._map == (other._map if type(other) is EtaMap else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._map.items()))
+
+    def __repr__(self) -> str:
+        return repr(self._map)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"an EtaMap is frozen: cannot set {name!r}")
+
+    def __reduce__(self):
+        return EtaMap, (self._map,)
+
+    def __add__(self, other: "EtaMap", sign: int = 1) -> "EtaMap":
+        merged = dict(self._map)
+        for d, r in other._map.items():
+            merged[d] = merged.get(d, 0) + sign * r
+        return EtaMap._of(sorted(merged.items()))
+
+    def __sub__(self, other: "EtaMap") -> "EtaMap":
+        return self.__add__(other, -1)
+
+    def __mul__(self, n: int) -> "EtaMap":
+        return EtaMap._of([(d, index(n) * r) for d, r in self._map.items()])
+
+    __rmul__ = __mul__
+
+    def at(self, k: int) -> "EtaMap":
+        if k < 1:
+            raise ValueError(f"at expects k >= 1, got {k}")
+        return EtaMap._of([(k * d, r) for d, r in self._map.items()])
+
+    def mod(self, p: int) -> Tuple[Tuple[int, int], ...]:
+        """The pairs (delta, r_delta mod p) with a nonzero residue: one key for maps congruent mod p."""
+        return tuple([(d, s) for d, r in self._map.items() if (s := r % p)])
+
+    def split(self, p: int) -> Tuple["EtaMap", "EtaMap"]:
+        """E = E0 + p E1, each r = p t + s with s balanced in [-p/2, p/2] (at p = 2 an odd r keeps
+        its sign in s, so |r| = 1 is not split): mod a prime, prod f_d^r == prod f_d^s f_{dp}^t."""
+        if p < 2:
+            raise ValueError(f"split modulus must be >= 2, got {p}")
+        parts = []
+        for d, r in self._map.items():
+            t, s = divmod(r, p)
+            if 2 * s > p or (2 * s == p and r < 0):
+                t, s = t + 1, s - p
+            parts.append((d, s, t))
+        return EtaMap._of([(d, s) for d, s, _ in parts]), EtaMap._of([(d, t) for d, _, t in parts])
+
+    def to_text(self) -> str:
+        return " ".join(f"{d}^{r}" for d, r in self._map.items())  # 1^76 2^-2; "" for no entry
+
+
 # EtaQuotient's fields; a NamedTuple may not define __new__, so EtaQuotient
 # subclasses this one to check them
 class _EtaQuotient(NamedTuple):
     level: int
-    exponents: Dict[int, int]
+    exponents: EtaMap
 
 
 class EtaQuotient(_EtaQuotient):
-    """Level N and the exponent r_delta of each eta(delta z) factor.
-
-    The exponent map is copied on construction and keeps only the
-    nonzero exponents, so every consumer sees the same factors.
-    """
+    """Level N and the exponent map (``EtaMap``) of its eta(delta z) factors."""
 
     __slots__ = ()
 
-    def __new__(cls, level: int, exponents: Dict[int, int]) -> "EtaQuotient":
+    def __new__(cls, level: int, exponents: Mapping[int, int]) -> "EtaQuotient":
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
+        exponents = EtaMap(exponents)
         for delta in exponents:
             if delta < 1 or level % delta != 0:
                 raise ValueError(f"{delta} does not divide the level {level}")
-        return _EtaQuotient.__new__(cls, level, {d: r for d, r in exponents.items() if r})
-
-    def __hash__(self) -> int:
-        # the tuple's hash would hash the dict and fail
-        return hash((self.level, frozenset(self.exponents.items())))
+        return _EtaQuotient.__new__(cls, level, exponents)
 
     @property
     def delta_sum(self) -> int:
@@ -75,8 +162,7 @@ class EtaQuotient(_EtaQuotient):
         return [d for d in range(1, n + 1) if n % d == 0]
 
     def __str__(self) -> str:
-        body = " ".join(f"{d}^{self.exponents[d]}" for d in sorted(self.exponents))
-        return f"eta-quotient[N={self.level}: {body or '1'}]"
+        return f"eta-quotient[N={self.level}: {self.exponents.to_text() or '1'}]"
 
 
 def weight(eq: EtaQuotient) -> "int | Fraction":

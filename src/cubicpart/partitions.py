@@ -6,7 +6,7 @@ plus color) may additionally be overlined.  Counts are computed by two
 independent routes -- generating-function series and a combinatorial
 dynamic program -- so each can serve as the other's oracle.  Each
 family's series, and the product side of each classical identity, is an
-Euler quotient: a map delta -> r_delta expanded by
+Euler quotient: a map delta -> r_delta (``modform.EtaMap``) expanded by
 ``qfunctions.euler_quotient``.  The map of F_c / F_{c-1} is the same for
 every c >= 2 (``_COLOUR_STEP``), and mod a prime p, by Frobenius,
 F_{c+p} == F_c(q) H(q^p) with H(0) = 1, H = 1 / f_2 (cubic) or
@@ -15,9 +15,10 @@ f_4 / f_2^2 (overcubic): ``engine.search_congruences`` builds on both.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from .arith import is_odd_prime
+from .modform import EtaMap
 from .series import Ring, TruncatedSeries, ZZ
 from .qfunctions import _quotient_at, euler_quotient, psi
 
@@ -61,7 +62,7 @@ class PartitionFamily(_PartitionFamily):
         return _PartitionFamily.__new__(cls, kind, colors)
 
     @property
-    def exponents(self) -> Dict[int, int]:
+    def exponents(self) -> EtaMap:
         """The nonzero r_delta of the counting series prod_delta f_delta^{r_delta}.
 
         cubic:     1 / (f1 * f2^(c-1))            -> {1: -1, 2: -(c-1)}
@@ -72,14 +73,13 @@ class PartitionFamily(_PartitionFamily):
         """
         c = self.colors
         if self.kind == CUBIC:
-            exps = {1: -1, 2: -(c - 1)}
-        else:
-            exps = {1: -2, 2: -(2 * c - 3), 4: c - 1}
-        return {d: r for d, r in exps.items() if r}
+            return EtaMap._of([(1, -1), (2, -(c - 1))])
+        return EtaMap._of([(1, -2), (2, -(2 * c - 3)), (4, c - 1)])
 
 
 # The map of F_c / F_{c-1}: exponents(c) - exponents(c - 1), the same for every c >= 2
-_COLOUR_STEP = {CUBIC: {2: -1}, OVERCUBIC: {2: -2, 4: 1}}
+_COLOUR_STEP = {kind: PartitionFamily(kind, 2).exponents - PartitionFamily(kind, 1).exponents
+                for kind in (CUBIC, OVERCUBIC)}
 
 
 def generating_series(fam: PartitionFamily, order: int, ring: Ring) -> TruncatedSeries:

@@ -1,32 +1,31 @@
 """Canonical q-series building blocks.
 
-One table of closed forms, each an eta product with its exponent map:
-Euler's f_k = (q^k; q^k)_inf (pentagonal support, coefficients +-1),
-Jacobi's f_k^3 and the theta series psi = f_2^2 / f_1 and
-psi(-q) = f_1 f_4 / f_2 (on the triangular numbers), and
-phi = f_2^5 / (f_1^2 f_4^2) and phi(-q) = f_1^2 / f_2 (on the squares).
-Each entry's closed formula maps an array of term indices to exponents
-and coefficients at once: ``_terms`` gives its terms in q^k below an
-order as two int64 arrays, ``_closed_form`` scatters them into its
-series, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
-builder.  Then the Frobenius split of an exponent map
-modulo a prime, the Euler-quotient core prod_delta f_delta^{r_delta}
+One table of closed forms, each an eta product with its exponent map (a
+``modform.EtaMap``, as is every map here): Euler's f_k = (q^k; q^k)_inf
+(pentagonal support, coefficients +-1), Jacobi's f_k^3 and the theta
+series psi = f_2^2 / f_1 and psi(-q) = f_1 f_4 / f_2 (on the triangular
+numbers), and phi = f_2^5 / (f_1^2 f_4^2) and phi(-q) = f_1^2 / f_2 (on
+the squares).  Each entry's closed formula maps an array of term indices
+to exponents and coefficients at once: ``_terms`` gives its terms in q^k
+below an order as two int64 arrays, ``_closed_form`` scatters them into
+its series, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
+builder.  Then the Frobenius split of an exponent map modulo a prime
+(``EtaMap.split``), the Euler-quotient core prod_delta f_delta^{r_delta}
 that every family, identity and certificate expands through, whose
 exact-integer steps follow one chain of theta entries, each zeroing the
 bottom delta of what is left, priced from the entries' term counts
 (``_step_plan``; cubic c >= 2 is mostly psi(q) / f_2^(c+1), one product
-by psi), and whose plan runner also
-reads chosen coefficients alone (``_quotient_at``, through which the
-CLI's ``count`` and the left side of each named identity read theirs:
-a last product by a closed form is evaluated only at the exponents
-read), the class-first read of
-one residue class mod a prime through a theta core congruent to the map
-(``_core_class``), and eta-quotient q-expansions with the leading
-power q^{sum delta r_delta / 24} as leading zeros.  A theta core is one
-table entry, or a product of two, each in q^k, found by looking up each
-factor's exponent map mod p (``_theta_core``): mod 7,
-1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14.  Mod p the quotient is the
-core times a series in q^p with constant term 1, so each class has the
+by psi), and whose plan runner also reads chosen coefficients alone
+(``_quotient_at``, through which the CLI's ``count`` and the left side
+of each named identity read theirs: a last product by a closed form is
+evaluated only at the exponents read), the class-first read of one
+residue class mod a prime through a theta core congruent to the map
+(``_core_class``), and eta-quotient q-expansions with the leading power
+q^{sum delta r_delta / 24} as leading zeros.  A theta core is one table
+entry, or a product of two, each in q^k, found by looking up each
+factor's exponent map mod p (``_theta_core``, ``EtaMap.mod``): mod 7,
+1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14.  Mod p the quotient is the core
+times a series in q^p with constant term 1, so each class has the
 verdict and first witness of the core's class, which is read from the
 entries' terms, for two of them pair by pair within the class, summed
 exactly in int64 under the bound that ``_class_read`` states.
@@ -42,7 +41,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .arith import _is_prime
-from .modform import EtaQuotient
+from .modform import EtaMap, EtaQuotient
 from .series import Ring, TruncatedSeries, _int64_storage, one
 
 __all__ = ["euler_product", "jacobi_cube", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
@@ -61,16 +60,16 @@ _Formula = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 # the terms i as (exponents, coefficients) in q, both int64 arrays over an
 # int64 array of indices i, exponents strictly rising with i.  The entry
 # at k is the same series in q^k.
-_CLOSED_FORMS: Dict[str, Tuple[Dict[int, int], _Formula]] = {
-    "euler_product": ({1: 1}, _pentagonal),
+_CLOSED_FORMS: Dict[str, Tuple[EtaMap, _Formula]] = {
+    "euler_product": (EtaMap({1: 1}), _pentagonal),
     # Jacobi's identity: (-1)^i (2i+1) at i(i+1)/2
-    "jacobi_cube": ({1: 3}, lambda i: (i * (i + 1) // 2, (1 - 2 * (i & 1)) * (2 * i + 1))),
+    "jacobi_cube": (EtaMap({1: 3}), lambda i: (i * (i + 1) // 2, (1 - 2 * (i & 1)) * (2 * i + 1))),
     # Gauss: 1 at each triangular number
-    "psi": ({1: -1, 2: 2}, lambda i: (i * (i + 1) // 2, np.ones_like(i))),
+    "psi": (EtaMap({1: -1, 2: 2}), lambda i: (i * (i + 1) // 2, np.ones_like(i))),
     # the sum of q^(n^2) over all integers n: 1 at 0, 2 at each other square
-    "phi": ({1: -2, 2: 5, 4: -2}, lambda i: (i * i, np.where(i == 0, 1, 2))),
-    "phi(-q)": ({1: 2, 2: -1}, lambda i: (i * i, np.where(i == 0, 1, 2 - 4 * (i & 1)))),
-    "psi(-q)": ({1: 1, 2: -1, 4: 1}, lambda i: (i * (i + 1) // 2, 1 - 2 * (i * (i + 1) // 2 & 1))),
+    "phi": (EtaMap({1: -2, 2: 5, 4: -2}), lambda i: (i * i, np.where(i == 0, 1, 2))),
+    "phi(-q)": (EtaMap({1: 2, 2: -1}), lambda i: (i * i, np.where(i == 0, 1, 2 - 4 * (i & 1)))),
+    "psi(-q)": (EtaMap({1: 1, 2: -1, 4: 1}), lambda i: (t := i * (i + 1) // 2, 1 - 2 * (t & 1))),
 }
 
 
@@ -123,38 +122,9 @@ def psi(order: int, ring: Ring) -> TruncatedSeries:
     return _closed_form("psi", 1, order, ring)
 
 
-def frobenius_split(
-    exponents: Mapping[int, int], p: int
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """The split E = E0 + p E1 of an exponent map, with |E0(delta)| <= p / 2.
-
-    Each r_delta = p t + s takes the balanced s in [-p/2, p/2]; at p = 2
-    an odd r keeps the s with the sign of r, so that |r| = 1 is not split.
-    Zeros are dropped from both maps.  Modulo a prime p, f_delta^p ==
-    f_{delta p} (Frobenius), so prod f_delta^{E(delta)} ==
-    prod f_delta^{E0(delta)} f_{delta p}^{E1(delta)} (mod p).
-    """
-    if p < 2:
-        raise ValueError(f"split modulus must be >= 2, got {p}")
-    low: Dict[int, int] = {}
-    high: Dict[int, int] = {}
-    for delta, r in exponents.items():
-        t, s = divmod(r, p)
-        if 2 * s > p or (2 * s == p and r < 0):
-            t, s = t + 1, s - p
-        if s:
-            low[delta] = s
-        if t:
-            high[delta] = t
-    return low, high
-
-
-def _frobenius_reduced(exponents: Mapping[int, int], p: int) -> Dict[int, int]:
-    """The map of the split: E0(delta) at delta plus E1(delta) at delta p, summed."""
-    low, high = frobenius_split(exponents, p)
-    for delta, t in high.items():
-        low[delta * p] = low.get(delta * p, 0) + t
-    return {d: r for d, r in low.items() if r}
+def frobenius_split(exponents: Mapping[int, int], p: int) -> Tuple[EtaMap, EtaMap]:
+    """The balanced split E = E0 + p E1 of an exponent map, as ``EtaMap.split`` makes it."""
+    return EtaMap(exponents).split(p)
 
 
 # The largest order euler_quotient expands, per ring kind; the costs that
@@ -259,8 +229,7 @@ def _f_factor_plan(exponents: Mapping[int, int], g: int, order: int) -> List[_St
     f_delta^r is sparse steps where ``_takes_steps`` holds, else pow.
     """
     plan: List[_Step] = []
-    for delta in sorted(exponents, reverse=True):
-        r = exponents[delta]
+    for delta, r in sorted(exponents.items(), reverse=True):
         plan += _f_steps(r, delta) if _takes_steps(r, delta, g, order) else [(None, delta, r)]
         g = gcd(g, delta)
     return plan
@@ -285,7 +254,7 @@ def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
     thetas = [(name, entry) for name, (entry, _) in _CLOSED_FORMS.items() if max(entry) > 1]
     best = _f_factor_plan(exponents, 0, order)
     best_price = _price(best, 0, order)
-    rest: Dict[int, int] = dict(exponents)
+    rest = EtaMap(exponents)
     tail: List[_Step] = []
     while rest:
         b = min(rest)
@@ -295,10 +264,7 @@ def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
             k, n = b // low, rest[b] // entry[low]
             if b % low or rest[b] % entry[low] or any(k * e not in rest for e in entry):
                 continue
-            left = dict(rest)
-            for e, x in entry.items():
-                left[k * e] -= n * x
-            fits.append(({d: r for d, r in left.items() if r}, [(name, k, n)] + tail))
+            fits.append((rest - n * entry.at(k), [(name, k, n)] + tail))
         if not fits:
             break
         fits.sort(key=lambda fit: sum(Fraction(abs(r), d) for d, r in fit[0].items()))
@@ -340,11 +306,9 @@ def euler_quotient(
     extrapolation.  Mod m > 2^63 the sparse steps below give the costs
     of ZZ: ``verify`` of a_3(7n+4) takes about 0.7 s at n_max = 2*10^4.
 
-    When the ring's modulus p is prime (2 included), the map is first
-    rewritten by ``frobenius_split``: f_delta^{r_delta} becomes
-    f_delta^s f_{delta p}^t with r_delta = p t + s and |s| <= p / 2, and
-    exponents that land on the same delta are summed; a map with every
-    |r_delta| <= p / 2 is left as it is.
+    When the ring's modulus p is prime (2 included), the map E is first
+    rewritten as E0 + E1.at(p) by its split E = E0 + p E1, |E0| <= p / 2
+    (``frobenius_split``); a map with every |r| <= p / 2 is left as it is.
     A factor at delta p then costs a power at order/(delta p) where it
     cost one at order/delta, and the balanced s keeps the powers left at
     delta small: a negative s costs one inverse and positive powers cost
@@ -437,15 +401,18 @@ def _quotient_at(
     exponents alone (``_product_at``).  A read of any other plan, and on
     int64 storage, builds the whole series and indexes it.
     """
+    exponents = EtaMap(exponents)
     if min(exponents, default=1) < 1:
         raise ValueError(f"euler_quotient expects every delta >= 1, got {min(exponents)}")
     _check_order(order, ring)
     p = ring.modulus
     if p is not None and _is_prime(p):
-        exponents = _frobenius_reduced(exponents, p)
-    exponents = {d: r for d, r in exponents.items() if d < order}
+        low, high = frobenius_split(exponents, p)  # E0 at delta, plus E1 at delta p
+        exponents = low + high.at(p) if high else low
+    if max(exponents, default=0) >= order:
+        exponents = EtaMap._of((d, r) for d, r in exponents.items() if d < order)
     if _int64_storage(ring):
-        plan = [(None, d, exponents[d]) for d in sorted(exponents, reverse=True)]
+        plan = [(None, d, r) for d, r in reversed(exponents.items())]
     else:
         plan = _step_plan(exponents, order)
     # a read holds back the plan's last step when that is a product by a closed form
@@ -503,16 +470,17 @@ def _product_at(prod: TruncatedSeries, name: str, k: int, at: Sequence[int]) -> 
 _Core = Tuple[Tuple[str, int], ...]
 
 
-def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[_Core]:
+@lru_cache(maxsize=256)
+def _theta_core(exponents: EtaMap, p: int) -> Optional[_Core]:
     """The first core C with E == C (mod p) entrywise.
 
     A core is one ``_CLOSED_FORMS`` entry or a product of two, each in
-    q^k for k = 1 or a delta of E (the entry's map delta -> r becomes
-    k delta -> r), given as its factors (name, k).  The factors are
-    ordered by k, then as in the table; the cores are the single factors
-    in that order, then the pairs (i, j), i <= j, by i and then j, so a
-    map that a single entry at k = 1 matches keeps that core.  Each
-    factor's map mod p is one hashable key, so the first core is found by
+    q^k for k = 1 or a delta of E (the entry's map A becomes A.at(k)),
+    given as its factors (name, k).  The factors are ordered by k, then
+    as in the table; the cores are the single factors in that order, then
+    the pairs (i, j), i <= j, by i and then j, so a map that a single
+    entry at k = 1 matches keeps that core.  Each factor's map mod p is
+    one hashable key (``EtaMap.mod``), so the first core is found by
     lookup, not by forming every pair: the first factor keyed as E, else
     the first factor i for which some factor is keyed as E - (factor i),
     with the first such j.  That j is at least i, since a j below i
@@ -521,38 +489,17 @@ def _theta_core(exponents: Mapping[int, int], p: int) -> Optional[_Core]:
     part, which misses cores: overcubic c = 6 at p = 7 splits to
     {1: -2, 2: -2, 4: -2}, yet its map is phi's mod 7.  Cubic c = 3 at
     p = 7, {1: -1, 2: -2}, is psi(q) f_2^3 + 7 {2: -1}.  Each (map, p) is
-    matched once (``_first_core``): a theorem family reads every class of
-    one map.
+    matched once, the cache keyed by the map: a theorem family reads
+    every class of one map.
     """
-    return _first_core(tuple(sorted(exponents.items())), p)
-
-
-@lru_cache(maxsize=256)
-def _first_core(items: Tuple[Tuple[int, int], ...], p: int) -> Optional[_Core]:
-    """``_theta_core`` of the map given by its sorted items."""
-    exponents = dict(items)
-
-    def key(m: Mapping[int, int]) -> frozenset:
-        """The map mod p, its zero residues dropped."""
-        return frozenset((d, r % p) for d, r in m.items() if r % p)
-
     factors = [(name, k) for k in sorted({1, *exponents}) for name in _CLOSED_FORMS]
-    target = key(exponents)
-    maps: List[Dict[int, int]] = []
-    keyed: Dict[frozenset, List[int]] = {}  # key -> the factors with it, rising
-    for j, (name, k) in enumerate(factors):
-        maps.append({k * d: e for d, e in _CLOSED_FORMS[name][0].items()})
-        mod_p = key(maps[j])
-        if mod_p == target:
-            return (factors[j],)
-        keyed.setdefault(mod_p, []).append(j)
-    for i, m in enumerate(maps):
-        rest = dict(exponents)
-        for d, e in m.items():
-            rest[d] = rest.get(d, 0) - e
-        js = keyed.get(key(rest))
-        if js:
-            return factors[i], factors[js[0]]
+    maps = [_CLOSED_FORMS[name][0].at(k) for name, k in factors]
+    first = {m.mod(p): j for j, m in reversed(list(enumerate(maps)))}  # key -> its first factor
+    # E less the empty map (the series 1) matches a single factor, and E - A a pair (A, B)
+    for i, m in enumerate([EtaMap(), *maps]):
+        j = first.get((exponents - m).mod(p))
+        if j is not None:
+            return (factors[j],) if i == 0 else (factors[i - 1], factors[j])
     return None
 
 
@@ -646,7 +593,7 @@ def _core_class(
     p = ring.modulus
     if not _int64_storage(ring) or not _is_prime(p):
         return None
-    core = _theta_core(exponents, p)
+    core = _theta_core(EtaMap(exponents), p)
     if core is None:
         return None
     return TruncatedSeries(ring, _class_read(core, r, order, p))

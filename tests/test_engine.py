@@ -25,7 +25,7 @@ from cubicpart.engine import (
     verify_theorem_family,
 )
 from cubicpart.arith import _is_prime, admissible_residues
-from cubicpart.modform import EtaQuotient
+from cubicpart.modform import EtaMap, EtaQuotient
 from cubicpart.partitions import (
     CUBIC,
     OVERCUBIC,
@@ -784,7 +784,7 @@ def test_pair_cores_of_the_small_families():
     assert (CUBIC, 3, 7) in cases and (OVERCUBIC, 5, 7) in cases
     assert len(cases) == 104
     # 1 / (f_1 f_2^2) == psi(q) f_2^3 / f_14 (mod 7)
-    assert qfunctions._theta_core({1: -1, 2: -2}, 7) == (("psi", 1), ("jacobi_cube", 2))
+    assert qfunctions._theta_core(EtaMap({1: -1, 2: -2}), 7) == (("psi", 1), ("jacobi_cube", 2))
     # a_5(11n+10) mod 11 has no core of one or two factors
     assert qfunctions._theta_core(PartitionFamily(CUBIC, 5).exponents, 11) is None
 
@@ -814,7 +814,7 @@ def ordered_scan_core(exponents, p):
 @example(exponents={1: -1, 2: -4}, p=11)  # cubic c = 5: no core
 @example(exponents={}, p=3)  # the map 1: f^3 == 1 (mod 3)
 def test_theta_core_lookup_matches_the_ordered_scan(exponents, p):
-    assert qfunctions._theta_core(exponents, p) == ordered_scan_core(exponents, p)
+    assert qfunctions._theta_core(EtaMap(exponents), p) == ordered_scan_core(exponents, p)
 
 
 @pytest.mark.parametrize("fam, p", pair_core_cases(), ids=lambda x: getattr(x, "colors", x))

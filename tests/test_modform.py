@@ -1,14 +1,18 @@
 """Eta-quotient metadata, characters, cusp orders, Sturm bound, Hecke action."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicpart.modform import (
     CharacterDescriptor,
+    EtaMap,
     EtaQuotient,
     character_eval,
     check_candidacy,
@@ -300,3 +304,71 @@ def test_hecke_image_of_h_matches_progression_product():
     stop = min(image.order, rhs.order)
     assert stop > 40
     assert image.coefficients(stop) == rhs.coefficients(stop)
+
+
+# -- the exponent-map type ---------------------------------------------------
+
+MAPS = st.dictionaries(st.integers(1, 24), st.integers(-40, 40), max_size=6)
+
+
+def nonzero(m):
+    return {d: r for d, r in m.items() if r}
+
+
+def plus(a, b, sign=1):
+    return nonzero({d: a.get(d, 0) + sign * b.get(d, 0) for d in a.keys() | b.keys()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=MAPS, b=MAPS, n=st.integers(-5, 5), k=st.integers(1, 6), p=st.integers(2, 13))
+def test_eta_map_matches_a_plain_dict(a, b, n, k, p):
+    ea, eb = EtaMap(a), EtaMap(b)
+    assert list(ea.items()) == sorted(nonzero(a).items())
+    assert ea + eb == plus(a, b)
+    assert ea - eb == plus(a, b, -1)
+    assert n * ea == ea * n == nonzero({d: n * r for d, r in a.items()})
+    assert ea.at(k) == nonzero({k * d: r for d, r in a.items()})
+    assert ea.mod(p) == tuple(sorted((d, r % p) for d, r in a.items() if r % p))
+    congruent = all((a.get(d, 0) - b.get(d, 0)) % p == 0 for d in a.keys() | b.keys())
+    assert (ea.mod(p) == eb.mod(p)) == congruent
+    for result in (ea + eb, ea - eb, n * ea, ea.at(k), ea.split(p)[0], ea.split(p)[1]):
+        assert type(result) is EtaMap and 0 not in result.values()
+        assert list(result) == sorted(result)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=MAPS, zeros=st.lists(st.integers(1, 30), max_size=3), data=st.data())
+def test_equal_eta_maps_hash_equal_whatever_the_order_and_zeros(a, zeros, data):
+    items = data.draw(st.permutations(list(a.items())))
+    shuffled = dict(items + [(d, 0) for d in zeros if d not in a])
+    assert EtaMap(shuffled) == EtaMap(a) and hash(EtaMap(shuffled)) == hash(EtaMap(a))
+    assert {EtaMap(a): 1}[EtaMap(shuffled)] == 1
+    # a map and the dict of its entries are equal, read either way round
+    assert EtaMap(a) == nonzero(a) and nonzero(a) == EtaMap(a)
+    m = EtaMap(a)
+    assert m == EtaMap(items) and EtaMap(m) is m  # a map is taken as it is, not copied
+    if any(a.values()):
+        assert EtaMap(a) != {} and {} != EtaMap(a)
+
+
+def test_an_eta_map_is_frozen():
+    m = EtaMap({1: 76, 2: -2})
+    for name in ("_key", "_map", "note"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, {})
+    assert m == {1: 76, 2: -2} and repr(m) == "{1: 76, 2: -2}"
+    assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
+    assert hash(copy.copy(m)) == hash(m)
+
+
+def test_an_eta_map_text_and_split():
+    assert EtaMap({2: -2, 1: 76}).to_text() == "1^76 2^-2" and EtaMap().to_text() == ""
+    # the balanced split, and at p = 2 an odd exponent keeps its sign
+    assert EtaMap({1: -2, 2: -47, 4: 24}).split(13) == ({1: -2, 2: 5, 4: -2}, {2: -4, 4: 2})
+    assert EtaMap({1: 1, 2: -1, 4: 3}).split(2) == ({1: 1, 2: -1, 4: 1}, {4: 1})
+    with pytest.raises(ValueError, match="split modulus must be >= 2, got 1"):
+        EtaMap({1: 1}).split(1)
+    # q -> q^k keeps the deltas rising only for k >= 1
+    assert EtaMap({1: 1, 3: -2}).at(4) == {4: 1, 12: -2}
+    with pytest.raises(ValueError, match="at expects k >= 1, got 0"):
+        EtaMap({1: 1}).at(0)

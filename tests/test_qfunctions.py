@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cubicpart import cli, engine, qfunctions
 from cubicpart import series as series_module
-from cubicpart.modform import EtaQuotient
+from cubicpart.modform import EtaMap, EtaQuotient
 from cubicpart.partitions import (
     CUBIC,
     OVERCUBIC,
@@ -258,14 +258,17 @@ def test_euler_quotient_at_order_zero_is_empty():
     st.integers(2, 40),
 )
 def test_frobenius_split_is_balanced_and_exact(exps, p):
-    low, high = frobenius_split(exps, p)
-    assert 0 not in low.values() and 0 not in high.values()
-    for delta, r in exps.items():
-        s, t = low.get(delta, 0), high.get(delta, 0)
-        assert r == s + p * t and 2 * abs(s) <= p
-        if 2 * abs(r) <= p:
-            assert t == 0  # at p = 2 an odd r keeps its sign
-    assert set(low) | set(high) <= set(exps)
+    for source in (exps, EtaMap(exps)):  # a dict, and the map type itself (EtaMap.split)
+        low, high = frobenius_split(source, p)
+        assert type(low) is type(high) is EtaMap
+        assert 0 not in low.values() and 0 not in high.values()
+        for delta, r in exps.items():
+            s, t = low.get(delta, 0), high.get(delta, 0)
+            assert r == s + p * t and 2 * abs(s) <= p
+            if 2 * abs(r) <= p:
+                assert t == 0  # at p = 2 an odd r keeps its sign
+        assert set(low) | set(high) <= set(exps)
+        assert low + p * high == {d: r for d, r in exps.items() if r}
 
 
 SPLIT_MODULI = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 12, 2**64 + 13]
@@ -303,7 +306,7 @@ def test_split_and_stride_match_dense_powers_mod_m(m, data):
         fast = euler_quotient(exps, order, ring)
     assert split.called == (m != 12)
     if m != 12 and all(2 * abs(r) <= m for r in exps.values()):
-        assert qfunctions._frobenius_reduced(exps, m) == exps
+        assert frobenius_split(exps, m) == (exps, {})  # so the map is read as it is
     assert fast == dense_quotient(exps, order, ring)
 
 
@@ -889,6 +892,25 @@ def test_euler_quotient_rejects_a_delta_below_one(ring, exponents):
     for order in (0, 10):
         with pytest.raises(ValueError, match="every delta >= 1"):
             euler_quotient(exponents, order, ring)
+
+
+@pytest.mark.parametrize("exponents", [{1: 2.0}, {1: 2.5}, {1.0: 2}, {1: "2"}, {1: None}])
+def test_euler_quotient_rejects_a_non_integer_map(exponents):
+    with pytest.raises(ValueError, match="an exponent map holds integers"):
+        euler_quotient(exponents, 10, ZZ)
+
+
+def test_frobenius_split_rejects_a_non_integer_map():
+    # it once returned ({1: -0.5}, {1: 1.0})
+    with pytest.raises(ValueError, match=r"^an exponent map holds integers, got \{1: 2.5\}$"):
+        frobenius_split({1: 2.5}, 3)
+
+
+def test_integer_like_exponents_are_read_as_ints():
+    exps = {np.int64(2): np.int64(-4), np.int32(1): True}
+    assert frobenius_split(exps, 3) == ({1: 1, 2: -1}, {2: -1})
+    assert euler_quotient(exps, 50, ZZ) == euler_quotient({1: 1, 2: -4}, 50, ZZ)
+    assert all(type(x) is int for pair in EtaMap(exps).items() for x in pair)
 
 
 def test_eta_expansion_order_below_offset():

@@ -137,6 +137,15 @@ def test_equal_records_hash_equal(a, b):
     assert {a: 1}[b] == 1
 
 
+def test_an_eta_quotient_holds_its_map_in_rising_delta():
+    # given out of order and with a zero, the map reprs and hashes as the sorted map
+    eq = EtaQuotient(8, {2: -2, 4: 0, 1: 76})
+    assert repr(eq) == "EtaQuotient(level=8, exponents={1: 76, 2: -2})"
+    sorted_input = EtaQuotient(8, {1: 76, 2: -2, 4: 0})
+    assert eq == sorted_input and hash(eq) == hash(sorted_input)
+    assert str(eq) == "eta-quotient[N=8: 1^76 2^-2]"
+
+
 def test_unequal_records_differ():
     assert Ring(7) != Ring(11) and Ring(7) != ZZ
     assert PartitionFamily("cubic", 3) != PartitionFamily("overcubic", 3)
@@ -157,6 +166,7 @@ def test_unequal_records_differ():
         (lambda: EtaQuotient(0, {1: 1}), "level must be positive, got 0"),
         (lambda: EtaQuotient(4, {3: 1}), "3 does not divide the level 4"),
         (lambda: EtaQuotient(4, {0: 1}), "0 does not divide the level 4"),
+        (lambda: EtaQuotient(1, {1: 24.0}), "an exponent map holds integers, got {1: 24.0}"),
     ],
 )
 def test_a_record_refuses_invalid_fields_with_its_message(make, message):
