@@ -16,14 +16,14 @@ prime p a class's verdict depends on c mod p alone, so the colours
 above p copy the claims of c - p.
 
 The engine runs on the calling thread.  Two series are held, each the
-last one built: 1 / f_1 (``qfunctions._f1_inverse``), which every
-family's expansion cuts from, and the family's series mod m
-(``_series_mod``), which a scan of another class of the same family to
-no higher a bound cuts as a view.  ``search_congruences`` reads both
-kinds of a modulus in turn, so they share the held 1 / f_1.  Colour
-reuse lives in ``search_congruences`` alone, on local prefixes.  The
-scans read a progression as a strided view and find its nonzero values
-in one vectorised pass.
+last one built (``series._Holder``): 1 / f_1
+(``qfunctions._f1_inverse``), which every family's expansion cuts from,
+and the family's series mod m (``_series_mod``), which a scan of another
+class of the same family to no higher a bound cuts as a view.
+``search_congruences`` reads both kinds of a modulus in turn, so they
+share the held 1 / f_1.  Colour reuse lives in ``search_congruences``
+alone, on local prefixes.  The scans read a progression as a strided
+view and find its nonzero values in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .partitions import (
 # unused by the package; bench/tracer.py wraps this name
 from .partitions import count_direct  # noqa: F401
 from .qfunctions import _MAX_COLOURS, _check_order, _core_class, eta_expansion, euler_quotient
-from .series import TruncatedSeries, zmod
+from .series import TruncatedSeries, _Holder, zmod
 
 __all__ = [
     "CongruenceClaim",
@@ -147,35 +147,21 @@ class VerificationResult(NamedTuple):
 # that is at most a 1/_PREFIX share of the full scan
 _PREFIX = 16
 
-# the last family series that _series_mod built, as ((kind, colors, modulus), series)
-_family_held: Optional[Tuple[Tuple[str, int, int], TruncatedSeries]] = None
+# the last family series that _series_mod built, keyed by (kind, colors, modulus)
+_family_holder = _Holder()
 
 
 def _series_mod(kind: str, colors: int, modulus: int, order: int) -> TruncatedSeries:
     """The family's series mod modulus to exactly the given order; the last one built is held.
 
-    A request for the held (kind, colors, modulus) at no higher an order
-    is a read-only cut of it; any other is built and replaces it.  The
-    holder is read once and replaced by one assignment, so callers on
-    several threads get exact series with no lock.  Only
-    ``verify_claim``'s full scans ask, and the reuse they make is
-    ``search``'s next open class of the same family.
+    The holder is ``series._Holder``.  Only ``verify_claim``'s full scans
+    ask, and the reuse they make is ``search``'s next open class of the
+    same family.
     """
-    global _family_held
-    key = (kind, colors, modulus)
-    series = _held_cut(key, order)
-    if series is None:
-        series = generating_series(PartitionFamily(kind, colors), order, zmod(modulus))
-        _family_held = (key, series)
-    return series
-
-
-def _held_cut(key: Tuple[str, int, int], order: int) -> Optional[TruncatedSeries]:
-    """The held family series under key cut to order, or None if it is not held that long."""
-    held = _family_held
-    if held is not None and held[0] == key and held[1].order >= order:
-        return held[1] if held[1].order == order else held[1].truncate(order)
-    return None
+    return _family_holder.get(
+        (kind, colors, modulus), order,
+        lambda: generating_series(PartitionFamily(kind, colors), order, zmod(modulus)),
+    )
 
 
 def verify_claim(claim: CongruenceClaim, n_max: int, prefix: bool = True) -> VerificationResult:
@@ -210,7 +196,7 @@ def verify_claim(claim: CongruenceClaim, n_max: int, prefix: bool = True) -> Ver
         _check_order(n_max + 1, ring)  # refused as the full build would, before the prefix
         n = _PREFIX * claim.progression
         if prefix and _PREFIX * n <= n_max + 1:
-            head = _held_cut((fam.kind, fam.colors, claim.modulus), n)
+            head = _family_holder.cut((fam.kind, fam.colors, claim.modulus), n)
             if head is None:
                 head = generating_series(fam, n, ring)
             values = head.extract_progression(claim.progression, claim.residue)

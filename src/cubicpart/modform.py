@@ -116,7 +116,8 @@ class EtaMap(Mapping):
 
     def split(self, p: int) -> Tuple["EtaMap", "EtaMap"]:
         """E = E0 + p E1, each r = p t + s with s balanced in [-p/2, p/2] (at p = 2 an odd r keeps
-        its sign in s, so |r| = 1 is not split): mod a prime, prod f_d^r == prod f_d^s f_{dp}^t."""
+        its sign in s, so |r| = 1 is not split): mod a prime, prod f_d^r == prod f_d^s f_{dp}^t.
+        When no entry moves, E0 is E itself."""
         if p < 2:
             raise ValueError(f"split modulus must be >= 2, got {p}")
         parts = []
@@ -125,7 +126,8 @@ class EtaMap(Mapping):
             if 2 * s > p or (2 * s == p and r < 0):
                 t, s = t + 1, s - p
             parts.append((d, s, t))
-        return EtaMap._of([(d, s) for d, s, _ in parts]), EtaMap._of([(d, t) for d, _, t in parts])
+        high = EtaMap._of([(d, t) for d, _, t in parts])
+        return (EtaMap._of([(d, s) for d, s, _ in parts]) if high else self), high
 
     def to_text(self) -> str:
         return " ".join(f"{d}^{r}" for d, r in self._map.items())  # 1^76 2^-2; "" for no entry

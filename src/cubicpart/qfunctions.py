@@ -7,18 +7,20 @@ series psi = f_2^2 / f_1 and psi(-q) = f_1 f_4 / f_2 (on the triangular
 numbers), and phi = f_2^5 / (f_1^2 f_4^2) and phi(-q) = f_1^2 / f_2 (on
 the squares).  Each entry's closed formula maps an array of term indices
 to exponents and coefficients at once: ``_terms`` gives its terms in q^k
-below an order as two int64 arrays, ``_closed_form`` scatters them into
-its series, and ``euler_product``, ``jacobi_cube`` and ``psi`` are that
-builder.  Then the Frobenius split of an exponent map modulo a prime
-(``EtaMap.split``), the Euler-quotient core prod_delta f_delta^{r_delta}
-that every family, identity and certificate expands through, whose
-exact-integer steps follow one chain of theta entries, each zeroing the
-bottom delta of what is left, priced from the entries' term counts
-(``_step_plan``; cubic c >= 2 is mostly psi(q) / f_2^(c+1), one product
-by psi), and whose plan runner also reads chosen coefficients alone
-(``_quotient_at``, through which the CLI's ``count`` and the left side
-of each named identity read theirs: a last product by a closed form is
-evaluated only at the exponents read), the class-first read of one
+below an order as two int64 arrays.  The exact-integer steps multiply
+and divide by those arrays directly (``series._term_product`` and
+``series._divide_terms``); only ``euler_product``, ``jacobi_cube`` and
+``psi`` scatter them into a series (``_closed_form``).  Then the
+Frobenius split of an exponent map modulo a prime (``EtaMap.split``),
+the Euler-quotient core prod_delta f_delta^{r_delta} that every family,
+identity and certificate expands through, whose exact-integer steps
+follow one chain of theta entries, each zeroing the bottom delta of what
+is left, priced from the entries' term counts (``_step_plan``; cubic
+c >= 2 is mostly psi(q) / f_2^(c+1), one product by psi), and whose plan
+runner also reads chosen coefficients alone (``_quotient_at``, through
+which the CLI's ``count`` and the left side of each named identity read
+theirs: a last product by a closed form is the kernel's read at the
+exponents read), the class-first read of one
 residue class mod a prime through a theta core congruent to the map
 (``_core_class``), and eta-quotient q-expansions with the leading power
 q^{sum delta r_delta / 24} as leading zeros.  A theta core is one table
@@ -42,7 +44,7 @@ import numpy as np
 
 from .arith import _is_prime
 from .modform import EtaMap, EtaQuotient
-from .series import Ring, TruncatedSeries, _int64_storage, one
+from .series import Ring, TruncatedSeries, _Holder, _divide_terms, _int64_storage, _term_product, one
 
 __all__ = ["euler_product", "jacobi_cube", "psi", "frobenius_split", "euler_quotient", "eta_expansion"]
 
@@ -135,29 +137,18 @@ _MAX_ORDER_ZZ = 10**6
 # linearly in c_max, 8.7 s and 576 MB at 10^6 (mod 5, n_max 100).
 _MAX_COLOURS = 10**6
 
-# the last 1 / f_1 that _f1_inverse built, as (ring, series)
-_f1_held: Optional[Tuple[Ring, TruncatedSeries]] = None
+# the last 1 / f_1 that _f1_inverse built, keyed by its ring
+_f1_holder = _Holder()
 
 
 def _f1_inverse(order: int, ring: Ring) -> TruncatedSeries:
-    """1 / f_1 to exactly the given order; the last one built is held.
+    """1 / f_1 to exactly the given order; the last one built is held (``series._Holder``).
 
-    The inverse to order n is the first n terms of the inverse to any
-    longer order, so a request over the held one's ring at no higher an
-    order is a read-only cut of it; any other is built and replaces it.
-    The holder is read once and replaced by one assignment, so callers
-    on several threads get exact series with no lock.  One is enough:
-    ``euler_quotient`` asks once per map, and ``search`` reads both kinds
-    of a modulus in turn.  In the benchmark's search grid cubic c = 5
-    mod 11 cuts its 8001 terms from c = 1's.
+    One is enough: ``euler_quotient`` asks once per map, and ``search``
+    reads both kinds of a modulus in turn.  In the benchmark's search grid
+    cubic c = 5 mod 11 cuts its 8001 terms from c = 1's.
     """
-    global _f1_held
-    held = _f1_held
-    if held is not None and held[0] == ring and held[1].order >= order:
-        return held[1] if held[1].order == order else held[1].truncate(order)
-    series = euler_product(1, order, ring).inverse()
-    _f1_held = (ring, series)
-    return series
+    return _f1_holder.get(ring, order, lambda: euler_product(1, order, ring).inverse())
 
 
 def _expand(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
@@ -180,12 +171,17 @@ def _term_count(name: str, n: int) -> int:
 def _sparse_steps(prod: TruncatedSeries, name: str, k: int, n: int) -> TruncatedSeries:
     """prod times the closed form in q^k to the power n, at prod's order, by |n| sparse steps.
 
-    A step multiplies by the entry (n > 0; one row of the schoolbook
-    kernel per nonzero term of the entry) or divides by it (n < 0).
+    Object storage.  A step multiplies by the entry's terms (n > 0, the
+    row kernel ``_term_product``) or divides by them (n < 0,
+    ``_divide_terms``, past the constant term 1).
     """
-    f = _closed_form(name, k, prod.order, prod.ring)
+    e, c = _terms(name, k, prod.order)
+    ring, m = prod.ring, prod.ring.modulus
     for _ in range(abs(n)):
-        prod = f * prod if n > 0 else prod.divide(f)
+        if n > 0:
+            prod = TruncatedSeries._wrap(ring, _term_product(e, c, prod.coeffs, prod.order, m))
+        else:
+            prod = TruncatedSeries(ring, _divide_terms(prod.coeffs, e[1:], c[1:], 1, m))
     return prod
 
 
@@ -327,26 +323,14 @@ def euler_quotient(
 
     On object storage (``_int64_storage`` false: ZZ, and ZZ/m for
     m > 2^63) the plan is ``_step_plan``'s, and an item with a name is
-    |n| sparse steps on the product in q^h (``_sparse_steps``): the
-    entry in q^k is the entry in q^{k/h} there, and a step multiplies by
-    it for n > 0 (the schoolbook kernel adds one row per nonzero term of
-    the entry) or divides by it (``divide``) for n < 0.  The
-    first item starts from 1 at ceil(order / k).  The plan is the map's
-    f factors, or a chain of theta entries in front of the f factors of
-    what they leave: each link zeroes the bottom delta of what is left by
-    an entry whose other deltas are all in it, and goes after the f
-    factors and before the earlier links (``_step_plan``).
-    f_d^r is pow or steps, three
-    at a time by Jacobi's f^3 (``jacobi_cube``) and the |r| mod 3 left
-    by f, whichever ``_takes_steps`` finds no dearer.  The prices count
-    coefficient products from the closed forms' terms: a step costs
-    ceil(order / h) per nonzero term of its entry at ceil(order / k),
-    about sqrt(order / k) for phi(-q), sqrt(2 order / k) for f^3 and
-    1.6 sqrt(order / k) for f, and pow costs bit_length(|r|) dense
-    products of ceil(order / k)^2 plus its product with the product so
-    far.  The cheapest plan is taken, and on a tie the plan of f
-    factors.  So f steps win at small |r| and large order, and pow at
-    colour counts large against the order.  Cubic c = 5, {2: -4, 1: -1}
+    |n| sparse steps on the product in q^h (``_sparse_steps``), each a
+    product or a division by the entry's terms in q^{k/h}; the first
+    item starts from 1 at ceil(order / k).  f_d^r is pow or steps, three
+    at a time by Jacobi's f^3 and the |r| mod 3 left by f, whichever
+    ``_takes_steps`` finds no dearer by ``_price``, which counts about
+    sqrt(order / k) terms for phi(-q), sqrt(2 order / k) for f^3 and
+    1.6 sqrt(order / k) for f.  So f steps win at small |r| and large
+    order, and pow at colour counts large against the order.  Cubic c = 5, {2: -4, 1: -1}
     at 4001, is psi(q) / f_2^6, psi = f_2^2 / f_1: two divisions by f^3
     at 2001 terms, then one product by psi at 4001, where the f factors
     divide by f at full length; c = 251 takes 84 divisions by f^3 for
@@ -379,10 +363,8 @@ def euler_quotient(
 
     One plan runner serves this function and the read of chosen
     coefficients that ``count`` and the left side of
-    ``check_named_identity`` use (``_quotient_at``): on object storage,
-    when the plan ends in a product by a closed form, the read runs every
-    step but that one and evaluates it only at the exponents it reads.
-    ``count`` for cubic c = 5 at 4001 so forms no product of 4001 terms.
+    ``check_named_identity`` use (``_quotient_at``), so ``count`` for
+    cubic c = 5 at 4001 forms no product of 4001 terms.
     """
     return _quotient_at(exponents, order, ring)
 
@@ -397,9 +379,10 @@ def _quotient_at(
     checks of ``euler_quotient`` come first, the order's ceiling
     included, so a long progression is never listed above it.  On object
     storage a read of a plan that ends in a product by a closed form runs
-    every step but that last one, which is evaluated at the chosen
-    exponents alone (``_product_at``).  A read of any other plan, and on
-    int64 storage, builds the whole series and indexes it.
+    every step but that last one, which is one read of the row kernel
+    (``series._term_product``) at the distinct exponents of at.  A read
+    of any other plan, and on int64 storage, builds the whole series and
+    indexes it.
     """
     exponents = EtaMap(exponents)
     if min(exponents, default=1) < 1:
@@ -442,28 +425,12 @@ def _quotient_at(
     series = one(ring, order) if prod is None else _expand(prod, g, order)
     if at is None:
         return series
-    if last is not None:  # the series times the held-back step, at the exponents of at
-        return _product_at(series, *last, at)
-    return series.coeffs[np.asarray(at, dtype=np.int64)].tolist()
-
-
-def _product_at(prod: TruncatedSeries, name: str, k: int, at: Sequence[int]) -> List[int]:
-    """prod times the closed form in q^k, at the exponents of at (each below prod's order), as ints.
-
-    Object storage.  The distinct exponents of at are read in rising
-    order: each term (t, c) of the entry adds c times one gather of prod
-    at those of them from t on, less t.
-    """
-    e, c = _terms(name, k, prod.order)
-    want, back = np.unique(np.asarray(at, dtype=np.int64), return_inverse=True)
-    out = np.zeros(len(want), dtype=object)
-    for t, ct, first in zip(e.tolist(), c.tolist(), np.searchsorted(want, e).tolist()):
-        if first == len(want):
-            break
-        row = prod.coeffs[want[first:] - t]
-        out[first:] += row if ct == 1 else ct * row
-    m = prod.ring.modulus
-    return (out if m is None else out % m)[back].tolist()
+    at = np.asarray(at, dtype=np.int64)
+    if last is None:
+        return series.coeffs[at].tolist()
+    # the series times the held-back step, read at the distinct exponents of at
+    want, back = np.unique(at, return_inverse=True)
+    return _term_product(*_terms(*last, order), series.coeffs, order, ring.modulus, want)[back].tolist()
 
 
 # a theta core as its factors: (name in _CLOSED_FORMS, k) for the entry in q^k

@@ -22,24 +22,25 @@ a product with q^k, copies it behind k zeros.  ``coefficient``,
 ``__neg__``, ``scale``, ``divide``) work on Python ints, so no int64
 overflow can hide in them.
 
-Multiplication of object-storage series is schoolbook convolution on
-Python ints by rows (``_schoolbook``): each nonzero term of the sparser
-operand adds one shifted copy of the other into the result, as one
-object-array add with no interpreted inner loop, so f * g, with f an
-Euler product (about 1.6 sqrt(order) nonzero terms) as long as g, costs
-O(order nnz(f)) additions.  Exact division g / f by a series f with a
-unit constant term (``divide``) is the recurrence
-out_n = f0^{-1} (g_n - sum_{i>=1} f_i out_{n-i}), which skips the zero
-f_i and also costs O(order nnz(f)), run in blocks of _DIVIDE_BLOCK
-exponents.  A term whose value occurs more than once among the f_i (the
-+-1 of Euler's f, the +-2 of phi(-q)) and whose i is at least the block
-length reads only finished blocks, so it becomes a row: such terms are
-added as object-array rows per value, and each value's sum multiplies
-once per block before the block's recurrence runs.  The nearer terms of
-a repeated value are summed in the interpreted loop before one
-multiplication by it.  A value that occurs once, as do the coefficients
-of Jacobi's f^3, stays a single term of the loop at every distance: as a
-row it would still pay one product per output, and the row adds on top.
+Products and quotients on Python ints run over term arrays (e, c): the
+rising exponents and nonzero coefficients of a sparse factor, as
+``qfunctions._terms`` gives a closed form's.  The row kernel
+``_term_product`` adds c_j times one shifted copy of the other operand
+per term, as one object-array add with no interpreted inner loop, so a
+product costs O(length len(e)) additions; given distinct rising
+exponents, it reads the product there alone, one gather per term.
+``_schoolbook`` is the kernel over the nonzero terms of the sparser
+operand.  Exact division g / f by f = f_0 + sum_j c_j q^{e_j}, f_0 a
+unit (``_divide_terms``; ``divide`` passes f's nonzero terms), is the
+recurrence out_n = f_0^{-1} (g_n - sum_j c_j out_{n-e_j}), run in blocks
+of _DIVIDE_BLOCK exponents.  The terms of a value that occurs more than
+once among the c_j (Euler's +-1, phi(-q)'s +-2) at e_j >= the block
+length read only finished blocks: they are added as object-array rows,
+summed per value, and each sum multiplies once per block before the
+block's recurrence.  The nearer terms of a repeated value are summed
+before one multiplication by it.  A value that occurs once (Jacobi's
+f^3) stays in the recurrence at every distance: as a row it would still
+cost one product per output, with the row's adds on top.
 
 Every product of int64-storage series is ``_mul_mod``: both operands are
 first cut to the result length, then the first of these paths whose
@@ -106,7 +107,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, sqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -120,7 +121,7 @@ _FFT_MIN_LEN = 384
 # The fft path runs only while its rounding bound stays below this.
 _FFT_MAX_ERROR = 0.25
 
-# ``divide`` runs its recurrence in blocks of this many exponents.
+# ``_divide_terms`` runs its recurrence in blocks of this many exponents.
 _DIVIDE_BLOCK = 256
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -246,30 +247,91 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     return _reduce(out, m)
 
 
-def _schoolbook(
-    a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray, rl: int
-) -> np.ndarray:
-    """First rl terms of a * b over the integers, as an object array of Python ints.
+def _term_product(e, c, b: np.ndarray, rl: int, m: Optional[int] = None, at=None) -> np.ndarray:
+    """First rl terms of sum_j c_j q^{e_j} times b, an object array, or with at its values there.
 
-    A row kernel: for each nonzero term a_i of the sparser operand, one
-    object-array add of the other operand's first rl - i terms into the
-    result from i on, a subtraction for a_i = -1 and a_i times the row
-    for any other a_i.  a and b are sequences or arrays of integers.
+    The row kernel of the module docstring.  at is an int64 array of
+    distinct rising exponents below len(b); rl is then unused.  The
+    result is an object array, reduced mod m when m is given.
     """
+    out = np.zeros(rl if at is None else len(at), dtype=object)
+    starts = e if at is None else np.searchsorted(at, e)  # each term's first output
+    for t, ct, lo in zip(e.tolist(), c.tolist(), starts.tolist()):
+        if lo >= len(out):
+            break
+        row = b[: rl - t] if at is None else b[at[lo:] - t]
+        dst = out[lo : lo + len(row)]
+        if ct == 1:
+            dst += row
+        elif ct == -1:
+            dst -= row
+        else:
+            dst += ct * row
+    return out if m is None else out % m
+
+
+def _schoolbook(a, b, rl: int, m: Optional[int] = None) -> np.ndarray:
+    """First rl terms of a * b, integer sequences or arrays: the row kernel over the sparser one."""
     a = np.asarray(a, dtype=object)[:rl]
     b = np.asarray(b, dtype=object)[:rl]
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
-    acc = np.zeros(rl, dtype=object)
-    for i in np.flatnonzero(a).tolist():
-        ai, row = a[i], b[: rl - i]
-        if ai == 1:
-            acc[i : i + len(row)] += row
-        elif ai == -1:
-            acc[i : i + len(row)] -= row
-        else:
-            acc[i : i + len(row)] += ai * row
-    return acc
+    e = np.flatnonzero(a)
+    return _term_product(e, a[e], b, rl, m)
+
+
+def _divide_terms(g, e, c, inv0: int, m: Optional[int] = None) -> list[int]:
+    """g / (f_0 + sum_j c_j q^{e_j}) at len(g) terms, e rising from 1 and inv0 f_0 == 1 (mod m).
+
+    The blocked recurrence of the module docstring; the result is a list
+    of Python ints, reduced mod m when m is given.
+    """
+    out = _ints(g)
+    size = len(out)
+    terms: dict[int, list[int]] = {}  # c_j -> the rising e_j holding it
+    for i, v in zip(e.tolist(), c.tolist()):
+        terms.setdefault(v, []).append(i)
+    block = _DIVIDE_BLOCK
+    repeated = [(v, idx) for v, idx in terms.items() if len(idx) > 1]
+    rows = [(v, [i for i in idx if i >= block]) for v, idx in repeated]
+    rows = [(v, idx) for v, idx in rows if idx]
+    groups = [(v, [i for i in idx if i < block]) for v, idx in repeated]
+    singles = sorted((idx[0], v) for v, idx in terms.items() if len(idx) == 1)
+    done = np.zeros(size, dtype=object)  # out, block by block, for the rows
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        dividend = None
+        for v, idx in rows:
+            if idx[0] >= stop:
+                continue
+            acc = np.zeros(stop - start, dtype=object)
+            for i in idx:
+                if i >= stop:
+                    break
+                lo = max(i - start, 0)  # out_n for n < i is not read
+                acc[lo:] += done[start + lo - i : stop - i]
+            if dividend is None:
+                dividend = np.array(out[start:stop], dtype=object)
+            dividend -= v * acc
+        if dividend is not None:
+            out[start:stop] = dividend.tolist()
+        for n in range(start, stop):
+            s = out[n]
+            for v, idx in groups:
+                t = 0
+                for i in idx:
+                    if i > n:
+                        break
+                    t += out[n - i]
+                s -= v * t
+            for i, v in singles:
+                if i > n:
+                    break
+                s -= v * out[n - i]
+            out[n] = inv0 * s if m is None else inv0 * s % m
+        if rows:
+            done[start:stop] = out[start:stop]
+    return out
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
@@ -286,7 +348,7 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
         return _fft_mul(a, b, rl, m)
     if path == "convolve":
         return _reduce(np.convolve(a, b)[:rl], m)
-    return (_schoolbook(a, b, rl) % m).astype(np.int64)
+    return _schoolbook(a, b, rl, m).astype(np.int64)
 
 
 def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
@@ -566,9 +628,7 @@ class TruncatedSeries:
         if rl and _int64_storage(self.ring):
             out = _mul_mod(a, a if other is self else b, rl, self.ring.modulus)
             return TruncatedSeries._wrap(self.ring, out)
-        product = _schoolbook(a, b, rl)
-        m = self.ring.modulus
-        return TruncatedSeries._wrap(self.ring, product if m is None else product % m)
+        return TruncatedSeries._wrap(self.ring, _schoolbook(a, b, rl, self.ring.modulus))
 
     __mul__ = mul
 
@@ -584,71 +644,15 @@ class TruncatedSeries:
         return self.ring.invert(a0)
 
     def divide(self, f: TruncatedSeries) -> TruncatedSeries:
-        """self / f; f must have a unit constant term.
+        """self / f at min(self.order, f.order) terms; f must have a unit constant term.
 
-        result.order = min(self.order, f.order).  The recurrence
-        out_n = f0^{-1} (self_n - sum_{i>=1} f_i out_{n-i}) skips zero
-        coefficients of f, so dividing by a sparse series (an Euler
-        product, say) costs O(order * nnz(f)).  It runs in blocks of
-        _DIVIDE_BLOCK exponents.  The terms of a value that occurs more
-        than once among the f_i (Euler's +-1, phi(-q)'s +-2) at i >= the
-        block length read only finished blocks: they are added as
-        object-array rows, summed per value, and each sum multiplies once
-        per block before the block's recurrence.  The recurrence sums a
-        repeated value's nearer terms before one multiplication by it.  A
-        value that occurs once (Jacobi's f_k^3) stays in the recurrence at
-        every distance: as a row it would still cost one product per
-        output, with the row's adds on top.
+        The recurrence over f's nonzero terms (``_divide_terms``).
         """
         self._require_same_ring(f)
         inv0 = f._unit_constant_inverse()
-        out = _ints(self.coeffs[: f.order])
-        size = len(out)
-        terms: dict[int, list[int]] = {}  # f_i -> the ascending i >= 1 holding it
-        for i, c in enumerate(_ints(f.coeffs[1:size]), 1):
-            if c:
-                terms.setdefault(c, []).append(i)
-        block = _DIVIDE_BLOCK
-        repeated = [(c, idx) for c, idx in terms.items() if len(idx) > 1]
-        rows = [(c, [i for i in idx if i >= block]) for c, idx in repeated]
-        rows = [(c, idx) for c, idx in rows if idx]
-        groups = [(c, [i for i in idx if i < block]) for c, idx in repeated]
-        singles = sorted((idx[0], c) for c, idx in terms.items() if len(idx) == 1)
-        done = np.zeros(size, dtype=object)  # out, block by block, for the rows
-        norm = self.ring.normalize
-        for start in range(0, size, block):
-            stop = min(start + block, size)
-            dividend = None
-            for c, idx in rows:
-                if idx[0] >= stop:
-                    continue
-                acc = np.zeros(stop - start, dtype=object)
-                for i in idx:
-                    if i >= stop:
-                        break
-                    lo = max(i - start, 0)  # out_n for n < i is not read
-                    acc[lo:] += done[start + lo - i : stop - i]
-                if dividend is None:
-                    dividend = np.array(out[start:stop], dtype=object)
-                dividend -= c * acc
-            if dividend is not None:
-                out[start:stop] = dividend.tolist()
-            for n in range(start, stop):
-                s = out[n]
-                for c, idx in groups:
-                    t = 0
-                    for i in idx:
-                        if i > n:
-                            break
-                        t += out[n - i]
-                    s -= c * t
-                for i, c in singles:
-                    if i > n:
-                        break
-                    s -= c * out[n - i]
-                out[n] = norm(inv0 * s) if s else 0
-            if rows:
-                done[start:stop] = out[start:stop]
+        size = min(self.order, f.order)
+        e = np.flatnonzero(f.coeffs[1:size]) + 1
+        out = _divide_terms(self.coeffs[:size], e, f.coeffs[e], inv0, self.ring.modulus)
         return TruncatedSeries(self.ring, out)
 
     def inverse(self) -> TruncatedSeries:
@@ -748,6 +752,36 @@ def _install(s: TruncatedSeries, ring: Ring, coeffs) -> None:
     coeffs.flags.writeable = False
     object.__setattr__(s, "ring", ring)
     object.__setattr__(s, "coeffs", coeffs)
+
+
+class _Holder:
+    """The last series built under a key, held as (key, series).
+
+    A request for that key at no higher an order is a read-only cut of it
+    (``truncate``), exact since the series to order n is the first n
+    terms of any longer one; any other is built and replaces it.  One
+    read and one assignment each, so threads need no lock.
+    """
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        self.held: Optional[tuple] = None
+
+    def cut(self, key, order: int) -> Optional[TruncatedSeries]:
+        """The held series under key cut to order, or None if it is not held that long."""
+        held = self.held
+        if held is not None and held[0] == key and held[1].order >= order:
+            return held[1] if held[1].order == order else held[1].truncate(order)
+        return None
+
+    def get(self, key, order: int, build) -> TruncatedSeries:
+        """The series under key to exactly order: the held one's cut, else build(), then held."""
+        series = self.cut(key, order)
+        if series is None:
+            series = build()
+            self.held = (key, series)
+        return series
 
 
 def one(ring: Ring, order: int) -> TruncatedSeries:

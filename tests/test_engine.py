@@ -479,7 +479,7 @@ def counted_builds(monkeypatch):
         return build(fam, order, ring)
 
     monkeypatch.setattr(engine, "generating_series", counting_build)
-    monkeypatch.setattr(engine, "_family_held", None)
+    monkeypatch.setattr(engine._family_holder, "held", None)
     return builds
 
 
@@ -491,7 +491,7 @@ def test_a_witness_in_the_prefix_builds_no_full_series(counted_builds):
     result = verify_claim(claim, 4_000_000)
     assert result.describe().endswith("refuted  witness: count(5) == 7")
     assert counted_builds == [(CUBIC, 3, 7, 100), (CUBIC, 1, 17, engine._PREFIX * 17)]
-    assert engine._family_held == ((CUBIC, 3, 7), held)
+    assert engine._family_holder.held == ((CUBIC, 3, 7), held)
 
 
 def test_a_clean_prefix_builds_the_full_series_once_and_holds_it(counted_builds):
@@ -503,7 +503,8 @@ def test_a_clean_prefix_builds_the_full_series_once_and_holds_it(counted_builds)
     refuted = verify_claim(CongruenceClaim(fam, 11, 11, 3), 2000)
     assert counted_builds == [(CUBIC, 5, 11, 176), (CUBIC, 5, 11, 3001)]
     assert (refuted.verdict, refuted.witness) == generic_scan(refuted.claim, 2000)
-    assert engine._family_held[0] == (CUBIC, 5, 11) and engine._family_held[1].order == 3001
+    key, held = engine._family_holder.held
+    assert key == (CUBIC, 5, 11) and held.order == 3001
 
 
 def test_a_prefix_above_a_sixteenth_of_the_scan_is_not_taken(counted_builds):
@@ -553,7 +554,7 @@ def test_store_builds_a_longer_series_once(counted_builds):
 def test_one_family_series_is_held(counted_builds):
     first = engine._series_mod(CUBIC, 3, 7, 300)
     engine._series_mod(CUBIC, 4, 7, 300)  # another family replaces it
-    assert engine._family_held[0] == (CUBIC, 4, 7)
+    assert engine._family_holder.held[0] == (CUBIC, 4, 7)
     again = engine._series_mod(CUBIC, 3, 7, 200)  # so the first is built again
     assert again == first.truncate(200) and again.order == 200
     engine._series_mod(CUBIC, 3, 11, 200)  # as is another modulus
@@ -568,7 +569,7 @@ def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
         return TruncatedSeries(ring, [fam.colors + i for i in range(order)], 0, order)
 
     monkeypatch.setattr(engine, "generating_series", slow_build)
-    monkeypatch.setattr(engine, "_family_held", None)
+    monkeypatch.setattr(engine._family_holder, "held", None)
     workers = 8  # more threads than cores
     start = threading.Barrier(workers, timeout=10)
     wrong = []
@@ -593,21 +594,21 @@ def test_store_serves_concurrent_callers_exact_orders(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    key, held = engine._family_held
+    key, held = engine._family_holder.held
     assert key in {(CUBIC, c, 101) for c in (1, 2, 3)} and held.order <= 50
 
 
 def test_composite_grid_search_holds_one_family_series_and_one_f1_inverse(monkeypatch):
     """A composite modulus has no colour period, so search verifies the open
     classes of every colour from full series; one of each kind stays held."""
-    monkeypatch.setattr(engine, "_family_held", None, raising=False)
-    monkeypatch.setattr(qfunctions, "_f1_held", None, raising=False)
+    monkeypatch.setattr(engine._family_holder, "held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
     rings = {zmod(m) for m in (4, 6, 9)}
     assert len(search_congruences(12, [4, 6, 9], 3000)) == 36
     gc.collect()
     live = [s for s in gc.get_objects() if isinstance(s, TruncatedSeries) and s.ring in rings]
     assert len(live) <= 2
-    assert [s.order for s in live if s is engine._family_held[1]] == [3001]
+    assert [s.order for s in live if s is engine._family_holder.held[1]] == [3001]
 
 
 def needs_full_series(kind, c, p):
@@ -650,7 +651,7 @@ def test_search_builds_each_colour_from_the_previous_one(counted_builds, monkeyp
     # the benchmark's search grid, then p = 2 and composite moduli
     grids = ((6, [3, 5, 7, 11], 8000, 20), (12, [2, 3, 4, 6, 9], 3000, 56))
     for c_max, moduli, n_max, found in grids:
-        engine._family_held = None
+        engine._family_holder.held = None
         for seen in (counted_builds, steps, requested, products, verified):
             del seen[:]
         claims = search_congruences(c_max, moduli, n_max)
@@ -715,7 +716,7 @@ def series_requests(monkeypatch):
         return series_mod(kind, colors, modulus, order)
 
     monkeypatch.setattr(engine, "_series_mod", recording)
-    monkeypatch.setattr(engine, "_family_held", None)
+    monkeypatch.setattr(engine._family_holder, "held", None)
     return requests
 
 
@@ -869,7 +870,7 @@ def test_admissible_classes_build_no_cofactor(series_requests, monkeypatch):
                 assert results and all(r.holds for r in results), (theorem, p, k)
     # a_3(7n+4) mod 7: psi(q) f_2^3 has no term in the class
     assert verify_claim(CongruenceClaim(PartitionFamily(CUBIC, 3), 7, 7, 4), 10**6).holds
-    assert series_requests == [] and engine._family_held is None
+    assert series_requests == [] and engine._family_holder.held is None
 
 
 def core_claims():
@@ -892,8 +893,8 @@ def test_class_first_claims_build_no_series(monkeypatch):
     def no_call(*args):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(engine, "_family_held", None)
-    monkeypatch.setattr(qfunctions, "_f1_held", None)
+    monkeypatch.setattr(engine._family_holder, "held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
     for module, name in [
         (qfunctions, "euler_quotient"),
         (partitions, "euler_quotient"),
@@ -904,7 +905,7 @@ def test_class_first_claims_build_no_series(monkeypatch):
     # holding and refuted classes alike: a refuted one has its witness from [C]_r
     results = [verify_claim(claim, 996) for claim in claims]
     assert [(r.verdict, r.witness) for r in results] == want
-    assert engine._family_held is None and qfunctions._f1_held is None
+    assert engine._family_holder.held is None and qfunctions._f1_holder.held is None
 
 
 @pytest.mark.parametrize("claim", [

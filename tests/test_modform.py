@@ -372,3 +372,12 @@ def test_an_eta_map_text_and_split():
     assert EtaMap({1: 1, 3: -2}).at(4) == {4: 1, 12: -2}
     with pytest.raises(ValueError, match="at expects k >= 1, got 0"):
         EtaMap({1: 1}).at(0)
+
+
+def test_a_balanced_map_splits_into_itself_and_the_empty_map():
+    """When no entry moves, the split builds no map: E0 is the map itself."""
+    for m, p in ((EtaMap({1: -2, 2: 5, 4: -2}), 13), (EtaMap({1: -1, 2: -4}), 11), (EtaMap(), 7)):
+        low, high = m.split(p)
+        assert low is m and high == {}
+    m = EtaMap({1: -1, 2: -4})
+    assert m.split(7)[0] is not m and m.split(7) == ({1: -1, 2: 3}, {2: -1})

@@ -317,7 +317,7 @@ def counted_steps(monkeypatch):
     No 1 / f_1 is held, so it is built, not cut from an earlier test's.
     """
     calls = []
-    monkeypatch.setattr(qfunctions, "_f1_held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
     real_pow, real_divide = TruncatedSeries.pow, TruncatedSeries.divide
 
     def counting_pow(self, e):
@@ -337,34 +337,40 @@ def counted_steps(monkeypatch):
 def step_factors(monkeypatch):
     """The sparse steps taken, as (op, power, k, order) for a factor f_k^power.
 
-    op is "mul" or "divide"; power is 3 for ``jacobi_cube``, 1 for
-    ``euler_product``, and the table's name for any other closed form in
-    q^k.  pow and inverse may not run.
+    op is "mul" for a call of the row kernel that multiplies (a read at
+    chosen exponents is no step) and "divide" for a call of the
+    term-array division, each as ``qfunctions`` looks it up.  The factor
+    is the closed form whose terms in q^k below the order are the ones
+    passed, a division's past the constant term.  power is 3 for
+    ``jacobi_cube``, 1 for ``euler_product``, and the table's name for
+    any other closed form.  pow and inverse may not run.
     """
     calls = []
-    real_mul, real_divide = TruncatedSeries.__mul__, TruncatedSeries.divide
+    real_product, real_divide = qfunctions._term_product, qfunctions._divide_terms
     powers = {"jacobi_cube": 3, "euler_product": 1}
 
-    def factor(f):
-        k = next(i for i, c in enumerate(f.coeffs) if i and c)
+    def factor(e, c, order, skip):
+        k = int(e[1 - skip])  # every entry's first term past q^0 is at k
         for name in qfunctions._CLOSED_FORMS:
-            if f == qfunctions._closed_form(name, k, f.order, f.ring):
-                return powers.get(name, name), k, f.order
-        raise AssertionError(f"{f!r} is no step factor")
+            te, tc = qfunctions._terms(name, k, order)
+            if np.array_equal(te[skip:], e) and np.array_equal(tc[skip:], c):
+                return powers.get(name, name), k, order
+        raise AssertionError(f"{e!r}, {c!r} are no step factor's terms")
 
-    def counting_mul(self, other):
-        calls.append(("mul",) + factor(self))
-        return real_mul(self, other)
+    def counting_product(e, c, b, rl, m=None, at=None):
+        if at is None:
+            calls.append(("mul",) + factor(e, c, rl, 0))
+        return real_product(e, c, b, rl, m, at)
 
-    def counting_divide(self, f):
-        calls.append(("divide",) + factor(f))
-        return real_divide(self, f)
+    def counting_divide(g, e, c, inv0, m=None):
+        calls.append(("divide",) + factor(e, c, len(g), 1))
+        return real_divide(g, e, c, inv0, m)
 
     def no_call(self, *args):
         raise AssertionError("a sparse step map ran pow or inverse")
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
-    monkeypatch.setattr(TruncatedSeries, "divide", counting_divide)
+    monkeypatch.setattr(qfunctions, "_term_product", counting_product)
+    monkeypatch.setattr(qfunctions, "_divide_terms", counting_divide)
     monkeypatch.setattr(TruncatedSeries, "pow", no_call)
     monkeypatch.setattr(TruncatedSeries, "inverse", no_call)
     return calls
@@ -379,8 +385,10 @@ CUBIC_5_STEPS = [("divide", 3, 1, 2001), ("divide", 3, 1, 2001), ("mul", "psi", 
 
 def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
     # every factor's steps cost far fewer coefficient products than its pow
-    s = euler_quotient({2: -4, 1: -1}, 4001, ZZ)
+    with mock.patch.object(qfunctions, "_closed_form", wraps=qfunctions._closed_form) as scatter:
+        s = euler_quotient({2: -4, 1: -1}, 4001, ZZ)
     assert step_factors == CUBIC_5_STEPS
+    assert scatter.call_count == 0  # the steps read the entries' terms, no dense series
     fam = PartitionFamily(CUBIC, 5)
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
     # overcubic c = 3, {4: 2, 2: -3, 1: -2} at 3000, is
@@ -719,7 +727,7 @@ def test_euler_quotient_mod_m_always_powers(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "inverse", counting_inverse)
     monkeypatch.setattr(TruncatedSeries, "divide", no_divide)
     monkeypatch.setattr(qfunctions, "_f1_inverse", counting_f1_inverse)
-    monkeypatch.setattr(qfunctions, "_f1_held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
     s = euler_quotient({2: -4, 1: -1}, 4001, zmod(7))
     # -4 = 7 (-1) + 3, so f2^-4 == f2^3 f14^-1 (mod 7).  1 / f1 is asked of
     # _f1_inverse once, at 4001, the longest order a negative factor needs,
@@ -762,19 +770,19 @@ def test_cold_and_warm_store_give_equal_quotients(monkeypatch, ring):
     cold = {}
     for exps in maps:
         for order in orders:
-            monkeypatch.setattr(qfunctions, "_f1_held", None)
+            monkeypatch.setattr(qfunctions._f1_holder, "held", None)
             cold[str(exps), order] = euler_quotient(exps, order, ring)
-    monkeypatch.setattr(qfunctions, "_f1_held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
     held = qfunctions._f1_inverse(200, ring)  # the longest inverse any map needs
     for exps in maps:
         for order in orders:
             assert euler_quotient(exps, order, ring) == cold[str(exps), order]
-            assert qfunctions._f1_held[0] == ring and qfunctions._f1_held[1] is held
+            assert qfunctions._f1_holder.held[0] == ring and qfunctions._f1_holder.held[1] is held
     assert cold[str(maps[0]), 57] == dense_quotient(maps[0], 57, ring)
 
 
 def test_store_serves_a_shorter_f1_inverse_as_a_read_only_view(monkeypatch):
-    monkeypatch.setattr(qfunctions, "_f1_held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
     ring = zmod(13)
     long = qfunctions._f1_inverse(3000, ring)
     short = qfunctions._f1_inverse(700, ring)
@@ -782,20 +790,20 @@ def test_store_serves_a_shorter_f1_inverse_as_a_read_only_view(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         short.coeffs[0] = 2
     assert short == one(ring, 700).divide(euler_product(1, 700, ring))
-    assert qfunctions._f1_held[1] is long
+    assert qfunctions._f1_holder.held[1] is long
     # a longer request is built and replaces the held inverse
     longer = qfunctions._f1_inverse(5000, ring)
-    assert qfunctions._f1_held[1] is longer
+    assert qfunctions._f1_holder.held[1] is longer
     assert longer.order == 5000 and longer.truncate(3000) == long
     # so does a request over another ring, at any order
     other = qfunctions._f1_inverse(10, zmod(7))
-    assert qfunctions._f1_held[0] == zmod(7) and qfunctions._f1_held[1] is other
+    assert qfunctions._f1_holder.held[0] == zmod(7) and qfunctions._f1_holder.held[1] is other
     assert not np.shares_memory(qfunctions._f1_inverse(5000, ring).coeffs, longer.coeffs)
     # alternating rings, every inverse equals a cold build
     for m, order in [(7, 900), (11, 900), (7, 400), (11, 1200), (7, 900)]:
         got = qfunctions._f1_inverse(order, zmod(m))
         assert got == one(zmod(m), order).divide(euler_product(1, order, zmod(m)))
-        assert got.order == order and qfunctions._f1_held[0] == zmod(m)
+        assert got.order == order and qfunctions._f1_holder.held[0] == zmod(m)
 
 
 def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
@@ -807,8 +815,8 @@ def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
         return real(f, order, m, inv0)
 
     monkeypatch.setattr(series_module, "_inverse_newton", counting_newton)
-    monkeypatch.setattr(qfunctions, "_f1_held", None)
-    monkeypatch.setattr(engine, "_family_held", None)
+    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
+    monkeypatch.setattr(engine._family_holder, "held", None)
     assert cli.main(["search", "--cmax", "6", "--primes", "3,5,7,11", "--nmax", "8000"]) == 0
     # one inverse per modulus at the prefix order, built for the cubic F_1
     # and cut for its colour step and both overcubic ones; cubic c = 1 and 5
@@ -817,7 +825,8 @@ def test_search_grid_builds_one_f1_inverse_per_modulus(monkeypatch):
     prefixes = [(engine._PREFIX * p, p) for p in (3, 5, 7, 11)]
     assert calls == prefixes + [(8001, 11)]
     # the prefixes are never held: the held family series is a full one
-    assert engine._family_held[0] == (CUBIC, 5, 11) and engine._family_held[1].order == 8001
+    key, held = engine._family_holder.held
+    assert key == (CUBIC, 5, 11) and held.order == 8001
 
 
 # -- eta expansions ----------------------------------------------------------

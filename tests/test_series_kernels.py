@@ -1,10 +1,10 @@
-"""Differential tests of the mod-m multiply and inverse kernels.
+"""Differential tests of the multiply, inverse and division kernels.
 
-Every path, the schoolbook row kernel included, is compared against a
-plain nested loop over Python ints that shares no code with any of them,
-followed by reduction mod m, on adversarial inputs: all coefficients
-m - 1, lengths around powers of two and around the steps of the
-transform length, and moduli on both sides of each path's guard.
+Every path, the term-array row kernel and division included, is compared
+against a plain nested loop over Python ints that shares no code with
+any of them, followed by reduction mod m, on adversarial inputs: all
+coefficients m - 1, lengths around powers of two and around the steps of
+the transform length, and moduli on both sides of each path's guard.
 """
 
 import random
@@ -220,6 +220,55 @@ def test_schoolbook_matches_the_nested_loop(a, b, extra):
     za = TruncatedSeries(ZZ, a, 0, rl)
     zb = TruncatedSeries(ZZ, b, 0, rl)
     assert (za * zb).coefficients() == expected
+
+
+def closed_form_case(name, k, n, seed):
+    """The closed form's terms in q^k below n, the same terms as a dense list, and n random ZZ values."""
+    e, c = qfunctions._terms(name, k, n)
+    dense = [0] * n
+    for t, ct in zip(e.tolist(), c.tolist()):
+        dense[t] = ct
+    rng = random.Random(f"{name}:{k}:{n}:{seed}")
+    b = [rng.randrange(-(10**30), 10**30) for _ in range(n)]
+    return e, c, dense, b
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("name", list(qfunctions._CLOSED_FORMS))
+def test_term_product_multiplies_every_closed_form_as_the_nested_loop(name, k):
+    """rl below, at and above the product's length, the top term of the entry's terms plus len(b)."""
+    for n in (1, 9, 60):
+        e, c, dense, b = closed_form_case(name, k, n, 0)
+        top = int(e[-1]) + n  # the product's length
+        for rl in (0, 1, top // 2, top - 1, top, top + 7):
+            expected = nested_loop_product(dense, b, rl)
+            assert series._term_product(e, c, np.array(b, dtype=object), rl).tolist() == expected
+            m = 2**64 + 13
+            got = series._term_product(e, c, np.array(b, dtype=object), rl, m)
+            assert got.tolist() == [x % m for x in expected]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("name", list(qfunctions._CLOSED_FORMS))
+def test_term_product_reads_every_closed_form_as_the_nested_loop(name, k):
+    """Reads at unsorted exponent lists with repeats, 0 and order - 1, through their distinct values."""
+    order = 80
+    e, c, dense, b = closed_form_case(name, k, order, 1)
+    full = nested_loop_product(dense, b, order)
+    rng = random.Random(f"{name}:{k}")
+    for at in (
+        [order - 1, 0, 17, 17, 1, 0, order - 1, 5],
+        [0],
+        [order - 1],
+        rng.choices(range(order), k=30),
+        list(range(order - 1, -1, -3)),
+    ):
+        want, back = np.unique(np.array(at, dtype=np.int64), return_inverse=True)
+        got = series._term_product(e, c, np.array(b, dtype=object), order, at=want)
+        assert got[back].tolist() == [full[x] for x in at]
+        m = 2**64 + 13
+        got = series._term_product(e, c, np.array(b, dtype=object), order, m, want)
+        assert got[back].tolist() == [full[x] % m for x in at]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -535,6 +584,38 @@ def test_blocked_divide_matches_the_nested_loop_recurrence(order, m, kind):
     # 1 / f: mod 65521 the Newton gate fails, so inverse is this division on int64 storage
     got = TruncatedSeries(ring, f).inverse()
     assert got.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f, ring)
+
+
+def nonzero_terms(f):
+    """The exponents from 1 on and coefficients of f's nonzero terms, as the division takes them."""
+    e = [i for i in range(1, len(f)) if f[i]]
+    return np.array(e, dtype=np.int64), np.array([f[i] for i in e], dtype=object)
+
+
+@pytest.mark.parametrize("order", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("m", [None, 65521, 2**64 + 13])
+@pytest.mark.parametrize("kind", ["euler", "phi", "mixed"])
+def test_term_array_division_matches_the_nested_loop_recurrence(order, m, kind):
+    """The blocked divide's cases on the term arrays directly; "mixed" has a unit f_0 other than 1."""
+    ring = ZZ if m is None else zmod(m)
+    rng = random.Random(f"terms:{order}:{m}:{kind}")
+    f = divisor(rng, ring, order, kind)
+    g = [ring.normalize(rng.randrange(-(10**40), 10**40)) for _ in range(order)]
+    e, c = nonzero_terms(f)
+    inv0 = ring.invert(f[0])
+    assert series._divide_terms(g, e, c, inv0, m) == nested_loop_quotient(g, f, ring)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("name", list(qfunctions._CLOSED_FORMS))
+def test_term_array_division_by_every_closed_form_matches_the_nested_loop(name, k):
+    """Division by the entry's own terms past its constant 1, as a sparse step takes them, at 2B + 1."""
+    order = 2 * B + 1
+    e, c, dense, g = closed_form_case(name, k, order, 2)
+    for m in (None, 2**64 + 13):
+        ring = ZZ if m is None else zmod(m)
+        expected = nested_loop_quotient([ring.normalize(x) for x in g], dense, ring)
+        assert series._divide_terms(g, e[1:], c[1:], 1, m) == expected
 
 
 def test_divide_leaves_only_single_and_near_terms_to_the_recurrence():
