@@ -53,14 +53,21 @@ guard holds computes the product:
    float64 real-FFT cyclic convolution (``numpy.fft.rfft`` and ``irfft``)
    of length L, the least 2^a 3^b 5^c >= 2h, so no term wraps round; each
    is rounded to the nearest integer, and their sum is reduced mod m.
-   Half-length blocks halve L and the spectra held at once.  The path
-   runs only when the a-priori rounding bound (``_fft_error_bound``)
+   Half-length blocks halve L and the spectra held at once.  Every
+   operand enters its transform as balanced digits (``_digits``): each
+   residue above m // 2 is taken less m, so every digit lies in
+   [-(m // 2), m // 2] and a dense operand's squared norm is about a
+   quarter of that of its residues.  Results are still reduced into
+   [0, m).  Moduli m >= 2^62 keep their residues as they are: no fft
+   gate passes there either way.  The path runs only when the a-priori
+   rounding bound (``_fft_error_bound``)
 
        |z' - z|_inf <= |x|_2 |y|_2 * S (1 + S),
        S = (2 + sqrt(L)) delta + mu + sqrt(L) u (1 + delta),
 
-   taken at the l2 norms of a and b, which bound those of every block, is
-   below 1/4, so rounding z' recovers each exact block product z.
+   taken at the l2 norms of the digits of a and b, which bound those of
+   every block, is below 1/4, so rounding z' recovers each exact block
+   product z.
    Here u = 2^-53, mu = 3u bounds a complex product (Higham, "Accuracy
    and Stability of Numerical Algorithms", Lemma 3.5) and delta bounds
    the relative l2 error of one transform.  The forward errors and the
@@ -87,20 +94,28 @@ guard holds computes the product:
 Every path gives bit-identical results.  One gate, ``_fft_exact``,
 decides every float product: the bound above, at the product's own
 operand norms and transform length L, is below 1/4.  It holds for a
-cyclic product as it stands, wrap-around included.  Inversion of an
-int64-storage series is Newton iteration, g <- g (2 - f g) (Brent and
-Kung, "Fast algorithms for manipulating formal power series", J. ACM 25
-(1978)), when the gate admits dense operands of the series' length at
-_fft_length(order), the length of Newton's last doubling; otherwise it
-is the division 1 / f, the sparse recurrence above.  A doubling from k
-to 2k terms needs only the terms k .. 2k - 1 of f g, since f g = 1 below
-q^k.  Below _FFT_MIN_LEN its two products go to ``_mul_mod``.  From
-there on g is transformed once at L = _fft_length(2k): those terms are
-read off the cyclic product of f[:2k] and g (the middle product of
-Hanrot, Quercia and Zimmermann, "The middle product algorithm I", AAECC
-14 (2004)), whose terms from L on wrap onto exponents below k, and g e,
-fewer than L terms, reuses g's transform.  Each product runs only when
-the gate admits it, and otherwise falls back to ``_mul_mod``.
+cyclic product as it stands, wrap-around included.
+
+Inversion of an int64-storage series is Newton iteration,
+g <- g (2 - f g) (Brent and Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 25 (1978)), when one gate of the order and
+m alone, ``_newton_exact``, admits it; otherwise it is the division
+1 / f, the sparse recurrence above.  A doubling from k to 2k terms needs
+only the terms k .. 2k - 1 of f g, since f g = 1 below q^k.  Below
+_FFT_MIN_LEN its two products go to ``_mul_mod``, which is exact on
+every path.  From there on g is transformed once at L = _fft_length(2k):
+those terms are read off the cyclic product of f[:2k] and g (the middle
+product of Hanrot, Quercia and Zimmermann, "The middle product algorithm
+I", AAECC 14 (2004)), whose terms from L on wrap onto exponents below k,
+and g e, fewer than L terms, reuses g's transform.  f, g and e enter
+these transforms as balanced digits, and the products have no gate and
+no fallback of their own: ``_newton_exact`` asks ``_fft_exact`` about
+the worst case of every such doubling, dense operands of 2k and k terms
+whose digits all have size m // 2, at L, and g e, of k and at most k
+terms, is covered by it.  Moduli m >= 2^62 stay unbalanced, so there the
+gate takes m - 1 as the digit and refuses every order with a doubling
+from _FFT_MIN_LEN on, every order above 512: their inverse is the
+division there.
 """
 
 from __future__ import annotations
@@ -167,8 +182,24 @@ def _fft_error_bound(norm2_a: float, norm2_b: float, length: int) -> float:
     return sqrt(norm2_a * norm2_b) * (1 + 2.0**-20) * s * (1 + s)
 
 
-def _norm2(a: np.ndarray) -> float:
-    f = a.astype(np.float64)
+def _digits(a: np.ndarray, m: int) -> np.ndarray:
+    """The residues a as float64 balanced digits, in [-(m // 2), m // 2].
+
+    Every transform takes its operand through here: a residue above m // 2
+    is taken less m within the float64 conversion that the transform would
+    make anyway.  The difference is formed in int64 and then rounded, so a
+    digit is exact whenever it is below 2^53; a larger one fails every fft
+    gate.  Moduli m >= 2^62 are left in [0, m): no fft gate passes there.
+    """
+    x = a.astype(np.float64)
+    if m < 2**62:
+        np.subtract(a, m, out=x, where=a > m // 2)
+    return x
+
+
+def _norm2(a: np.ndarray, m: int) -> float:
+    """Squared l2 norm of the balanced digits of a."""
+    f = _digits(a, m)
     return float(np.dot(f, f))
 
 
@@ -191,8 +222,8 @@ def _mul_path(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> str:
     """The first exact path for a * b mod m: 'fft', 'convolve' or 'schoolbook'."""
     n = min(len(a), len(b))
     if n >= _FFT_MIN_LEN:
-        na = _norm2(a)
-        nb = na if b is a else _norm2(b)
+        na = _norm2(a, m)
+        nb = na if b is a else _norm2(b, m)
         if _fft_exact(na, nb, _fft_blocks(len(a), len(b), rl)[1]):
             return "fft"
     if n * (m - 1) ** 2 < 2**62:
@@ -212,14 +243,17 @@ def _spectral_product(fx: np.ndarray, fy: np.ndarray, length: int, n: int) -> np
 
 
 def _reduce(a: np.ndarray, m: int) -> np.ndarray:
-    """a mod m, in [0, m), for an int64 array a and 2 <= m < 2^63, as a new array.
+    """a mod m, in [0, m), for an int64 array a and 2 <= m <= 2^63, as a new array.
 
     It is a - (a // m) m, formed in the one new array: numpy's floor
     division and two in-place passes run about twice as fast as its
     remainder on long arrays.  It is exact for every int64 a, INT64_MIN
     included: the product and the difference wrap modulo 2^64, and the
-    true result lies in [0, m), so the wrapped one is it.
+    true result lies in [0, m), so the wrapped one is it.  No int64 holds
+    m = 2^63; a mod 2^63 is the low 63 bits of a.
     """
+    if m == _INT64_MAX_MODULUS:
+        return a & (_INT64_MAX_MODULUS - 1)
     q = a // m
     q *= m
     return np.subtract(a, q, out=q)
@@ -232,18 +266,20 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     transformed once.
     """
     h, length = _fft_blocks(len(a), len(b), rl)
-    fa0 = np.fft.rfft(a[:h], length)
-    fb0 = fa0 if b is a else np.fft.rfft(b[:h], length)
-    out = np.zeros(rl, dtype=np.int64)
-    top = out[h : 2 * h]
+    fa0 = np.fft.rfft(_digits(a[:h], m), length)
+    fb0 = fa0 if b is a else np.fft.rfft(_digits(b[:h], m), length)
+    top = np.zeros(min(h, rl - h), dtype=np.int64)
     if len(a) > h:
-        top += _spectral_product(np.fft.rfft(a[h:], length), fb0, length, len(top))
+        top += _spectral_product(np.fft.rfft(_digits(a[h:], m), length), fb0, length, len(top))
     if b is a:
         top *= 2  # a1 b0 + a0 b1 = 2 a1 a0
     elif len(b) > h:
-        top += _spectral_product(np.fft.rfft(b[h:], length), fa0, length, len(top))
-    low = out[: 2 * h]
-    low += _spectral_product(fa0, fb0, length, len(low))
+        top += _spectral_product(np.fft.rfft(_digits(b[h:], m), length), fa0, length, len(top))
+    # the low block last, into the result itself: it overwrites fa0
+    out = _spectral_product(fa0, fb0, length, min(2 * h, rl))
+    out[h : 2 * h] += top
+    if rl > len(out):  # the terms past len(a) + len(b) - 1 are zero
+        out = np.concatenate((out, np.zeros(rl - len(out), dtype=np.int64)))
     return _reduce(out, m)
 
 
@@ -351,36 +387,60 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, rl: int, m: int) -> np.ndarray:
     return _schoolbook(a, b, rl, m).astype(np.int64)
 
 
+def _doublings(order: int):
+    """Newton's steps to order terms: (k, k2), from k to k2 = min(2k, order), k = 1, 2, 4, ..."""
+    k = 1
+    while k < order:
+        k2 = min(2 * k, order)
+        yield k, k2
+        k = k2
+
+
+def _newton_exact(order: int, m: int) -> bool:
+    """Whether ``_inverse_newton`` is exact to order terms mod m, for any f.
+
+    The one gate of the int64 inverse: ``_fft_exact`` admits the worst
+    case of every spectral doubling, dense operands of k2 and k terms
+    whose digits all have size m // 2 (m - 1 for m >= 2^62, which
+    ``_digits`` leaves unbalanced), at _fft_length(k2).  The other
+    product of a doubling, g e, has k and k2 - k <= k terms at the same
+    length, so it is admitted too.
+    """
+    d = m // 2 if m < 2**62 else m - 1
+    return all(
+        _fft_exact(k2 * d * d, k * d * d, _fft_length(k2))
+        for k, k2 in _doublings(order)
+        if k >= _FFT_MIN_LEN
+    )
+
+
 def _inverse_newton(f: np.ndarray, order: int, m: int, inv0: int) -> np.ndarray:
     """Inverse of f mod (q^order, m) by Newton iteration; f[0] * inv0 == 1 mod m.
 
     If g inverts f to precision k, then f g = 1 + q^k e and
     g - q^k g e inverts f to precision 2k (Brent and Kung 1978); the
-    module docstring gives the products of each doubling and their gate.
+    module docstring gives the products of each doubling.  The caller
+    checks the one gate, ``_newton_exact(order, m)``: from
+    k = _FFT_MIN_LEN on, every product is a cyclic one of balanced digits,
+    each of size at most m // 2 (m - 1 for m >= 2^62, left unbalanced),
+    with no gate and no fallback of its own.
     """
-    g = np.array([inv0 % m], dtype=np.int64)
-    k = 1
-    while k < order:
-        k2 = min(2 * k, order)
-        fk = f[:k2]
+    out = np.empty(order, dtype=np.int64)
+    out[0] = inv0 % m
+    for k, k2 in _doublings(order):
+        fk, g = f[:k2], out[:k]
         if k < _FFT_MIN_LEN:
             e = _mul_mod(fk, g, k2, m)[k:]
             ge = _mul_mod(g, e, k2 - k, m)
         else:
             length = _fft_length(k2)
-            g_hat = np.fft.rfft(g, length)
-            ng = _norm2(g)
-            if _fft_exact(_norm2(fk), ng, length):
-                e = _reduce(_spectral_product(np.fft.rfft(fk, length), g_hat, length, k2)[k:], m)
-            else:
-                e = _mul_mod(fk, g, k2, m)[k:]
-            if _fft_exact(ng, _norm2(e), length):
-                ge = _spectral_product(np.fft.rfft(e, length), g_hat, length, k2 - k)
-            else:
-                ge = _mul_mod(g, e, k2 - k, m)
-        g = np.concatenate((g, _reduce(-ge, m)))
-        k = k2
-    return g
+            g_hat = np.fft.rfft(_digits(g, m), length)
+            e = _reduce(
+                _spectral_product(np.fft.rfft(_digits(fk, m), length), g_hat, length, k2)[k:], m
+            )
+            ge = _spectral_product(np.fft.rfft(_digits(e, m), length), g_hat, length, k2 - k)
+        out[k:k2] = _reduce(-ge, m)
+    return out
 
 
 # Ring's field; a NamedTuple may not define __new__, so Ring
@@ -463,8 +523,6 @@ def _residues(coeffs, m: int) -> np.ndarray:
             arr = np.array(cs, dtype=np.int64)
         except OverflowError:
             arr = np.array([c % m for c in cs], dtype=np.int64)
-    if m == _INT64_MAX_MODULUS:  # no int64 holds 2^63; keep the low 63 bits
-        return arr & (_INT64_MAX_MODULUS - 1)
     return _reduce(arr, m)
 
 
@@ -658,18 +716,18 @@ class TruncatedSeries:
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; requires a unit constant term.
 
-        Over int64 storage, when ``_fft_exact`` admits dense operands of
-        this length at the transform length of Newton's last doubling,
-        this is Newton iteration.  Otherwise it is 1 / self by ``divide``,
-        whose recurrence skips zero coefficients of the input.
+        Over int64 storage, when the one gate ``_newton_exact`` admits
+        this order and modulus, this is Newton iteration: the gate asks
+        ``_fft_exact`` about every spectral doubling at its worst case,
+        dense operands of balanced digits of size m // 2 (m - 1 for
+        m >= 2^62, which stay unbalanced).  Otherwise it is 1 / self by
+        ``divide``, whose recurrence skips zero coefficients of the input.
         """
         m = self.ring.modulus
-        if _int64_storage(self.ring):
-            worst = self.order * (m - 1) ** 2  # squared norm of a dense operand
-            if _fft_exact(worst, worst, _fft_length(self.order)):
-                inv0 = self._unit_constant_inverse()
-                out = _inverse_newton(self.coeffs, self.order, m, inv0)
-                return TruncatedSeries._wrap(self.ring, out)
+        if _int64_storage(self.ring) and _newton_exact(self.order, m):
+            inv0 = self._unit_constant_inverse()
+            out = _inverse_newton(self.coeffs, self.order, m, inv0)
+            return TruncatedSeries._wrap(self.ring, out)
         return one(self.ring, self.order).divide(self)
 
     def pow(self, e: int) -> TruncatedSeries:

@@ -3,8 +3,10 @@
 Every path, the term-array row kernel and division included, is compared
 against a plain nested loop over Python ints that shares no code with
 any of them, followed by reduction mod m, on adversarial inputs: all
-coefficients m - 1, lengths around powers of two and around the steps of
-the transform length, and moduli on both sides of each path's guard.
+coefficients m - 1 (the largest residue) or m // 2 (the largest balanced
+digit a transform takes), lengths around powers of two and around the
+steps of the transform length, and moduli on both sides of each path's
+guard.
 """
 
 import random
@@ -48,6 +50,8 @@ MODULI = [2, 3, 5, 7, 12, 13, 97, 65521, 2**31 - 1, 2**61 - 1, 2**64 + 13]
 def coefficients(rng, n, m, fill):
     if fill == "max":
         return [m - 1] * n
+    if fill == "half":
+        return [m // 2] * n
     return [rng.randrange(m) for _ in range(n)]
 
 
@@ -85,11 +89,15 @@ def largest_inside(n, accept):
 
 
 def fft_accepts_max(n):
-    """accept(m): the fft bound admits two length-n operands of all m - 1."""
+    """accept(m): the fft bound admits two length-n operands whose digits all have size m // 2.
+
+    Transforms take balanced digits, in [-(m // 2), m // 2]; the residue
+    m // 2 is the digit m // 2 itself, so [m // 2] * n is that worst case.
+    """
     length = transform_length(n)
 
     def accept(m):
-        worst = n * (m - 1) ** 2
+        worst = n * (m // 2) ** 2
         return series._fft_exact(worst, worst, length)
 
     return accept
@@ -123,10 +131,14 @@ def test_fft_error_bound_needs_a_smooth_length_and_grows_with_norms():
 
 
 def dense_products_around_fft_min_len(test):
-    """Pin the dense products mod 65521 and 2^61 - 1 on both sides of _FFT_MIN_LEN."""
+    """Pin the dense products mod 65521 and 2^61 - 1 on both sides of _FFT_MIN_LEN.
+
+    Mod 2^61 - 1 the residues m - 1 are the balanced digit -1, formed exactly
+    in int64, so from _FFT_MIN_LEN on their product takes the fft path.
+    """
     for n in (series._FFT_MIN_LEN - 1, series._FFT_MIN_LEN, series._FFT_MIN_LEN + 1):
         for m in (65521, 2**61 - 1):
-            for fill in ("max", "random"):
+            for fill in ("max", "half", "random"):
                 test = example(n=n, m=m, fill=fill, seed=n, square=False)(test)
     return test
 
@@ -136,7 +148,7 @@ def dense_products_around_fft_min_len(test):
 @given(
     n=st.sampled_from(LENGTHS),
     m=st.sampled_from(MODULI),
-    fill=st.sampled_from(["max", "random"]),
+    fill=st.sampled_from(["max", "half", "random"]),
     seed=st.integers(0, 2**32 - 1),
     square=st.booleans(),
 )
@@ -304,10 +316,10 @@ def test_mul_mod_schoolbook_path_matches_the_nested_loop(m, la, lb, extra, fill,
 @pytest.mark.parametrize("n", [384, 400, 512, 513])
 def test_fft_bound_threshold_both_sides_exact(n):
     inside = largest_inside(n, fft_accepts_max(n))
-    assert inside > 1000  # the small moduli the paper uses are far inside
+    assert inside > 2000  # the small moduli the paper uses are far inside
     for m, expected in ((inside, "fft"), (inside + 1, "convolve")):
-        a = TruncatedSeries(zmod(m), [m - 1] * n)
-        b = TruncatedSeries(zmod(m), [m - 1] * n)  # equal norms, not a square
+        a = TruncatedSeries(zmod(m), [m // 2] * n)
+        b = TruncatedSeries(zmod(m), [m // 2] * n)  # equal norms, not a square
         assert path_of(a.coeffs, a.coeffs, m) == expected
         with mock.patch.object(series, "_fft_mul", wraps=series._fft_mul) as spy:
             assert a * a == exact_product(a, a, m)
@@ -373,7 +385,7 @@ def recurrence_inverse(s):
 @given(
     m=st.sampled_from([5, 7, 12, 65521]),
     n=st.sampled_from([1, 2, 3, 255, 256, 257, 300, 511, 512, 513]),
-    fill=st.sampled_from(["euler", "max", "random"]),
+    fill=st.sampled_from(["euler", "max", "half", "random"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_newton_inverse_matches_recurrence(m, n, fill, seed):
@@ -386,9 +398,10 @@ def test_newton_inverse_matches_recurrence(m, n, fill, seed):
         coeffs[0] = rng.choice([u for u in range(1, min(m, 50)) if ring.is_unit(u)])
         s = TruncatedSeries(ring, coeffs)
     inv0 = ring.invert(s.coefficient(0))
-    newton = series._inverse_newton(np.array(s.coeffs, dtype=np.int64), n, m, inv0)
     expected = recurrence_inverse(s)
-    assert newton.tolist() == list(expected.coeffs)
+    if series._newton_exact(n, m):  # mod 65521 the gate refuses 513 terms
+        newton = series._inverse_newton(np.array(s.coeffs, dtype=np.int64), n, m, inv0)
+        assert newton.tolist() == list(expected.coeffs)
     assert s.inverse() == expected
 
 
@@ -447,32 +460,28 @@ def newton_of(s):
 def test_newton_by_middle_product_matches_recurrence(m, fill):
     """Orders on both sides of _FFT_MIN_LEN and of the doublings past it.
 
-    Mod 7 the fft bound holds and the middle product runs from k = 512;
-    mod 65521 it fails at every k, and each product falls back to _mul_mod.
+    Mod 7 the gate admits every order and the middle product runs from
+    k = 512.  Mod 65521 it admits only the orders up to 512, whose products
+    are all _mul_mod's, and refuses the rest.
     """
     s, inverse = middle_case(m, fill)
     for n in MIDDLE_ORDERS:
-        assert newton_of(s.truncate(n)).tolist() == inverse.truncate(n).coeffs.tolist()
-
-
-@pytest.mark.parametrize("fill", ["euler", "dense"])
-def test_newton_falls_back_to_mul_mod_when_the_bound_fails(fill):
-    s, inverse = middle_case(7, fill)
-    with mock.patch.object(series, "_fft_error_bound", return_value=1.0), \
-            mock.patch.object(series, "_spectral_product") as cyclic, \
-            mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
-        newton = newton_of(s)
-    assert not cyclic.called
-    assert mul.call_count == 2 * 12  # both products of each of the 12 doublings
-    assert newton.tolist() == inverse.coeffs.tolist()
+        admitted = series._newton_exact(n, m)
+        assert admitted == (m == 7 or n <= 512)
+        if admitted:
+            assert newton_of(s.truncate(n)).tolist() == inverse.truncate(n).coeffs.tolist()
 
 
 def test_newton_runs_the_middle_product_once_k_reaches_fft_min_len():
     s, inverse = middle_case(7, "euler")
     with mock.patch.object(
         series, "_spectral_product", wraps=series._spectral_product
-    ) as cyclic, mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul:
+    ) as cyclic, mock.patch.object(series, "_mul_mod", wraps=series._mul_mod) as mul, \
+            mock.patch.object(series, "_fft_exact", wraps=series._fft_exact) as gate, \
+            mock.patch.object(series, "_norm2", wraps=series._norm2) as norm:
         newton = newton_of(s)
+    # the caller asked the one gate: no doubling asks it again or falls back
+    assert not gate.called and not norm.called
     # k = 1, 2, .., 256 take _mul_mod twice; k = 512, 1024, 2048 two cyclic
     # products each at L = _fft_length(k2): e (k2 terms kept) and g e (k2 - k)
     expected = []
@@ -496,23 +505,31 @@ def test_a_closed_gate_sends_every_product_to_the_fallback():
             ) as newton_spy:
         product = a * a
         assert mul.call_count == 1
-        newton = newton_of(s)
-        assert mul.call_count == 1 + 2 * 12
         assert s.inverse() == inverse  # the division, not Newton
+        assert mul.call_count == 1
     assert not transform.called
-    assert newton_spy.call_count == 1  # the direct call above only
+    assert not newton_spy.called
     assert product == exact_product(a, a, 7)
-    assert newton.tolist() == inverse.coeffs.tolist()
 
 
 def test_inverse_takes_newton_exactly_where_the_gate_admits_dense_operands():
-    """At order 1125, a smooth number, the last doubling's length is 1125 itself."""
+    """At order 1125 Newton's spectral doublings go from 512 to 1024 terms
+    at length 1024, and from 1024 to 1125 at 1125, a smooth number.
+
+    Each is checked at dense operands of k2 and k terms whose balanced
+    digits all have size m // 2; the threshold is the largest m both pass.
+    """
     n = 1125
-    length = _fft_length(n)
-    inside = largest_inside(
-        n, lambda m: series._fft_exact(n * (m - 1) ** 2, n * (m - 1) ** 2, length)
-    )
+    doublings = [(512, 1024), (1024, 1125)]
+    assert [(k, k2) for k, k2 in series._doublings(n) if k >= series._FFT_MIN_LEN] == doublings
+
+    def accept(m):
+        d2 = (m // 2) ** 2
+        return all(series._fft_exact(k2 * d2, k * d2, _fft_length(k2)) for k, k2 in doublings)
+
+    inside = largest_inside(n, accept)
     for m, newton in ((inside, True), (inside + 1, False)):
+        assert series._newton_exact(n, m) == newton
         rng = random.Random(m)
         ring = zmod(m)
         dense = TruncatedSeries(ring, [1] + [rng.randrange(m) for _ in range(n - 1)])
@@ -523,6 +540,111 @@ def test_inverse_takes_newton_exactly_where_the_gate_admits_dense_operands():
                 inv = s.inverse()
             assert spy.called == newton
             assert inv == recurrence_inverse(s)
+
+
+def test_the_gate_refuses_an_order_whose_earlier_doubling_fails():
+    """At order 2099521 the doubling to 2^21 terms (length 2^21) reads 1.0028
+    times the bound of the final length's check alone (dense operands of
+    2099521 terms at 2109375, a smooth number).
+
+    With whole digits no modulus falls between the two: d^2 would have to lie
+    in (1100.67, 1103.71].  So the error budget is narrowed to put m = 67, of
+    digit 33, in that band: the final-length check passes, the earlier
+    doubling fails, and the gate refuses Newton.
+    """
+    n, m = 2099521, 67
+    assert _fft_length(n) == 2109375
+    d2 = (m // 2) ** 2
+    final = series._fft_error_bound(n * d2, n * d2, _fft_length(n))
+    earlier = series._fft_error_bound(2**21 * d2, 2**20 * d2, 2**21)
+    assert 1.002 < earlier / final < 1.004
+    assert (2**20, 2**21) in list(series._doublings(n))
+    rng = np.random.default_rng(m)
+    coeffs = rng.integers(0, m, n)
+    coeffs[0] = 3
+    s = TruncatedSeries(zmod(m), coeffs)
+    with mock.patch.object(series, "_FFT_MAX_ERROR", (final + earlier) / 2):
+        assert series._fft_exact(n * d2, n * d2, _fft_length(n))
+        assert not series._fft_exact(2**21 * d2, 2**20 * d2, 2**21)
+        assert not series._newton_exact(n, m)
+        with mock.patch.object(series, "_inverse_newton") as newton, \
+                mock.patch.object(TruncatedSeries, "divide") as divide:
+            s.inverse()
+    assert divide.called and not newton.called
+
+
+def dense_unit_series(m, n):
+    """n random residues mod m behind the unit 3."""
+    coeffs = np.random.default_rng(m).integers(0, m, n)
+    coeffs[0] = 3
+    return TruncatedSeries(zmod(m), coeffs)
+
+
+def gate_threshold(m):
+    """An order t that the gate admits mod m while it refuses t + 1, by bisection."""
+    lo, hi = 1, 2**26
+    assert series._newton_exact(lo, m) and not series._newton_exact(hi, m)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if series._newton_exact(mid, m) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("m", [11, 13, 101, 125, 65521])
+def test_newton_agrees_with_divide_on_both_sides_of_the_gate(m):
+    """Random dense residues behind f_0 = 3, at the gate's threshold t and t + 1.
+
+    At t, inverse() is Newton: it agrees with the division on its first
+    2048 terms, and f g = 1 to t terms by the exact product.  At t + 1 it
+    is the division; that is run where it is short (mod 65521, t = 512,
+    where it must agree with Newton's t terms) and only spied on at 10^6
+    terms.  Mod 11 and 13 the threshold lies above the 10^7 ceiling of
+    int64 orders, so every order there takes Newton; both are checked
+    at 4097 terms instead.
+    """
+    t = gate_threshold(m)
+    if t >= qfunctions._MAX_ORDER_MOD:
+        assert m in (11, 13)
+        s = dense_unit_series(m, 4097)
+        assert s.inverse() == recurrence_inverse(s)
+        return
+    assert m in (101, 125, 65521) and 512 <= t <= 2 * 10**6
+    s = dense_unit_series(m, t + 1)
+    head = s.truncate(t)
+    with mock.patch.object(series, "_inverse_newton", wraps=series._inverse_newton) as spy:
+        newton = head.inverse()
+    assert spy.called
+    cut = min(t, 2048)
+    assert newton.truncate(cut) == recurrence_inverse(head.truncate(cut))
+    assert np.array_equal((head * newton).coeffs, one(zmod(m), t).coeffs)
+    if t + 1 <= 4096:
+        with mock.patch.object(series, "_inverse_newton", wraps=series._inverse_newton) as spy:
+            divided = s.inverse()
+        assert not spy.called
+        assert divided.truncate(t) == newton
+    else:
+        with mock.patch.object(series, "_inverse_newton") as spy, \
+                mock.patch.object(TruncatedSeries, "divide") as divide:
+            s.inverse()
+        assert divide.called and not spy.called
+
+
+@pytest.mark.parametrize("m", [2**63 - 25, 2**63])
+def test_exact_inverses_at_the_largest_int64_moduli(m):
+    """Up to 512 terms Newton runs with _mul_mod's Python-int products and
+    the reduction mod 2^63 keeps the low 63 bits; above, the gate's digit
+    m - 1 refuses it, and the inverse is the division."""
+    ring = zmod(m)
+    rng = random.Random(m)
+    f = [3] + [rng.randrange(m) for _ in range(599)]
+    for n, newton in ((300, True), (512, True), (513, False), (600, False)):
+        assert series._newton_exact(n, m) == newton
+        s = TruncatedSeries(ring, f[:n])
+        with mock.patch.object(series, "_inverse_newton", wraps=series._inverse_newton) as spy:
+            inv = s.inverse()
+        assert spy.called == newton
+        assert inv.coeffs.dtype == np.int64
+        assert inv.coefficients() == nested_loop_quotient([1] + [0] * (n - 1), f[:n], ring)
 
 
 @pytest.mark.parametrize("order", [10, 300])
@@ -581,7 +703,7 @@ def test_blocked_divide_matches_the_nested_loop_recurrence(order, m, kind):
     expected = nested_loop_quotient(g, f, ring)
     got = TruncatedSeries(ring, g).divide(TruncatedSeries(ring, f))
     assert got.coefficients() == expected
-    # 1 / f: mod 65521 the Newton gate fails, so inverse is this division on int64 storage
+    # 1 / f: mod 65521 the Newton gate refuses 513 terms, so inverse is this division
     got = TruncatedSeries(ring, f).inverse()
     assert got.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f, ring)
 
@@ -649,3 +771,32 @@ def test_reduce_by_floor_division_is_exact_at_the_int64_extremes(m):
     assert out.tolist() == [v % m for v in extremes]
     assert a.tolist() == extremes  # a new array; the input is kept
     assert series._residues(a, m).tolist() == [v % m for v in extremes]
+
+
+def test_reduce_mod_2_63_keeps_the_low_63_bits():
+    """No int64 holds 2^63, so that modulus takes the low 63 bits, for Newton's -g e too."""
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    extremes = [low, low + 1, -(2**62), -1, 0, 1, 2**62, high - 1, high]
+    a = np.array(extremes, dtype=np.int64)
+    out = series._reduce(a, 2**63)
+    assert out.dtype == np.int64
+    assert out.tolist() == [v % 2**63 for v in extremes]
+    assert a.tolist() == extremes
+
+
+# -- balanced digits ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m", [2, 3, 7, 12, 65521, 2**53 + 1, 2**61 - 1, 2**62 - 1, 2**62, 2**63 - 25, 2**63]
+)
+def test_digits_are_the_balanced_residues_rounded_once(m):
+    """Below 2^62 a residue above m // 2 becomes r - m, formed in int64: -1 stays
+    -1 at m = 2^61 - 1, where float64 cannot tell m - 1 from m.  From 2^62 on
+    the residues are kept."""
+    residues = sorted(r for r in {0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 2, m - 1} if 0 <= r < m)
+    digits = series._digits(np.array(residues, dtype=np.int64), m)
+    expected = [r - m if m < 2**62 and r > m // 2 else r for r in residues]
+    assert digits.dtype == np.float64
+    assert digits.tolist() == [float(x) for x in expected]
+    assert max(abs(x) for x in expected) <= (m // 2 if m < 2**62 else m - 1)
