@@ -10,26 +10,28 @@ equal), 1 the checked statement is false or unproven, 2 usage error
 With --json all output is a single JSON document; counts and
 coefficients are decimal strings since they outgrow doubles quickly.
 
-The parser is built once per process and registers every subcommand
-with its help; a subcommand's own parser, with its arguments, is built
-the first time it parses, so a run builds only the ones it uses.
+Every subcommand's options are one table, ``_COMMANDS``, read in two
+ways.  An argv whose every token is unambiguous (exact option spellings,
+valid values, nothing repeated) is read by ``_quick_parse``, which needs
+neither argparse nor its gettext and locale.  Every other argv, help and
+errors included, goes to the argparse parser built from the same table
+(``build_parser``), the one source of help, usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
 import sys
-from typing import Iterator, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import engine
 from .partitions import _IDENTITIES, PartitionFamily, check_named_identity, generating_series
 from .qfunctions import _quotient_at
 from .series import ZZ, TruncatedSeries, zmod
 
-# What is imported by now (the package, numpy, argparse) lives as long as
+# What is imported by now (the package and numpy) lives as long as
 # the process.  The collector's permanent generation holds it, so no later
 # collection walks it: a command's collections are small, and cost the
 # same whichever command the collector's counts happen to reach them in.
@@ -82,14 +84,14 @@ def _result_dict(res: engine.VerificationResult) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+def _emit(args: SimpleNamespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif text:
         print(text)
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     fam = PartitionFamily(args.family, args.colors)
     for n in args.values:
         if n < 0:
@@ -112,7 +114,7 @@ def _slices(series: TruncatedSeries) -> Iterator[Tuple[int, List[int]]]:
         yield start, series.coeffs[start : start + _SERIES_CHUNK].tolist()
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: SimpleNamespace) -> int:
     fam = PartitionFamily(args.family, args.colors)
     if args.order < 1:
         raise ValueError(f"order must be >= 1, got {args.order}")
@@ -137,7 +139,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     claim = engine.CongruenceClaim(
         PartitionFamily(args.family, args.colors),
         args.mod,
@@ -149,7 +151,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.holds else 1
 
 
-def _cmd_theorem(args: argparse.Namespace) -> int:
+def _cmd_theorem(args: SimpleNamespace) -> int:
     results = engine.verify_theorem_family(_THEOREM_IDS[args.id], args.p, args.k, args.nmax)
     payload = {
         "theorem": args.id,
@@ -162,7 +164,7 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     return 0 if all(r.holds for r in results) else 1
 
 
-def _cmd_prove(args: argparse.Namespace) -> int:
+def _cmd_prove(args: SimpleNamespace) -> int:
     cert = engine.prove_isolated(args.id)
     text = cert.to_text()
     if args.emit:
@@ -176,7 +178,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     return 0 if cert.proven else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     primes = _parse_primes(args.primes)
     claims = engine.search_congruences(
         args.cmax,
@@ -196,7 +198,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_identity(args: argparse.Namespace) -> int:
+def _cmd_identity(args: SimpleNamespace) -> int:
     report = check_named_identity(args.id, args.order)
     payload = {
         "identity": args.id,
@@ -218,128 +220,211 @@ def _parse_primes(text: str) -> List[int]:
     return primes
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    # also accepted after the subcommand name; SUPPRESS keeps the
-    # top-level value when the flag is absent here
-    sub.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    sub.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS, metavar="T",
-        help="accepted for compatibility; has no effect",
-    )
+_THREADS_HELP = "accepted for compatibility; has no effect"
 
+# the top-level options, before the subcommand name, as (flag, add_argument keywords)
+_TOP = (
+    ("--json", {"action": "store_true", "help": "machine-readable output"}),
+    ("--threads", {"type": int, "default": 1, "metavar": "T", "help": _THREADS_HELP}),
+)
 
-def _add_family(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("cubic", "overcubic"), required=True)
-    sub.add_argument("--colors", type=int, required=True, metavar="C")
+# also accepted after the subcommand name, with argparse.SUPPRESS as their
+# default there, so the top-level value stays when the flag is absent
+_COMMON = (
+    ("--json", {"action": "store_true"}),
+    ("--threads", {"type": int, "metavar": "T", "help": _THREADS_HELP}),
+)
 
+_FAMILY = (
+    ("--family", {"choices": ("cubic", "overcubic"), "required": True}),
+    ("--colors", {"type": int, "required": True, "metavar": "C"}),
+)
 
-def _fill_count(sub: argparse.ArgumentParser) -> None:
-    _add_family(sub)
-    sub.add_argument("values", type=int, nargs="+", metavar="N")
-
-
-def _fill_series(sub: argparse.ArgumentParser) -> None:
-    _add_family(sub)
-    sub.add_argument("--order", type=int, required=True, metavar="O")
-    sub.add_argument("--mod", type=int, default=None, metavar="M")
-
-
-def _fill_verify(sub: argparse.ArgumentParser) -> None:
-    _add_family(sub)
-    sub.add_argument("--mod", type=int, required=True, metavar="M")
-    sub.add_argument("--progression", type=int, required=True, metavar="P")
-    sub.add_argument("--residue", type=int, required=True, metavar="R")
-    sub.add_argument("--nmax", type=int, required=True, metavar="X")
-
-
-def _fill_theorem(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--id", choices=sorted(_THEOREM_IDS), required=True)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--nmax", type=int, default=engine.DEFAULT_NMAX, metavar="X")
-
-
-def _fill_prove(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--id", choices=tuple(engine._ISOLATED), required=True)
-    sub.add_argument("--emit", metavar="FILE", default=None)
-
-
-def _fill_search(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cmax", type=int, required=True, metavar="C")
-    sub.add_argument("--primes", required=True, metavar="P1,P2,...")
-    sub.add_argument("--nmax", type=int, required=True, metavar="X")
-    sub.add_argument("--min-confirmations", type=int, default=10, metavar="K")
-
-
-def _fill_identity(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--id", choices=tuple(_IDENTITIES), required=True)
-    sub.add_argument("--order", type=int, required=True, metavar="O")
-
-
-# subcommand -> (its help, the function that adds its own arguments, its handler)
+# subcommand -> (its help, its own options and positional, its handler);
+# each option is (flag or positional name, add_argument keywords), in the
+# order of the parser's arguments, and _COMMON follows them
 _COMMANDS = {
-    "count": ("exact counts, one per line", _fill_count, _cmd_count),
-    "series": ("expansion coefficients 0..order-1", _fill_series, _cmd_series),
-    "verify": ("scan one congruence claim", _fill_verify, _cmd_verify),
-    "theorem": ("verify a named result's claims", _fill_theorem, _cmd_theorem),
-    "prove": ("build a finite-check certificate", _fill_prove, _cmd_prove),
-    "search": ("scan for candidate congruences", _fill_search, _cmd_search),
-    "identity": ("check a classical identity", _fill_identity, _cmd_identity),
+    "count": (
+        "exact counts, one per line",
+        _FAMILY + (("values", {"type": int, "nargs": "+", "metavar": "N"}),),
+        _cmd_count,
+    ),
+    "series": (
+        "expansion coefficients 0..order-1",
+        _FAMILY + (
+            ("--order", {"type": int, "required": True, "metavar": "O"}),
+            ("--mod", {"type": int, "default": None, "metavar": "M"}),
+        ),
+        _cmd_series,
+    ),
+    "verify": (
+        "scan one congruence claim",
+        _FAMILY + (
+            ("--mod", {"type": int, "required": True, "metavar": "M"}),
+            ("--progression", {"type": int, "required": True, "metavar": "P"}),
+            ("--residue", {"type": int, "required": True, "metavar": "R"}),
+            ("--nmax", {"type": int, "required": True, "metavar": "X"}),
+        ),
+        _cmd_verify,
+    ),
+    "theorem": (
+        "verify a named result's claims",
+        (
+            ("--id", {"choices": sorted(_THEOREM_IDS), "required": True}),
+            ("--p", {"type": int, "default": None}),
+            ("--k", {"type": int, "default": 1}),
+            ("--nmax", {"type": int, "default": engine.DEFAULT_NMAX, "metavar": "X"}),
+        ),
+        _cmd_theorem,
+    ),
+    "prove": (
+        "build a finite-check certificate",
+        (
+            ("--id", {"choices": tuple(engine._ISOLATED), "required": True}),
+            ("--emit", {"metavar": "FILE", "default": None}),
+        ),
+        _cmd_prove,
+    ),
+    "search": (
+        "scan for candidate congruences",
+        (
+            ("--cmax", {"type": int, "required": True, "metavar": "C"}),
+            ("--primes", {"required": True, "metavar": "P1,P2,..."}),
+            ("--nmax", {"type": int, "required": True, "metavar": "X"}),
+            ("--min-confirmations", {"type": int, "default": 10, "metavar": "K"}),
+        ),
+        _cmd_search,
+    ),
+    "identity": (
+        "check a classical identity",
+        (
+            ("--id", {"choices": tuple(_IDENTITIES), "required": True}),
+            ("--order", {"type": int, "required": True, "metavar": "O"}),
+        ),
+        _cmd_identity,
+    ),
 }
 
 
-class _Subcommand:
-    """A subcommand's parser, built with its arguments the first time it parses.
+def _dest(name: str) -> str:
+    """argparse's attribute name for a flag or positional name."""
+    return name.lstrip("-").replace("-", "_")
 
-    ``build_parser`` registers one per subcommand as the subparsers'
-    ``parser_class``; argparse hands a subcommand its arguments,
-    ``--help`` included, through ``parse_known_args`` alone, so a run
-    builds the parsers of the subcommands it uses and no other.
+
+def _quick_parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives for argv, when every token is unambiguous; else None.
+
+    It takes only exact option spellings (no abbreviation, no ``--opt=value``,
+    no ``-h``, ``--help`` or ``--``), no value that starts with ``-``, no option
+    given twice at one level, and ``count``'s values as one run of adjacent
+    tokens.  Every type and choice must pass, every required option be given,
+    and ``--threads`` be at least 1 wherever it is given.  For such an argv
+    argparse gives the same attributes; every other argv is left to it.
     """
+    attrs = {_dest(flag): kw.get("default", False) for flag, kw in _TOP}  # store_true's is False
+    attrs["command"] = None
+    options = dict(_TOP)  # the exact flags of the level being read
+    given = set()  # the flags given at that level
+    own = ()
+    positional = None  # the subcommand's (name, keywords), if it takes values
+    run = []  # those values, read from adjacent tokens up to run_end
+    run_end = 0
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token.startswith("-"):
+            kw = options.get(token)
+            if kw is None or token in given:
+                return None
+            given.add(token)
+            if kw.get("action") == "store_true":
+                attrs[_dest(token)] = True
+                i += 1
+                continue
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            value = _convert(kw, argv[i + 1])
+            if value is None or (token == "--threads" and value < 1):
+                return None
+            attrs[_dest(token)] = value
+            i += 2
+        elif attrs["command"] is None:
+            if token not in _COMMANDS:
+                return None
+            _, own, func = _COMMANDS[token]
+            attrs["command"] = token
+            options = {}
+            for name, kw in own:
+                if name.startswith("-"):
+                    options[name] = kw
+                else:
+                    positional = (name, kw)
+                attrs[_dest(name)] = kw.get("default")
+            attrs["func"] = func
+            options.update(_COMMON)
+            given = set()
+            i += 1
+        else:
+            if positional is None or (run and run_end != i):
+                return None
+            value = _convert(positional[1], token)
+            if value is None:
+                return None
+            run.append(value)
+            i = run_end = i + 1
+    if attrs["command"] is None or (positional is not None and not run):
+        return None
+    if any(kw.get("required") and name not in given for name, kw in own):
+        return None
+    if positional is not None:
+        attrs[_dest(positional[0])] = run
+    return SimpleNamespace(**attrs)
 
-    def __init__(self, fill, func, **kwargs) -> None:
-        self._build = (fill, func, kwargs)  # fill and func of _COMMANDS; prog from add_parser
-        self.parser: Optional[argparse.ArgumentParser] = None
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self.parser is None:
-            fill, func, kwargs = self._build
-            parser = argparse.ArgumentParser(**kwargs)
-            fill(parser)
-            _add_common(parser)
-            parser.set_defaults(func=func)
-            self.parser = parser
-        return self.parser.parse_known_args(args, namespace)
+def _convert(kw: dict, token: str):
+    """token through the option's type and choices, or None where argparse refuses it."""
+    try:
+        value = kw.get("type", str)(token)
+    except ValueError:
+        return None
+    choices = kw.get("choices")
+    return None if choices is not None and value not in choices else value
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one.
+def build_parser():
+    """The CLI's argparse parser, built from ``_COMMANDS`` with every subcommand's arguments.
 
-    Every subcommand is registered here with its help, so the top-level
-    help and the choice errors list all of them; each subcommand's own
-    parser is built when it first parses (``_Subcommand``).
+    It reads every argv that ``_quick_parse`` leaves, and so gives all
+    help, usage and error text.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cubicpart",
         description="Partition counts with colored even parts: series, congruences, certificates.",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="T",
-        help="accepted for compatibility; has no effect",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, (help_text, fill, func) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, fill=fill, func=func)
+    for flag, kw in _TOP:
+        parser.add_argument(flag, **kw)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, own, func) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kw in own:
+            command.add_argument(flag, **kw)
+        for flag, kw in _COMMON:
+            command.add_argument(flag, default=argparse.SUPPRESS, **kw)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _quick_parse(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv, SimpleNamespace())
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,12 +1,17 @@
 """CLI surface: subcommands, exit codes, JSON output."""
 
+import ast
+import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cubicpart import cli
 from cubicpart.cli import main
@@ -309,7 +314,8 @@ def test_identity_exit_codes(capsys):
     assert code == 0 and json.loads(out)["equal"] is True
 
 
-def test_the_parser_is_built_once_per_process(capsys):
+def test_a_well_formed_argv_builds_no_parser(capsys, monkeypatch):
+    """The quick parse reads every argv here; argparse, reading the same argvs, gives the same output."""
     verify = ("verify", "--family", "cubic", "--colors", "3", "--mod", "7",
               "--progression", "7", "--residue", "4", "--nmax", "400")
     argvs = [
@@ -318,23 +324,35 @@ def test_the_parser_is_built_once_per_process(capsys):
         verify,
         ("--threads", "2", *verify),
         (*verify, "--threads", "2", "--json"),
+        ("--threads", "3", *verify, "--threads", "2"),
         ("--json", "count", "--family", "overcubic", "--colors", "2", "3"),
         ("count", "--family", "overcubic", "--colors", "2", "3", "--json", "--threads", "3"),
+        ("count", "3", "4", "--family", "overcubic", "--colors", "2"),
     ]
-    fresh = []
-    for argv in argvs:
-        cli.build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert fresh[0] == fresh[1] != fresh[2]
-    cli.build_parser.cache_clear()
-    assert [run(capsys, *argv) for argv in argvs * 2] == fresh * 2
-    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_quick_parse", lambda argv: None)
+    through_argparse = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.undo()
+
+    def no_parser():
+        raise AssertionError("a well-formed argv built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert [run(capsys, *argv) for argv in argvs * 2] == through_argparse * 2
+    assert through_argparse[0] == through_argparse[1] != through_argparse[2]
 
 
-def test_threads_validation():
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "count", "--family", "cubic", "--colors", "1", "1"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("argv", [
+    ("--threads", "0", "count", "--family", "cubic", "--colors", "1", "1"),
+    ("verify", "--family", "cubic", "--colors", "3", "--mod", "7",
+     "--progression", "7", "--residue", "4", "--nmax", "400", "--threads", "0"),
+])
+def test_threads_validation(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_exit(capsys, argv) == (2, "", (
+        "usage: cubicpart [-h] [--json] [--threads T]\n"
+        "                 {count,series,verify,theorem,prove,search,identity} ...\n"
+        "cubicpart: error: --threads must be >= 1, got 0\n"
+    ))
 
 
 HUGE = "100000000000"  # 10^11, far above every order ceiling
@@ -383,14 +401,9 @@ def run_exit(capsys, argv):
 
 @pytest.mark.parametrize("case", CLI_TEXT, ids=lambda case: " ".join(case["argv"]) or "no-args")
 def test_help_usage_and_errors_are_pinned(capsys, monkeypatch, case):
-    """Top-level help, each subcommand's help and one missing-argument error each.
-
-    Each argv runs on a fresh parser, where this parse builds its
-    subcommand's parser, and again on the same parser, built already.
-    """
+    """Top-level help, each subcommand's help and one missing-argument error each, twice over."""
     monkeypatch.setenv("COLUMNS", "80")
     want = (case["code"], case["stdout"], case["stderr"])
-    cli.build_parser.cache_clear()
     assert run_exit(capsys, case["argv"]) == want
     assert run_exit(capsys, case["argv"]) == want
 
@@ -403,27 +416,12 @@ def test_the_pinned_text_covers_every_subcommand():
         assert any(case["argv"][0] == name and case["code"] == 2 for case in CLI_TEXT)
 
 
-def test_a_subcommand_builds_its_parser_when_it_first_parses(capsys):
-    """After one verify the other six subcommands have no parser, so no arguments."""
-    cli.build_parser.cache_clear()
+def test_a_parser_built_from_the_table_keeps_the_argument_order():
     (action,) = cli.build_parser()._subparsers._group_actions
-    subcommands = action.choices
-    assert list(subcommands) == list(cli._COMMANDS)
-
-    def built():
-        return {name for name, sub in subcommands.items() if sub.parser is not None}
-
-    assert built() == set()
-    verify = ("verify", "--family", "cubic", "--colors", "3", "--mod", "7",
-              "--progression", "7", "--residue", "4", "--nmax", "400")
-    assert run(capsys, *verify)[0] == 0
-    assert built() == {"verify"}
-    parser = subcommands["verify"].parser
-    assert [a.dest for a in parser._actions] == [
+    assert list(action.choices) == list(cli._COMMANDS)
+    assert [a.dest for a in action.choices["verify"]._actions] == [
         "help", "family", "colors", "mod", "progression", "residue", "nmax", "json", "threads",
     ]
-    assert run(capsys, *verify)[0] == 0
-    assert subcommands["verify"].parser is parser and built() == {"verify"}
 
 
 def test_start_up_imports_no_thread_pool():
@@ -458,3 +456,145 @@ import cubicpart.cli
 assert "dataclasses" not in sys.modules, "dataclasses"
 """
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_a_well_formed_command_imports_no_argparse():
+    """The quick parse reads a well-formed argv, so argparse, gettext and locale stay unloaded."""
+    code = """
+import contextlib, io, sys
+from cubicpart.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--json", "verify", "--family", "cubic", "--colors", "3", "--mod", "7",
+                 "--progression", "7", "--residue", "4", "--nmax", "400", "--threads", "2"]) == 0
+for name in ("argparse", "gettext", "locale"):
+    assert name not in sys.modules, name
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# Tokens for the edits of cli_argvs: an abbreviation, --opt=value, negative
+# and signed numbers, an empty value, --, help, unknown flags, and flags and
+# subcommand names out of their place.
+ODD_TOKENS = ["--prog", "--mod=7", "--nmax=40", "-3", " -3", "+7", "7_0", "", "--", "-h",
+              "--help", "--bogus", "-", "-x", "--js", "x", "0", "verify", "count", "--threads",
+              "--json", "--family", "--colors", "--id"]
+
+
+def _value(kw):
+    if "choices" in kw:
+        return st.sampled_from(list(kw["choices"]))
+    if kw.get("type") is int:
+        return st.integers(0, 400).map(str)
+    return st.sampled_from(["3,5", "7", "cert.txt"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """(an argv drawn from the option table, whether it is left well formed).
+
+    The argv gives every required option and each other one or not, in any
+    order at its level, with valid values; --threads may be 0.  Then up to
+    four edits insert odd tokens, delete, swap or repeat tokens, which can
+    drop a required option, split count's values or repeat an option.
+    """
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+
+    def pieces(table):
+        out = []
+        for flag, kw in table:
+            if not flag.startswith("-"):
+                out.append([draw(_value(kw)) for _ in range(draw(st.integers(1, 3)))])
+            elif kw.get("required") or draw(st.booleans()):
+                if kw.get("action") == "store_true":
+                    out.append([flag])
+                elif flag == "--threads":
+                    out.append([flag, draw(st.sampled_from(["0", "1", "2"]))])
+                else:
+                    out.append([flag, draw(_value(kw))])
+        return [token for piece in draw(st.permutations(out)) for token in piece]
+
+    argv = pieces(cli._TOP) + [name] + pieces(cli._COMMANDS[name][1] + cli._COMMON)
+    well_formed = "0" not in (argv[i + 1] for i, t in enumerate(argv) if t == "--threads")
+    for _ in range(draw(st.integers(0, 4))):
+        well_formed = False
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "swap", "repeat"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(ODD_TOKENS + list(cli._COMMANDS))))
+        elif edit == "delete" and at < len(argv):
+            del argv[at]
+        elif edit == "swap" and at + 1 < len(argv):
+            argv[at], argv[at + 1] = argv[at + 1], argv[at]
+        elif edit == "repeat":
+            start = draw(st.integers(0, len(argv) - 1))
+            argv[at:at] = argv[start : start + draw(st.integers(1, 2))]
+    return argv, well_formed
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cli_argvs())
+@example((["count", "--family", "cubic", "--colors", "2", "3", "--json", "4"], False))
+@example((["count", "--family", "cubic", "--colors", "2", " -3", "+7", "7_0"], False))
+@example((["count", "--family", "cubic", "--colors", "2", "-3"], False))
+@example((["theorem", "--id", "1.2", "--p", "-3"], False))
+@example((["verify", "--family", "cubic", "--colors", "3", "--mod", "7", "--prog", "7",
+           "--residue", "4", "--nmax=40"], False))
+@example((["--threads", "0", "theorem", "--id", "1.5", "--threads", "2"], False))
+@example((["theorem", "--id", "1.5", "--threads", "0"], False))
+@example((["theorem", "--id", "1.5", "--k", "2", "--k", "3"], False))
+@example((["search", "--cmax", "3", "--primes", "", "--nmax", "100"], True))
+@example((["prove", "--id", "verify"], False))
+@example((["--json", "--json", "identity", "--id", "chan-a2-3n2", "--order", "9"], False))
+@example((["identity", "--id", "chan-a2-3n2", "--order", "9", "--", "--json"], False))
+def test_the_quick_parse_gives_argparse_namespace(case):
+    argv, well_formed = case
+    quick = cli._quick_parse(argv)
+    if well_formed:
+        assert quick is not None, argv
+    if quick is not None:
+        assert vars(quick) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def _workload_argvs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op["argv"] for w in workloads.WORKLOADS for seed in range(4)
+            for op in workloads.build_ops(w, seed)]
+
+
+def _ci_argvs():
+    """The argv of every cubicpart command in the CI workflow, up to its pipe or redirection."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    calls = re.findall(
+        r"(?:^[ \t]*|\$\(|timeout \d+ )cubicpart((?:[ \t]+(?!2>)[^\s|>)]+)+)", text, re.M)
+    lists = re.findall(r"\['cubicpart', [^\]]*\]", text)
+    return [shlex.split(call) for call in calls] + [ast.literal_eval(argv)[1:] for argv in lists]
+
+
+def test_every_workload_and_ci_argv_takes_the_quick_path(capsys):
+    """Every argv of the benchmark's workloads and CI's smoke steps that argparse
+    accepts is read by the quick parse, unless it spells an option otherwise
+    than exactly (CI runs one such call, for the argparse path)."""
+    flags = {flag for flag, _ in cli._TOP}
+    flags |= {flag for _, own, _ in cli._COMMANDS.values() for flag, _ in own if flag[0] == "-"}
+    workload_argvs, ci_argvs = _workload_argvs(), _ci_argvs()
+    assert len(workload_argvs) == 4 * (5 + 1 + 6) and len(ci_argvs) >= 45
+    quick = fallback = 0
+    for argv in workload_argvs + ci_argvs:
+        try:
+            want = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            capsys.readouterr()
+            continue
+        got = cli._quick_parse(argv)
+        if all(t in flags for t in argv if t.startswith("-")):
+            assert got is not None and vars(got) == want, argv
+            quick += 1
+        else:
+            assert got is None, argv
+            fallback += 1
+    assert quick >= len(workload_argvs) + 40 and fallback >= 1
