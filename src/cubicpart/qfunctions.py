@@ -7,16 +7,17 @@ series psi = f_2^2 / f_1 and psi(-q) = f_1 f_4 / f_2 (on the triangular
 numbers), and phi = f_2^5 / (f_1^2 f_4^2) and phi(-q) = f_1^2 / f_2 (on
 the squares).  Each entry's closed formula maps an array of term indices
 to exponents and coefficients at once: ``_terms`` gives its terms in q^k
-below an order as two int64 arrays.  The exact-integer steps multiply
-and divide by those arrays directly (``series._term_product`` and
+below an order as two int64 arrays.  The exact-integer plans raise,
+multiply and divide by those arrays directly (``series._term_product`` and
 ``series._divide_terms``); only ``euler_product``, ``jacobi_cube`` and
 ``psi`` scatter them into a series (``_closed_form``).  Then the
 Frobenius split of an exponent map modulo a prime (``EtaMap.split``),
 the Euler-quotient core prod_delta f_delta^{r_delta} that every family,
-identity and certificate expands through, whose exact-integer steps
-follow one chain of theta entries, each zeroing the bottom delta of what
-is left, priced from the entries' term counts (``_step_plan``; cubic
-c >= 2 is mostly psi(q) / f_2^(c+1), one product by psi), and whose plan
+identity and certificate expands through, whose exact-integer plan, a
+pass of its first closed form's power and sparse steps after it,
+follows one chain of theta entries, each zeroing the bottom delta of
+what is left, priced by the kernels' measured times (``_step_plan``;
+cubic c >= 2 is psi(q) / f_2^(c+1), one product by psi), and whose plan
 runner also reads chosen coefficients alone (``_quotient_at``, through
 which the CLI's ``count`` and the left side of each named identity read
 theirs: a last product by a closed form is the kernel's read at the
@@ -156,9 +157,8 @@ def _expand(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
     return s.substitute_power(k).truncate(order)
 
 
-# A step plan item (name, k, n): the closed form ``name`` in q^k applied n
-# times, multiplied in for n > 0 and divided out for n < 0; name None is
-# f_k^n by pow, strided.
+# A plan item (name, k, n): the closed form ``name`` in q^k to the power
+# n; name None is f_k^n by pow, strided (``euler_quotient``).
 _Step = Tuple[Optional[str], int, int]
 
 
@@ -168,67 +168,46 @@ def _term_count(name: str, n: int) -> int:
     return len(_terms(name, 1, n)[0])
 
 
-def _sparse_steps(prod: TruncatedSeries, name: str, k: int, n: int) -> TruncatedSeries:
-    """prod times the closed form in q^k to the power n, at prod's order, by |n| sparse steps.
-
-    Object storage.  A step multiplies by the entry's terms (n > 0, the
-    row kernel ``_term_product``) or divides by them (n < 0,
-    ``_divide_terms``, past the constant term 1).
-    """
-    e, c = _terms(name, k, prod.order)
-    ring, m = prod.ring, prod.ring.modulus
-    for _ in range(abs(n)):
-        if n > 0:
-            prod = TruncatedSeries._wrap(ring, _term_product(e, c, prod.coeffs, prod.order, m))
-        else:
-            prod = TruncatedSeries(ring, _divide_terms(prod.coeffs, e[1:], c[1:], 1, m))
-    return prod
-
-
 def _price(plan: List[_Step], g: int, order: int) -> int:
-    """Coefficient products of the plan's items, applied in turn on the product in q^g.
+    """Estimated nanoseconds of the plan's items, applied in turn on the product in q^g.
 
-    g = 0 before the first item.  An item at k moves the product to q^h,
-    h = gcd(g, k), at ceil(order / h) terms.  A step costs that many
-    products per nonzero term of its entry at m = ceil(order / k),
-    counted from the table with no series built.  f_k^r by pow costs
-    bit_length(|r|) dense products of m^2 and, after the first item, one
-    product of the power with the product so far, which skips the zeros
-    of that product's ceil(order / g) terms: ceil(order / h) ceil(order / g).
+    g = 0 before the first item, one pass from 1 at m = ceil(order / k):
+    one sum of ``_divide_terms`` at n = -1, else two.  A later item moves
+    the product to q^h, h = gcd(g, k), for |n| steps at ceil(order / h)
+    terms, each a sum (a division) or a row product.  Each costs its
+    length times the entry's terms below m (``_term_count``) times the
+    measured ns per term and output: 30 a sum and 20 a row over repeated
+    values, 66 and 48 over the distinct values of Jacobi's f^3.
     """
     total = 0
-    for name, k, times in plan:
-        h, m = gcd(g, k), -(-order // k)
-        if name is None:
-            total += abs(times).bit_length() * m * m + (-(-order // h) * -(-order // g) if g else 0)
-        else:
-            total += abs(times) * -(-order // h) * _term_count(name, m)
+    for name, k, n in plan:
+        h = gcd(g, k)
+        f3 = name == "jacobi_cube"
+        times = abs(n) if g else 1 + (n != -1)
+        ns = (48 if f3 else 20) if g and n > 0 else (66 if f3 else 30)
+        total += times * ns * -(-order // h) * _term_count(name, -(-order // k))
         g = h
     return total
 
 
-def _f_steps(r: int, delta: int) -> List[_Step]:
-    """f_delta^r as sparse steps: floor(|r| / 3) by f^3, then |r| mod 3 by f."""
-    cubes, rest = divmod(abs(r), 3)
-    sign = 1 if r > 0 else -1
-    return [(name, delta, sign * t) for name, t in (("jacobi_cube", cubes), ("euler_product", rest)) if t]
+def _f_factor_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
+    """Each f_delta^r of the map as one item, the cheapest such plan by ``_price``.
 
-
-def _takes_steps(r: int, delta: int, g: int, order: int) -> bool:
-    """Whether f_delta^r costs no more coefficient products (``_price``) as sparse steps than by pow."""
-    return _price(_f_steps(r, delta), g, order) <= _price([(None, delta, r)], g, order)
-
-
-def _f_factor_plan(exponents: Mapping[int, int], g: int, order: int) -> List[_Step]:
-    """Each f_delta^r of the map, in descending delta, on the product in q^g.
-
-    f_delta^r is sparse steps where ``_takes_steps`` holds, else pow.
+    One delta goes first, as the pass, the others in descending delta;
+    f_delta^r is f^r or, where 3 divides r, (f^3)^(r/3).  Ties keep the
+    earlier delta first, and f.
     """
-    plan: List[_Step] = []
-    for delta, r in sorted(exponents.items(), reverse=True):
-        plan += _f_steps(r, delta) if _takes_steps(r, delta, g, order) else [(None, delta, r)]
-        g = gcd(g, delta)
-    return plan
+    deltas = sorted(exponents, reverse=True)
+    plans = []
+    for first in deltas:
+        plan, g = [], 0
+        for delta in [first, *(d for d in deltas if d != first)]:
+            r = exponents[delta]
+            items = [("euler_product", delta, r)] + [("jacobi_cube", delta, r // 3)] * (r % 3 == 0)
+            plan.append(min(items, key=lambda item: _price([item], g, order)))
+            g = gcd(g, delta)
+        plans.append(plan)
+    return min(plans, key=lambda plan: _price(plan, 0, order), default=[])
 
 
 def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
@@ -243,13 +222,10 @@ def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
     chain follows the one that leaves the least sum of |r_delta| / delta,
     and ends when none fits.  The cheapest plan is taken; on a tie the
     earlier one stays, the f-factor plan first and at each link the
-    followed entry first.  So the overcubic map {1: -2, 2: 3 - 2c,
-    4: c - 1} is 1 / (phi(-q) phi(-q^2)^(c-1)), and cubic {1: -1, 2: 1 - c}
-    psi / f_2^(c+1).
+    followed entry first (``euler_quotient`` gives the families' plans).
     """
     thetas = [(name, entry) for name, (entry, _) in _CLOSED_FORMS.items() if max(entry) > 1]
-    best = _f_factor_plan(exponents, 0, order)
-    best_price = _price(best, 0, order)
+    plans = [_f_factor_plan(exponents, order)]
     rest = EtaMap(exponents)
     tail: List[_Step] = []
     while rest:
@@ -264,13 +240,9 @@ def _step_plan(exponents: Mapping[int, int], order: int) -> List[_Step]:
         if not fits:
             break
         fits.sort(key=lambda fit: sum(Fraction(abs(r), d) for d, r in fit[0].items()))
-        for left, items in fits:
-            plan = _f_factor_plan(left, 0, order) + items
-            price = _price(plan, 0, order)
-            if price < best_price:
-                best, best_price = plan, price
+        plans += [_f_factor_plan(left, order) + items for left, items in fits]
         rest, tail = fits[0]
-    return best
+    return min(plans, key=lambda plan: _price(plan, 0, order))
 
 
 def _check_order(order: int, ring: Ring) -> None:
@@ -299,8 +271,8 @@ def euler_quotient(
     _MAX_ORDER_ZZ = 10^6, set by time: ``count`` for cubic c = 2 took
     5.5-5.9 s at 10^5 (two runs) and 17 s at 2*10^5 on a 2-vCPU VM,
     growing about as order^1.6, so some 4 minutes at the ceiling by
-    extrapolation.  Mod m > 2^63 the sparse steps below give the costs
-    of ZZ: ``verify`` of a_3(7n+4) takes about 0.7 s at n_max = 2*10^4.
+    extrapolation.  Mod m > 2^63 the passes and steps below give the
+    costs of ZZ: ``verify`` of a_3(7n+4) takes about 0.7 s at n_max = 2*10^4.
 
     When the ring's modulus p is prime (2 included), the map E is first
     rewritten as E0 + E1.at(p) by its split E = E0 + p E1, |E0| <= p / 2
@@ -313,7 +285,7 @@ def euler_quotient(
     order 0 none is built and the result is the empty series.
 
     The map is applied as a plan, a list of items (name, k, n): the
-    closed form ``name`` in q^k applied n times, or f_k^n by pow when
+    closed form ``name`` in q^k to the power n, or f_k^n by pow when
     name is None.  On int64 storage the plan is every f_delta^r by pow,
     in descending delta.  The running product is kept as a series in
     q^g, g the gcd of the k applied so far, at order ceil(order / g);
@@ -322,44 +294,33 @@ def euler_quotient(
     first item has h = k.
 
     On object storage (``_int64_storage`` false: ZZ, and ZZ/m for
-    m > 2^63) the plan is ``_step_plan``'s, and an item with a name is
-    |n| sparse steps on the product in q^h (``_sparse_steps``), each a
-    product or a division by the entry's terms in q^{k/h}; the first
-    item starts from 1 at ceil(order / k).  f_d^r is pow or steps, three
-    at a time by Jacobi's f^3 and the |r| mod 3 left by f, whichever
-    ``_takes_steps`` finds no dearer by ``_price``, which counts about
-    sqrt(order / k) terms for phi(-q), sqrt(2 order / k) for f^3 and
-    1.6 sqrt(order / k) for f.  So f steps win at small |r| and large
-    order, and pow at colour counts large against the order.  Cubic c = 5, {2: -4, 1: -1}
-    at 4001, is psi(q) / f_2^6, psi = f_2^2 / f_1: two divisions by f^3
-    at 2001 terms, then one product by psi at 4001, where the f factors
-    divide by f at full length; c = 251 takes 84 divisions by f^3 for
-    f_2^-252, and c = 1001 pow.  Where c - 1 is a multiple of 3 and
-    f_2^(1-c) goes by steps, the f factors stay.  The overcubic map
-    {1: -2, 2: 3 - 2c, 4: c - 1} is 1 / (phi(-q) phi(-q^2)^(c-1)), with
-    phi(-q) = f_1^2 / f_2: from a few hundred terms on it is c - 1
-    divisions by phi(-q) in q^2 at ceil(order / 2) terms and one at
-    order, where the f factors would divide twice by f at full length.
-    Chan's product side takes phi(-q)^-2 f_2^-6 for f_1^-4 f_2^-4; cubic
-    c = 1 and Ramanujan's keep their f factors.
+    m > 2^63) the plan is ``_step_plan``'s.  Its first item is one pass of
+    ``series._divide_terms`` from 1 at ceil(order / k), the entry to the
+    power n by Miller's recurrence, whatever n is; each later item is |n|
+    sparse steps in q^h, row products (``series._term_product``) or
+    divisions by the entry's terms in q^{k/h}.  So cubic c >= 3 is one
+    pass of f_2^-(c+1) at ceil(order / 2) terms, then one product by
+    psi = f_2^2 / f_1 (c = 2 divides once by f_2^3, c = 1 once by f), and
+    a pass runs the same sums at every power: ``count`` of c = 1001 at
+    4000 took 0.19 s, against 20 s by f^3 steps and pow.  Overcubic c is
+    a pass of phi(-q) = f_1^2 / f_2 in q^2 to the power 1 - c, then one
+    division by phi(-q).  Ramanujan's {5: 5, 1: -6} takes f_1^-6 first.
 
-    A pow item f_delta^r is taken by stride: it is zero off multiples of
-    delta, so f_1^r is expanded by ``pow`` at order ceil(order / delta)
-    and then q -> q^delta (``substitute_power``) with a cut.  For r < 0
-    the base is 1 / f_1, raised to |r|.  It is asked of ``_f1_inverse``
-    once, at the longest order any negative pow item needs, and cut for
-    every shorter one; ``_f1_inverse`` holds the last inverse it built, so a
-    map over the same ring at no higher an order builds none.  This is
-    exact, because 1 / f_1 to order n is the first n terms of 1 / f_1 to
-    any longer order.  The power is multiplied with the product in q^h
-    at order ceil(order / h), or becomes the product when it is the
-    first factor.  So every pow costs products of length order / delta,
-    and a product costs length order / h: mod 13 the overcubic c = 25
-    map {1: -2, 2: -47, 4: 24} becomes {52: 2, 26: -4, 4: -2, 2: 5,
-    1: -2}, and only the inverse, the square and the one product of the
-    f_1 factor run at full length.  The sparsest factor comes first, so
-    an exact-integer product with h = 1 still skips most of its left
-    operand.
+    A pow item f_delta^r (int64 storage) is taken by stride: it is zero
+    off multiples of delta, so f_1^r is expanded by ``pow`` at order
+    ceil(order / delta) and then q -> q^delta (``substitute_power``) with
+    a cut.  For r < 0 the base is 1 / f_1, raised to |r|.  It is asked of
+    ``_f1_inverse`` once, at the longest order any negative pow item
+    needs, and cut for every shorter one; ``_f1_inverse`` holds the last
+    inverse it built, so a map over the same ring at no higher an order
+    builds none.  This is exact, because 1 / f_1 to order n is the first n
+    terms of 1 / f_1 to any longer order.  The power is multiplied with the
+    product in q^h at order ceil(order / h), or becomes the product when
+    it is the first factor.  So every pow costs products of length
+    order / delta, and a product costs length order / h: mod 13 the
+    overcubic c = 25 map {1: -2, 2: -47, 4: 24} becomes
+    {52: 2, 26: -4, 4: -2, 2: 5, 1: -2}, and only the inverse, the square
+    and the one product of the f_1 factor run at full length.
 
     One plan runner serves this function and the read of chosen
     coefficients that ``count`` and the left side of
@@ -410,9 +371,16 @@ def _quotient_at(
     for name, k, n in plan:
         h = gcd(g, k)  # k itself for the first item, as gcd(0, k)
         m = -(-order // h)
-        if name is not None:
-            prod = one(ring, m) if prod is None else _expand(prod, g // h, m)
-            prod = _sparse_steps(prod, name, k // h, n)
+        if name is not None and prod is None:  # one pass from 1, at h = k
+            e, c = _terms(name, 1, m)
+            prod = TruncatedSeries(ring, _divide_terms(m, e[1:], c[1:], n, 1, p))
+        elif name is not None:  # |n| steps, each a row product or a division
+            prod, (e, c) = _expand(prod, g // h, m), _terms(name, k // h, m)
+            for _ in range(abs(n)):
+                if n > 0:
+                    prod = TruncatedSeries._wrap(ring, _term_product(e, c, prod.coeffs, m, p))
+                else:
+                    prod = TruncatedSeries(ring, _divide_terms(prod.coeffs, e[1:], c[1:], -1, 1, p))
         else:
             mk = -(-order // k)
             base = euler_product(1, mk, ring) if n > 0 else f1_inverse.truncate(mk)
@@ -438,6 +406,12 @@ _Core = Tuple[Tuple[str, int], ...]
 
 
 @lru_cache(maxsize=256)
+def _entry_map(name: str, k: int) -> EtaMap:
+    """The closed form's exponent map in q^k, A.at(k), built once per (name, k)."""
+    return _CLOSED_FORMS[name][0].at(k)
+
+
+@lru_cache(maxsize=256)
 def _theta_core(exponents: EtaMap, p: int) -> Optional[_Core]:
     """The first core C with E == C (mod p) entrywise.
 
@@ -460,7 +434,7 @@ def _theta_core(exponents: EtaMap, p: int) -> Optional[_Core]:
     every class of one map.
     """
     factors = [(name, k) for k in sorted({1, *exponents}) for name in _CLOSED_FORMS]
-    maps = [_CLOSED_FORMS[name][0].at(k) for name, k in factors]
+    maps = [_entry_map(name, k) for name, k in factors]
     first = {m.mod(p): j for j, m in reversed(list(enumerate(maps)))}  # key -> its first factor
     # E less the empty map (the series 1) matches a single factor, and E - A a pair (A, B)
     for i, m in enumerate([EtaMap(), *maps]):

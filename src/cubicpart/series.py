@@ -30,17 +30,23 @@ per term, as one object-array add with no interpreted inner loop, so a
 product costs O(length len(e)) additions; given distinct rising
 exponents, it reads the product there alone, one gather per term.
 ``_schoolbook`` is the kernel over the nonzero terms of the sparser
-operand.  Exact division g / f by f = f_0 + sum_j c_j q^{e_j}, f_0 a
-unit (``_divide_terms``; ``divide`` passes f's nonzero terms), is the
-recurrence out_n = f_0^{-1} (g_n - sum_j c_j out_{n-e_j}), run in blocks
-of _DIVIDE_BLOCK exponents.  The terms of a value that occurs more than
-once among the c_j (Euler's +-1, phi(-q)'s +-2) at e_j >= the block
-length read only finished blocks: they are added as object-array rows,
-summed per value, and each sum multiplies once per block before the
-block's recurrence.  The nearer terms of a repeated value are summed
-before one multiplication by it.  A value that occurs once (Jacobi's
-f^3) stays in the recurrence at every distance: as a row it would still
-cost one product per output, with the row's adds on top.
+operand.  One kernel, ``_divide_terms``, takes the exact quotient g / f,
+f = f_0 + sum_j c_j q^{e_j} with f_0 a unit (``divide`` passes f's
+nonzero terms), and the power a = f^r from 1, r any integer, f_0 = 1.
+With S_n = sum_j c_j a_{n-e_j} the quotient is a_n = f_0^{-1} (g_n - S_n).
+The power is J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7),
+n a_n = sum_j ((r + 1) e_j - n) c_j a_{n-e_j}; by e_j = n - (n - e_j) it is
+a_n = r S_n - (r + 1) S'_n / n, S'_n = sum_j c_j b_{n-e_j}, b_m = m a_m, so
+both sums run over f's own coefficients.  The division by n is exact over
+ZZ and a product by n's inverse mod m; when m has a factor below the
+length, some n has none, and the power runs over ZZ and is reduced.  r = -1 is the
+quotient of 1, by S alone.  The sums run in blocks of _DIVIDE_BLOCK
+exponents.  A value that occurs more than once among the c_j (Euler's
++-1, phi(-q)'s +-2) reads every finished block as object-array rows,
+summed per value, and each sum multiplies once per block; its reads
+within the block are summed per value before one multiplication.  A
+value that occurs once (Jacobi's f^3) stays in the recurrence at every
+distance: as a row it would still cost one product per output.
 
 Every product of int64-storage series is ``_mul_mod``: both operands are
 first cut to the result length, then the first of these paths whose
@@ -316,57 +322,79 @@ def _schoolbook(a, b, rl: int, m: Optional[int] = None) -> np.ndarray:
     return _term_product(e, a[e], b, rl, m)
 
 
-def _divide_terms(g, e, c, inv0: int, m: Optional[int] = None) -> list[int]:
-    """g / (f_0 + sum_j c_j q^{e_j}) at len(g) terms, e rising from 1 and inv0 f_0 == 1 (mod m).
+def _divide_terms(g, e, c, r: int, inv0: int, m: Optional[int] = None) -> list[int]:
+    """g / f at r = -1, else f^r, f = f_0 + sum_j c_j q^{e_j}, e rising from 1, inv0 f_0 == 1 (mod m).
 
-    The blocked recurrence of the module docstring; the result is a list
-    of Python ints, reduced mod m when m is given.
+    The blocked recurrences of the module docstring.  g is the dividend, or
+    an int n for the series 1 at n terms, as any r but -1 takes it, with
+    f_0 = 1.  A list of Python ints, reduced mod m when m is given.
     """
-    out = _ints(g)
-    size = len(out)
+    out = ([1] + [0] * (g - 1))[:g] if isinstance(g, int) else _ints(g)
+    size, power = len(out), r != -1
+    if power and m is not None and any(m % k == 0 for k in range(2, size)):  # some n has no n^-1
+        return [v % m for v in _divide_terms(size, e, c, r, inv0)]
+    cols = [out, [0] * size] if power else [out]  # a_n, and n a_n for the second sum
+    outb = cols[-1]
     terms: dict[int, list[int]] = {}  # c_j -> the rising e_j holding it
     for i, v in zip(e.tolist(), c.tolist()):
         terms.setdefault(v, []).append(i)
-    block = _DIVIDE_BLOCK
-    repeated = [(v, idx) for v, idx in terms.items() if len(idx) > 1]
-    rows = [(v, [i for i in idx if i >= block]) for v, idx in repeated]
-    rows = [(v, idx) for v, idx in rows if idx]
-    groups = [(v, [i for i in idx if i < block]) for v, idx in repeated]
+    groups = [(v, idx) for v, idx in terms.items() if len(idx) > 1]
     singles = sorted((idx[0], v) for v, idx in terms.items() if len(idx) == 1)
-    done = np.zeros(size, dtype=object)  # out, block by block, for the rows
-    for start in range(0, size, block):
-        stop = min(start + block, size)
-        dividend = None
-        for v, idx in rows:
-            if idx[0] >= stop:
-                continue
-            acc = np.zeros(stop - start, dtype=object)
-            for i in idx:
-                if i >= stop:
-                    break
-                lo = max(i - start, 0)  # out_n for n < i is not read
-                acc[lo:] += done[start + lo - i : stop - i]
-            if dividend is None:
-                dividend = np.array(out[start:stop], dtype=object)
-            dividend -= v * acc
-        if dividend is not None:
-            out[start:stop] = dividend.tolist()
-        for n in range(start, stop):
-            s = out[n]
+    done = [np.zeros(size, dtype=object) for _ in cols]  # each column, block by block, for the rows
+    for start in range(0, size, _DIVIDE_BLOCK):
+        stop = min(start + _DIVIDE_BLOCK, size)
+        for col, finished in zip(cols, done):
+            far = None
             for v, idx in groups:
-                t = 0
+                if start == 0 or idx[0] >= stop:
+                    continue
+                acc = np.zeros(stop - start, dtype=object)
                 for i in idx:
+                    if i >= stop:
+                        break
+                    lo, hi = max(i, start), min(start + i, stop)  # the outputs whose n - i is finished
+                    acc[lo - start : hi - start] += finished[lo - i : hi - i]
+                acc *= v
+                far = acc if far is None else far + acc
+            if far is not None:
+                col[start:stop] = (np.array(col[start:stop], dtype=object) - far).tolist()
+        if not power:
+            for n in range(start, stop):
+                s, d = out[n], n - start
+                for v, idx in groups:
+                    t = 0
+                    for i in idx:
+                        if i > d:
+                            break
+                        t += out[n - i]
+                    s -= v * t
+                for i, v in singles:
                     if i > n:
                         break
-                    t += out[n - i]
-                s -= v * t
-            for i, v in singles:
-                if i > n:
-                    break
-                s -= v * out[n - i]
-            out[n] = inv0 * s if m is None else inv0 * s % m
-        if rows:
-            done[start:stop] = out[start:stop]
+                    s -= v * out[n - i]
+                out[n] = inv0 * s if m is None else inv0 * s % m
+        else:
+            for n in range(max(start, 1), stop):
+                s, sb, d = out[n], outb[n], n - start
+                for v, idx in groups:
+                    t = tb = 0
+                    for i in idx:
+                        if i > d:
+                            break
+                        t += out[n - i]
+                        tb += outb[n - i]
+                    s -= v * t
+                    sb -= v * tb
+                for i, v in singles:
+                    if i > n:
+                        break
+                    s -= v * out[n - i]
+                    sb -= v * outb[n - i]
+                # a_n = r S_n - (r + 1) S'_n / n, with s = -S_n and sb = -S'_n
+                a = (r + 1) * sb // n - r * s if m is None else ((r + 1) * sb * pow(n, -1, m) - r * s) % m
+                out[n], outb[n] = a, n * a
+        for col, finished in zip(cols, done):
+            finished[start:stop] = col[start:stop]
     return out
 
 
@@ -702,26 +730,20 @@ class TruncatedSeries:
         return self.ring.invert(a0)
 
     def divide(self, f: TruncatedSeries) -> TruncatedSeries:
-        """self / f at min(self.order, f.order) terms; f must have a unit constant term.
-
-        The recurrence over f's nonzero terms (``_divide_terms``).
-        """
+        """self / f at min(self.order, f.order) terms, by f's nonzero terms; f_0 must be a unit."""
         self._require_same_ring(f)
         inv0 = f._unit_constant_inverse()
         size = min(self.order, f.order)
         e = np.flatnonzero(f.coeffs[1:size]) + 1
-        out = _divide_terms(self.coeffs[:size], e, f.coeffs[e], inv0, self.ring.modulus)
+        out = _divide_terms(self.coeffs[:size], e, f.coeffs[e], -1, inv0, self.ring.modulus)
         return TruncatedSeries(self.ring, out)
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; requires a unit constant term.
 
-        Over int64 storage, when the one gate ``_newton_exact`` admits
-        this order and modulus, this is Newton iteration: the gate asks
-        ``_fft_exact`` about every spectral doubling at its worst case,
-        dense operands of balanced digits of size m // 2 (m - 1 for
-        m >= 2^62, which stay unbalanced).  Otherwise it is 1 / self by
-        ``divide``, whose recurrence skips zero coefficients of the input.
+        Over int64 storage, where the one gate ``_newton_exact`` admits
+        this order and modulus (module docstring), Newton iteration;
+        otherwise 1 / self by ``divide``, over the input's nonzero terms.
         """
         m = self.ring.modulus
         if _int64_storage(self.ring) and _newton_exact(self.order, m):

@@ -311,37 +311,15 @@ def test_split_and_stride_match_dense_powers_mod_m(m, data):
 
 
 @pytest.fixture
-def counted_steps(monkeypatch):
-    """Calls of pow, as ("pow", e), and of divide, as ("divide", delta of the divisor).
-
-    No 1 / f_1 is held, so it is built, not cut from an earlier test's.
-    """
-    calls = []
-    monkeypatch.setattr(qfunctions._f1_holder, "held", None)
-    real_pow, real_divide = TruncatedSeries.pow, TruncatedSeries.divide
-
-    def counting_pow(self, e):
-        calls.append(("pow", e))
-        return real_pow(self, e)
-
-    def counting_divide(self, f):
-        calls.append(("divide", next(i for i, c in enumerate(f.coeffs) if i and c)))
-        return real_divide(self, f)
-
-    monkeypatch.setattr(TruncatedSeries, "pow", counting_pow)
-    monkeypatch.setattr(TruncatedSeries, "divide", counting_divide)
-    return calls
-
-
-@pytest.fixture
 def step_factors(monkeypatch):
-    """The sparse steps taken, as (op, power, k, order) for a factor f_k^power.
+    """The passes and sparse steps taken, as (op, power, k, order) for a factor f_k^power.
 
     op is "mul" for a call of the row kernel that multiplies (a read at
-    chosen exponents is no step) and "divide" for a call of the
-    term-array division, each as ``qfunctions`` looks it up.  The factor
-    is the closed form whose terms in q^k below the order are the ones
-    passed, a division's past the constant term.  power is 3 for
+    chosen exponents is no step), "divide" for a division of a running
+    product by the term-array kernel, and ("pass", r) for that kernel's
+    pass from 1 to the r-th power, each as ``qfunctions`` looks it up.
+    The factor is the closed form whose terms in q^k below the order are
+    the ones passed, the kernel's past the constant term.  power is 3 for
     ``jacobi_cube``, 1 for ``euler_product``, and the table's name for
     any other closed form.  pow and inverse may not run.
     """
@@ -362,9 +340,12 @@ def step_factors(monkeypatch):
             calls.append(("mul",) + factor(e, c, rl, 0))
         return real_product(e, c, b, rl, m, at)
 
-    def counting_divide(g, e, c, inv0, m=None):
-        calls.append(("divide",) + factor(e, c, len(g), 1))
-        return real_divide(g, e, c, inv0, m)
+    def counting_divide(g, e, c, r, inv0, m=None):
+        if isinstance(g, int):
+            calls.append((("pass", r),) + factor(e, c, g, 1))
+        else:
+            calls.append(("divide",) + factor(e, c, len(g), 1))
+        return real_divide(g, e, c, r, inv0, m)
 
     def no_call(self, *args):
         raise AssertionError("a sparse step map ran pow or inverse")
@@ -377,14 +358,13 @@ def step_factors(monkeypatch):
 
 
 # cubic c = 5, {2: -4, 1: -1} at 4001, is psi(q) / f2^6 with psi = f2^2 / f1:
-# f2^-6 is two steps by f1^3 in q^2 at 2001 terms, the product starting
-# from 1 at 2001; then one product by psi at 4001, after q^2 -> q, where
-# the f factors would divide by f1 at 4001
-CUBIC_5_STEPS = [("divide", 3, 1, 2001), ("divide", 3, 1, 2001), ("mul", "psi", 1, 4001)]
+# f2^-6 is one pass of f1 to the power -6 in q^2 at 2001 terms, from 1;
+# then one product by psi at 4001, after q^2 -> q, where the f factors
+# would divide by f1 at 4001
+CUBIC_5_STEPS = [(("pass", -6), 1, 1, 2001), ("mul", "psi", 1, 4001)]
 
 
-def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
-    # every factor's steps cost far fewer coefficient products than its pow
+def test_euler_quotient_takes_sparse_steps_over_zz(step_factors, monkeypatch):
     with mock.patch.object(qfunctions, "_closed_form", wraps=qfunctions._closed_form) as scatter:
         s = euler_quotient({2: -4, 1: -1}, 4001, ZZ)
     assert step_factors == CUBIC_5_STEPS
@@ -392,45 +372,32 @@ def test_euler_quotient_takes_sparse_steps_over_zz(step_factors):
     fam = PartitionFamily(CUBIC, 5)
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
     # overcubic c = 3, {4: 2, 2: -3, 1: -2} at 3000, is
-    # 1 / (phi(-q) phi(-q^2)^2), phi(-q) = f1^2 / f2: two divisions by
-    # phi(-q) in q^2 at 1500 terms, the product starting from 1, then one
-    # at 3000 after q^2 -> q; f4^2, f2^-3 and f1^-2 as f steps would cost
-    # two products by f at 750, a division by f^3 at 1500 and two by f at 3000
+    # 1 / (phi(-q) phi(-q^2)^2), phi(-q) = f1^2 / f2: one pass of phi(-q)
+    # to the power -2 in q^2 at 1500 terms, from 1, then one division at
+    # 3000 after q^2 -> q; the f factors would take one pass and then
+    # steps by f, f^3 or both at 3000
     step_factors.clear()
     s = euler_quotient(PartitionFamily(OVERCUBIC, 3).exponents, 3000, ZZ)
-    assert step_factors == [
-        ("divide", "phi(-q)", 1, 1500), ("divide", "phi(-q)", 1, 1500),
-        ("divide", "phi(-q)", 1, 3000),
-    ]
+    assert step_factors == [(("pass", -2), "phi(-q)", 1, 1500), ("divide", "phi(-q)", 1, 3000)]
     fam = PartitionFamily(OVERCUBIC, 3)
     assert s.coefficients(40) == [count_direct(fam, n) for n in range(40)]
+    # {6: 1, 5: 1} at 80: a pass of f6 in q^6 at 14 terms, then f5 moves
+    # the product to q at 80 terms for its one step
+    step_factors.clear()
+    t = euler_quotient({6: 1, 5: 1}, 80, ZZ)
+    assert step_factors == [(("pass", 1), 1, 1, 14), ("mul", 1, 5, 80)]
+    monkeypatch.undo()
+    assert t == dense_quotient({6: 1, 5: 1}, 80, ZZ)
 
 
 def test_euler_quotient_takes_sparse_steps_mod_m_above_2_63(step_factors):
-    # object storage, as over ZZ: steps, not a quadratic Python-int pow
+    # object storage, as over ZZ: one pass and a product, not a quadratic Python-int pow
     m = 2**64 + 13
     s = euler_quotient({2: -4, 1: -1}, 4001, zmod(m))
     assert step_factors == CUBIC_5_STEPS
     assert s == euler_quotient({2: -4, 1: -1}, 4001, ZZ).reduce_mod(m)
     with pytest.raises(ValueError, match=f"order {10**6 + 1} is above the ceiling {10**6}"):
         euler_quotient({2: -4, 1: -1}, 10**6 + 1, zmod(m))
-
-
-def test_step_rule_takes_steps_where_they_cost_less(step_factors, monkeypatch):
-    # cubic c = 251, {2: -250, 1: -1} at 1001, is psi(q) / f2^252: 84 steps
-    # by f^3, each 501 products per nonzero term (32 of f^3), cost less
-    # than bit_length(252) = 8 products of 501^2; then one product by psi
-    s = euler_quotient({2: -250, 1: -1}, 1001, ZZ)
-    assert step_factors == [("divide", 3, 1, 501)] * 84 + [("mul", "psi", 1, 1001)]
-    # {6: 1, 5: 1} at 80: after f6 in q^6 at 14 terms, f5 moves the product
-    # to q at 80 terms; its step, 80 * 7 products, costs less than pow's
-    # 16^2 and the product of the power with the 14 terms of f6, 80 * 14
-    step_factors.clear()
-    t = euler_quotient({6: 1, 5: 1}, 80, ZZ)
-    assert step_factors == [("mul", 1, 1, 14), ("mul", 1, 5, 80)]
-    monkeypatch.undo()
-    assert s == dense_quotient({2: -250, 1: -1}, 1001, ZZ)
-    assert t == dense_quotient({6: 1, 5: 1}, 80, ZZ)
 
 
 # each delta divides the one before, or shares a proper divisor with it
@@ -441,13 +408,10 @@ STEP_CHAINS = [(6, 3, 2, 1), (12, 6, 3, 1), (12, 4, 2, 1), (9, 3, 1), (12, 8, 6,
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_strided_and_cube_steps_match_dense_powers(ring, data):
-    """Object storage: every factor is taken as steps, strided and by f^3.
+    """Object storage: every factor is one pass or steps, strided, by f or by f^3.
 
-    The step-or-pow rule is set aside, so that no pow runs: at these
-    orders it prices some factors cheaper by pow ({11: 1, 5: 5} at 80
-    takes f_5 by pow).  |r| from 3 on takes cube steps, and |r| mod 3
-    remainder steps follow, with either sign.  Deltas from a chain, and
-    any others up to 12, give every gcd case of the stride.
+    No pow runs.  Deltas from a chain, and any others up to 12, give every
+    gcd case of the stride.
     """
     chain = data.draw(st.sampled_from(STEP_CHAINS))
     deltas = st.sampled_from(chain) | st.integers(1, 12)
@@ -455,10 +419,7 @@ def test_strided_and_cube_steps_match_dense_powers(ring, data):
         st.dictionaries(deltas, st.integers(-7, 7).filter(bool), min_size=1, max_size=4)
     )
     order = data.draw(st.integers(80, 300))
-    with (
-        mock.patch.object(TruncatedSeries, "pow", side_effect=AssertionError("pow ran")),
-        mock.patch.object(qfunctions, "_takes_steps", return_value=True),
-    ):
+    with mock.patch.object(TruncatedSeries, "pow", side_effect=AssertionError("pow ran")):
         fast = euler_quotient(exps, order, ring)
     assert fast == dense_quotient(exps, order, ring)
 
@@ -487,7 +448,8 @@ def test_overcubic_series_by_phi_steps_match_the_oracle(order):
     """Overcubic c = 1..40 over ZZ, against ``count_direct`` and the int64 ring.
 
     From 383 terms on, each map {1: -2, 2: 3 - 2c, 4: c - 1} is planned
-    as 1 / (phi(-q) phi(-q^2)^(c-1)), at c = 1 one division by phi(-q).
+    as 1 / (phi(-q) phi(-q^2)^(c-1)): one pass of phi(-q) in q^2, then
+    one division by phi(-q); at c = 1 the division alone, as the pass.
     The int64 ring builds by strided pow, mod 65521 with no Frobenius
     split and mod 7 with one.
     """
@@ -572,38 +534,18 @@ def test_bottom_option_plans_match_dense_powers(ring, exps, order):
 def test_cubic_one_every_overcubic_and_ramanujan_keep_their_plans(order):
     """No bottom option pays for these maps, so they keep the plans they had without one.
 
-    Cubic c = 1 is one division by f at full length, overcubic c = 1..60
-    is c - 1 divisions by phi(-q) in q^2 and one at full length, and
-    Ramanujan's product side {5: 5, 1: -6} is f_5^5 by one step by f^3
-    and two by f, then f_1^-6 by two divisions by f^3.
+    Cubic c = 1 is one division by f at full length, overcubic c is one
+    pass of phi(-q) in q^2 to the power 1 - c and one division by phi(-q)
+    at full length, whatever c is, and Ramanujan's product side
+    {5: 5, 1: -6} is one pass of f_1^-6, then five products by f_5.
     """
     assert qfunctions._step_plan({1: -1}, order) == [("euler_product", 1, -1)]
-    for c in range(1, 61):
+    for c in (*range(1, 61), 248, 255, 270, 287, 10**5):  # a pass costs the same at large c
         plan = [("phi(-q)", 2, 1 - c)] * (c > 1) + [("phi(-q)", 1, -1)]
         assert qfunctions._step_plan(PartitionFamily(OVERCUBIC, c).exponents, order) == plan, c
     assert qfunctions._step_plan(_IDENTITIES["ramanujan-p5n4"][4], order) == [
-        ("jacobi_cube", 5, 1), ("euler_product", 5, 2), ("jacobi_cube", 1, -2),
+        ("euler_product", 1, -6), ("euler_product", 5, 5),
     ]
-
-
-@pytest.mark.parametrize(
-    "c, order, plan",
-    [
-        # the plans ending in phi(-q) and in phi price alike; the followed link, phi(-q), stays
-        (287, 383, [(None, 4, 286), (None, 2, -572), ("phi(-q)", 1, -1)]),
-        (248, 1000, [("jacobi_cube", 4, 83), (None, 2, -498), ("phi", 1, 1)]),
-        (
-            255,
-            1000,
-            [("jacobi_cube", 4, 84), ("euler_product", 4, 2), (None, 2, -508), ("phi(-q)", 1, -1)],
-        ),
-        (270, 1000, [("phi(-q)", 2, -269), ("phi(-q)", 1, -1)]),
-    ],
-)
-def test_overcubic_plans_where_pow_runs(c, order, plan):
-    """Overcubic at colour counts large against the order: f_2's power by pow, one link of
-    the chain or two."""
-    assert qfunctions._step_plan(PartitionFamily(OVERCUBIC, c).exponents, order) == plan
 
 
 def f_factors_then(exps, order, name, k, n):
@@ -612,41 +554,42 @@ def f_factors_then(exps, order, name, k, n):
     for d, r in qfunctions._CLOSED_FORMS[name][0].items():
         rest[k * d] -= n * r
     rest = {d: r for d, r in rest.items() if r}
-    return qfunctions._f_factor_plan(rest, 0, order) + [(name, k, n)]
+    return qfunctions._f_factor_plan(rest, order) + [(name, k, n)]
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 60, 383, 1000, 4001, 10**5])
 def test_cubic_and_identity_maps_keep_the_f_factor_plan(order):
-    """Past a bottom theta entry, applied last, every map keeps its f factors.
+    """Past a bottom theta entry, applied last, every map keeps its f factors, each one item.
 
-    Cubic c >= 2, {1: -1, 2: 1 - c}, is psi(q) / f_2^(c+1) from 60 terms on,
-    except where c - 1 is a multiple of 3 and f_2^(1-c) goes by steps:
-    those are whole steps by f^3, and one division by f at full length is
-    priced below the two more steps by f that psi's f_2^2 adds.  Chan's product side
-    {3: 3, 6: 3, 1: -4, 2: -4} is f_3^3 f_6^3 / (phi(-q)^2 f_2^6).  Cubic
-    c = 1 and Ramanujan's {5: 5, 1: -6} have no bottom option that pays.
+    From 5 terms on cubic c >= 3, {1: -1, 2: 1 - c}, is psi(q) / f_2^(c+1):
+    one pass of f_2^-(c+1), whatever c is, then one product by psi.  c = 2
+    divides once by f_2^3 instead: the pass by f runs two sums over f's
+    terms where that division runs one over the fewer ones of f^3.  Chan's
+    product side {3: 3, 6: 3, 1: -4, 2: -4} is f_3^3 f_6^3 / (phi(-q)^2 f_2^6)
+    with f_2^-6 first, as the pass.  Cubic c = 1 and Ramanujan's
+    {5: 5, 1: -6} have no bottom option that pays.
     """
     for c in (*range(1, 60), 251, 1001, 10**5):
         exps = {d: r for d, r in PartitionFamily(CUBIC, c).exponents.items() if d < order}
-        f_plan = qfunctions._f_factor_plan(exps, 0, order)
         plan = qfunctions._step_plan(exps, order)
-        if c == 1 or order < 3:
-            assert plan == f_plan
-        elif order < 60:  # a few terms, where pow and steps trade places: either plan
-            assert plan in (f_plan, f_factors_then(exps, order, "psi", 1, 1)), c
-        elif c % 3 == 1 and qfunctions._takes_steps(1 - c, 2, 0, order):
-            assert plan == f_plan, c
+        if c == 1 or order < 5:
+            assert plan == qfunctions._f_factor_plan(exps, order)
+        elif c == 2:
+            assert plan == [("jacobi_cube", 2, -1), ("psi", 1, 1)]
         else:
-            assert plan == f_factors_then(exps, order, "psi", 1, 1), c
+            assert plan == f_factors_then(exps, order, "psi", 1, 1) == [
+                ("euler_product", 2, -(c + 1)), ("psi", 1, 1)
+            ], c
     ramanujan, chan = (
         {d: r for d, r in _IDENTITIES[i][4].items() if d < order}
         for i in ("ramanujan-p5n4", "chan-a2-3n2")
     )
-    assert qfunctions._step_plan(ramanujan, order) == qfunctions._f_factor_plan(ramanujan, 0, order)
+    assert qfunctions._step_plan(ramanujan, order) == qfunctions._f_factor_plan(ramanujan, order)
     if order < 5:
-        expected = qfunctions._f_factor_plan(chan, 0, order)
+        expected = qfunctions._f_factor_plan(chan, order)
     else:
         expected = f_factors_then(chan, order, "phi(-q)", 1, -2)
+        assert expected[0] == ("euler_product", 2, -6)
     assert qfunctions._step_plan(chan, order) == expected
 
 
@@ -679,7 +622,7 @@ def test_the_chain_never_prices_above_the_f_factor_plan(exps, order):
     of the map.
     """
     plan = qfunctions._step_plan(exps, order)
-    f_plan = qfunctions._f_factor_plan(exps, 0, order)
+    f_plan = qfunctions._f_factor_plan(exps, order)
     assert qfunctions._price(plan, 0, order) <= qfunctions._price(f_plan, 0, order)
     bottoms = [
         k * min(qfunctions._CLOSED_FORMS[name][0]) for name, k, _ in plan if name in THETA_NAMES
@@ -688,13 +631,13 @@ def test_the_chain_never_prices_above_the_f_factor_plan(exps, order):
     assert set(bottoms) <= set(exps)
 
 
-def test_euler_quotient_powers_a_huge_exponent_at_small_order(counted_steps):
+def test_euler_quotient_powers_a_huge_exponent_at_small_order(step_factors, monkeypatch):
     s = euler_quotient({2: -9999, 1: -1}, 60, ZZ)
-    # psi(q) / f2^10001: f2 by pow (3333 steps by f^3, 8 terms at order 30,
-    # cost 30 * 3333 * 8 products against 14 * 30^2), strided: 1 / f1 at
-    # order 30 from _f1_inverse, built by one division by f1, to the power
-    # 10001; then one product by psi at 60, no division
-    assert counted_steps == [("divide", 1), ("pow", 10001)]
+    # psi(q) / f2^10001: one pass of f1 to the power -10001 in q^2 at 30
+    # terms, whose cost does not grow with the exponent; then one product
+    # by psi at 60
+    assert step_factors == [(("pass", -10001), 1, 1, 30), ("mul", "psi", 1, 60)]
+    monkeypatch.undo()
     assert s == dense_quotient({2: -9999, 1: -1}, 60, ZZ)
 
 
@@ -761,9 +704,8 @@ STORE_RINGS = [ZZ] + [zmod(m) for m in (2, 3, 7, 13, 65521, 2**61 - 1, 2**64 + 1
 def test_cold_and_warm_store_give_equal_quotients(monkeypatch, ring):
     """1 / f1 built fresh, cut from a longer one, or held exactly: one result.
 
-    Over ZZ the cubic c = 200 map takes f2 by pow (at 200 its 66 steps by
-    f^3 and one by f cost 100 * (66 * 14 + 16) products against
-    8 * 100^2), so its f2^-199 reads the held 1 / f1 too.
+    Object storage (ZZ, mod 2^64 + 13) takes every map by passes and
+    steps, so no map of it reads or replaces the held 1 / f1.
     """
     maps = [{1: -1, 2: -199}, {1: -2, 2: 3, 4: -1}, {1: -1}, {3: -2, 1: 1}]
     orders = (200, 57, 1)
@@ -953,7 +895,7 @@ READ_MAPS = (
     [PartitionFamily(CUBIC, c).exponents for c in range(1, 13)]
     + [PartitionFamily(OVERCUBIC, c).exponents for c in range(1, 7)]
     + [exps for *_, exps in _IDENTITIES.values()]
-    # plans that end in two products by f, and in one by phi(-q) after divisions
+    # a plan of one pass, and one that ends in a product by phi(-q) after a pass
     + [{1: 5}, {2: -3, 1: 2}]
 )
 
@@ -961,8 +903,8 @@ READ_MAPS = (
 @pytest.mark.parametrize("exps", READ_MAPS, ids=str)
 def test_a_read_of_chosen_exponents_matches_the_full_series(exps):
     order = 4001
-    if exps == {1: 5}:
-        assert qfunctions._step_plan(exps, order)[-1] == ("euler_product", 1, 2)
+    if exps == {1: 5}:  # one pass, to the power 4 for a read
+        assert qfunctions._step_plan(exps, order) == [("euler_product", 1, 5)]
     full = euler_quotient(exps, order, ZZ).coefficients()
     for at in (
         range(2, order, 3),  # chan's class, to the end
@@ -973,17 +915,17 @@ def test_a_read_of_chosen_exponents_matches_the_full_series(exps):
 
 
 def test_a_read_holds_back_the_last_product_by_a_closed_form(step_factors):
-    """Cubic c = 5 at 4001: the two divisions by f^3 run, the product by psi does not."""
+    """Cubic c = 5 at 4001: the pass of f_2^-6 runs, the product by psi does not."""
     fam = PartitionFamily(CUBIC, 5)
     values = qfunctions._quotient_at(fam.exponents, 4001, ZZ, [4000, 0, 299, 7])
-    assert step_factors == CUBIC_5_STEPS[:2]
+    assert step_factors == CUBIC_5_STEPS[:1]
     assert values[1:] == [count_direct(fam, n) for n in (0, 299, 7)]
     # a plan that ends in a division builds the series and reads it
     step_factors.clear()
     assert qfunctions._quotient_at({1: -1}, 300, ZZ, [299, 5]) == [
         count_direct(PartitionFamily(CUBIC, 1), n) for n in (299, 5)
     ]
-    assert step_factors == [("divide", 1, 1, 300)]
+    assert step_factors == [(("pass", -1), 1, 1, 300)]
 
 
 @pytest.mark.parametrize("m", [7, 65521, 2**64 + 13])

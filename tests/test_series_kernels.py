@@ -725,7 +725,7 @@ def test_term_array_division_matches_the_nested_loop_recurrence(order, m, kind):
     g = [ring.normalize(rng.randrange(-(10**40), 10**40)) for _ in range(order)]
     e, c = nonzero_terms(f)
     inv0 = ring.invert(f[0])
-    assert series._divide_terms(g, e, c, inv0, m) == nested_loop_quotient(g, f, ring)
+    assert series._divide_terms(g, e, c, -1, inv0, m) == nested_loop_quotient(g, f, ring)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -737,7 +737,7 @@ def test_term_array_division_by_every_closed_form_matches_the_nested_loop(name, 
     for m in (None, 2**64 + 13):
         ring = ZZ if m is None else zmod(m)
         expected = nested_loop_quotient([ring.normalize(x) for x in g], dense, ring)
-        assert series._divide_terms(g, e[1:], c[1:], 1, m) == expected
+        assert series._divide_terms(g, e[1:], c[1:], -1, 1, m) == expected
 
 
 def test_divide_leaves_only_single_and_near_terms_to_the_recurrence():
@@ -756,6 +756,71 @@ def test_divide_leaves_only_single_and_near_terms_to_the_recurrence():
     assert len(rows_of_f1) == 1 + 2 * 2  # two values, in the second and third block
     assert f1_inverse.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f1.coefficients(), ZZ)
     assert f3_inverse.coefficients() == nested_loop_quotient([1] + [0] * (order - 1), f3.coefficients(), ZZ)
+
+
+# -- one power pass ---------------------------------------------------------
+
+
+def nested_loop_power(f, r, ring):
+    """Reference: f^r at len(f) terms, f_0 = 1, by |r| nested-loop products, then for r < 0 one quotient."""
+    support = [i for i in range(len(f)) if f[i]]
+    out = [1] + [0] * (len(f) - 1)
+    for _ in range(abs(r)):
+        out = [ring.normalize(sum(f[i] * out[n - i] for i in support if i <= n)) for n in range(len(f))]
+    return out if r >= 0 else nested_loop_quotient([1] + [0] * (len(f) - 1), out, ring)
+
+
+POWER_MODULI = [None, 2**64 + 13, 2**64]
+
+
+@pytest.mark.parametrize("m", POWER_MODULI, ids=["ZZ", "mod 2^64+13", "mod 2^64"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    r=st.integers(-50, 50),
+    order=st.integers(1, 2 * B + 40),
+    repeated=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=0, max_size=30),
+    distinct=st.lists(st.integers(3, 10**6), min_size=0, max_size=5, unique=True),
+    seed=st.integers(0, 2**16),
+)
+@example(r=-1, order=2 * B + 1, repeated=[1, -1] * 10, distinct=[7], seed=1)
+@example(r=0, order=B + 3, repeated=[1, 2], distinct=[5], seed=2)
+@example(r=1, order=B + 3, repeated=[-1, -1], distinct=[], seed=3)
+@example(r=-50, order=2 * B + 40, repeated=[1, -1] * 15, distinct=[3, 10**6], seed=4)
+def test_one_power_pass_matches_the_nested_loop_power(m, r, order, repeated, distinct, seed):
+    """f^r from 1 by the term-array kernel, against |r| nested-loop products.
+
+    f is 1 plus a random sparse tail: values that repeat (rows past the
+    first block, summed per value within it) and values that occur once.
+    Mod 2^64 + 13, a prime, the pass divides by n through n's inverse; mod
+    2^64 the even n have none, so from 3 terms on it runs over ZZ and
+    reduces once.
+    """
+    ring = ZZ if m is None else zmod(m)
+    rng = random.Random(seed)
+    f = [1] + [0] * (order - 1)
+    for v in repeated + distinct:
+        if order > 1:
+            f[rng.randrange(1, order)] = ring.normalize(v)
+    e = np.array([i for i in range(1, order) if f[i]], dtype=np.int64)
+    c = np.array([f[i] for i in e], dtype=object)
+    with mock.patch.object(series, "_divide_terms", wraps=series._divide_terms) as spy:
+        got = series._divide_terms(order, e, c, r, 1, m)
+    assert got == nested_loop_power(f, r, ring)
+    by_zz = [call for call in spy.call_args_list[1:] if len(call.args) == 5]
+    assert len(by_zz) == (m == 2**64 and r != -1 and order > 2)  # n = 2 is the first non-unit
+
+
+@pytest.mark.parametrize("m", POWER_MODULI, ids=["ZZ", "mod 2^64+13", "mod 2^64"])
+@pytest.mark.parametrize("order", [B - 1, 2 * B + 1])
+def test_divide_by_a_constant_term_other_than_one_matches_the_nested_loop(m, order):
+    """``divide`` by f_0 = -1 over ZZ, and by the units 3 and m - 1 mod m: the division needs no n^-1."""
+    ring = ZZ if m is None else zmod(m)
+    rng = random.Random(f"unit:{order}:{m}")
+    for f0 in ([-1] if m is None else [3, m - 1]):
+        f = [f0] + [ring.normalize(rng.choice([1, -1, 2, rng.randrange(3, 10**20)])) for _ in range(order - 1)]
+        g = [ring.normalize(rng.randrange(-(10**30), 10**30)) for _ in range(order)]
+        got = TruncatedSeries(ring, g).divide(TruncatedSeries(ring, f))
+        assert got.coefficients() == nested_loop_quotient(g, f, ring)
 
 
 # -- int64 reduction ------------------------------------------------------------
